@@ -28,7 +28,7 @@ from .monomials import ValuedRing, apply_substitution, monomialize, polynomial
 from .ordered_group import (GroupBasis, GroupElement, GroupOrder, lexvec,
                             positivize_all, validate_order)
 from .tau import Comparability
-from .transforms import compose_trace, intvec, natvec
+from .transforms import compose_trace, intvec, natvec, step_runs
 
 SCHEMA_VERSION = 1
 _EXACT_DOUBLE = 2 ** 53  # integers beyond this are emitted as decimal strings
@@ -105,7 +105,10 @@ def _encode_lexvec(v):
 
 
 def _encode_trace(steps):
-    return [{"J": sorted(s.J), "j": s.j} for s in steps]
+    out = []
+    for step, k in step_runs(steps):
+        out += [{"J": sorted(step.J), "j": step.j}] * k
+    return out
 
 
 def _format_vec(v) -> str:
@@ -246,9 +249,12 @@ def _cmd_monomialize(doc, args, infile):
     raw_values = _field(doc, "values")
     if not isinstance(raw_values, list):
         raise MalformedInput("values must be a list")
-    values = tuple(lexvec([_as_rational(x, "value entry") for x in row])
-                   for row in raw_values)
-    ring = ValuedRing(m, n, values)
+    values = []
+    for row in raw_values:
+        if not isinstance(row, list):
+            raise MalformedInput("each value must be a list")
+        values.append(lexvec([_as_rational(x, "value entry") for x in row]))
+    ring = ValuedRing(m, n, tuple(values))
 
     raw_terms = _field(doc, "polynomial")
     if not isinstance(raw_terms, list):

@@ -2,8 +2,11 @@
 
 choose_J builds an index set J such that applying the step (J, j) strictly
 decreases tau for EVERY j in J, so the opponent's choice of j never matters.
-run_pair iterates this against an adversary until the pair is comparable;
-termination follows from the well-ordering of the measure.
+descend iterates this against an adversary until the pair is comparable;
+termination follows from the well-ordering of the measure.  It plays runs of
+identical steps in one go (the division form of the descent, as in
+multiplicative Euclid or Brun), so lopsided pairs need few iterations.
+run_pair, the game's solve and positivize all drive this one core.
 """
 
 from __future__ import annotations
@@ -11,25 +14,54 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, comparability, reduce_pair, tau
-from .transforms import Step, Vec, apply_step, natvec
+from .transforms import Step, Vec, apply_run, apply_step, natvec
+
+UNBOUNDED = sys.maxsize  # run limit offered when no step limit applies
 
 
 class Adversary:
     """Picks j from a proposed J, seeing the tracked vectors and round number."""
 
+    #: True when the answer to J depends on J alone, whatever the vectors,
+    #: the round and the answers before.  The descent then also replays a
+    #: repeating block of different steps without asking again.
+    by_J = False
+
     def choose(self, J: frozenset[int], vectors: Sequence[Vec], round_no: int) -> int:
         raise NotImplementedError
 
+    def choose_run(self, J: frozenset[int], vectors: Sequence[Vec], round_no: int,
+                   limit: int) -> tuple[int, int]:
+        """j and a run length k in 1..limit: the answer for this round and for
+        each of the next k - 1 rounds, as long as they propose J again.
+
+        The descent may end the run sooner, when J changes or the pair becomes
+        comparable; the round_no of the next call tells how many rounds were
+        played.  By default every run is one round.
+        """
+        return self.choose(J, vectors, round_no), 1
+
 
 class FirstIndex(Adversary):
-    """Always the smallest index in J."""
+    """Always the smallest index in J.  That answer depends on J alone, so it
+    holds for whole runs and blocks, unless a subclass overrides choose."""
+
+    @property
+    def by_J(self):
+        return type(self).choose is FirstIndex.choose
 
     def choose(self, J, vectors, round_no):
         return min(J)
+
+    def choose_run(self, J, vectors, round_no, limit):
+        if not self.by_J:
+            return super().choose_run(J, vectors, round_no, limit)
+        return min(J), limit
 
 
 class SeededRandom(Adversary):
@@ -160,13 +192,195 @@ class EngineTrace:
         return len(self.steps)
 
 
+def _decisions(d: Sequence[int]):
+    """Every branch _choose_J_swapped takes on a pair with difference
+    d = alpha - beta: the sign of each entry, the role swap, the order of the
+    larger side's support and the length of its covering prefix.  Equal
+    decisions give equal (J, swapped); choose_J keeps its own lean code
+    because the exhaustive game-tree walks call it millions of times."""
+    na = sum(x for x in d if x > 0)
+    nb = -sum(x for x in d if x < 0)
+    swapped = na > nb
+    need = nb if swapped else na
+    if swapped:
+        large = sorted((-x, i) for i, x in enumerate(d, start=1) if x > 0)
+    else:
+        large = sorted((x, i) for i, x in enumerate(d, start=1) if x < 0)
+    acc = cut = 0
+    for key, _ in large:
+        cut += 1
+        acc -= key
+        if acc >= need:
+            break
+    signs = tuple((x > 0) - (x < 0) for x in d)
+    return signs, swapped, tuple(i for _, i in large), cut
+
+
+def _repeat_count(states: list[list[int]], shift: list[int], limit: int) -> int:
+    """How many more times, at most limit, a block of rounds repeats.
+
+    states[i] is alpha - beta at the start of round i of one repetition, and
+    every repetition shifts each of them by `shift`.  Counts the repetitions
+    t = 1, 2, ... in which every round decides like its counterpart in
+    repetition 0.  Each decision compares quantities linear in t, so the
+    repetitions that do form an interval: gallop to its end, then bisect.
+    """
+    firsts = [_decisions(d) for d in states]
+
+    def same(t):
+        return all(_decisions([x + t * y for x, y in zip(d, shift)]) == first
+                   for d, first in zip(states, firsts))
+
+    lo, stride = 0, 1  # repetitions up to lo decide like repetition 0
+    while lo + stride <= limit and same(lo + stride):
+        lo += stride
+        stride *= 2
+    hi = min(lo + stride, limit + 1)  # repetition hi does not, or is past the limit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if same(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _line(start: int, delta: int, count: int):
+    """start, start + delta, ...: count terms."""
+    if delta == 0:
+        return repeat(start, count)
+    return range(start, start + count * delta, delta)
+
+
+def _repeat_taus(states: list[list[int]], shift: list[int], t0: int,
+                 m: int) -> list[Tau]:
+    """tau after every round but the last of repetitions t0 .. t0 + m - 1 of
+    the block that `states` and `shift` describe (as in _repeat_count).
+
+    Each of those rounds ends where a round of the block starts and decides
+    like its counterpart in repetition 0.  So the signs and the role swap
+    there are known, and both norms move linearly with the repetition.
+    """
+    columns = []
+    for i, d in enumerate(states):
+        na = sum(x for x in d if x > 0)
+        nb = -sum(x for x in d if x < 0)
+        dna = sum(y for x, y in zip(d, shift) if x > 0)
+        dnb = -sum(y for x, y in zip(d, shift) if x < 0)
+        # round i - 1 ends where round i starts; the last round of a
+        # repetition ends where round 0 of the next one starts
+        t = t0 + 1 if i == 0 else t0
+        count = m - 1 if i == 0 else m
+        first, second = _line(na + t * dna, dna, count), _line(nb + t * dnb, dnb, count)
+        if na > nb:
+            first, second = second, first
+        columns.append(list(map(Tau, first, second)))
+    if len(columns) == 1:
+        return columns[0]
+    later = columns[1:]
+    out = [tau_ for group in zip(*later, columns[0]) for tau_ in group]
+    out += [column[-1] for column in later]
+    return out
+
+
+def _period(played, J: frozenset[int], swapped: bool) -> int:
+    """The period p of the single rounds just played, when they end with two
+    equal repetitions of p commuting steps and the coming round, the first
+    of a third repetition, proposes J again; 0 when there is none.
+
+    A step (J', j') commutes with the others when no other step adds to an
+    entry in J' other than j': the sums each step adds are then fixed for
+    the whole block.
+    """
+    for p in range(2, len(played) // 2 + 1):
+        start = played[-p]
+        if start[1] != J or start[2] != swapped:
+            continue
+        block = [r[3] for r in played[-p:]]
+        if block != [r[3] for r in played[-2 * p:-p]]:
+            continue
+        if all(s.j == t.j or s.j not in t.J for s in block for t in block):
+            return p
+    return 0
+
+
+def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
+            steps: list[Step], step_limit: Optional[int] = None,
+            on_round: Optional[Callable[[frozenset], None]] = None,
+            swaps: Optional[list[bool]] = None,
+            taus: Optional[list[Tau]] = None) -> None:
+    """Descend the pair vectors[p], vectors[q] to comparability, carrying
+    every tracked vector along, in runs of identical steps.
+
+    `vectors` is updated in place and the steps are appended to `steps`; its
+    length is the number of rounds played so far.  When given, `swaps` and
+    `taus` get the role-swap flag and the tau after each round.  Returns once
+    the pair is comparable, or with it still incomparable once round
+    step_limit has been played.  With on_round set, it is called with J
+    before every round and every run is one round long.
+
+    A run of k equal steps (J, j) adds k times the sum of the other
+    J-entries to entry j.  For an adversary that answers by J alone, a
+    repeating block of commuting steps is likewise applied in one go.
+    """
+    n = len(vectors[p])
+    played = []  # (d, J, swapped, step) of the single rounds just played
+    while comparability(vectors[p], vectors[q]) is Comparability.INCOMPARABLE:
+        round_no = len(steps) + 1
+        if step_limit is not None and round_no > step_limit:
+            return
+        a, b = vectors[p], vectors[q]
+        d = [x - y for x, y in zip(a, b)]
+        J, swapped = _choose_J_swapped(a, b)
+        left = UNBOUNDED if step_limit is None else step_limit - round_no + 1
+        period = m = 0
+        if on_round is None and adversary.by_J:
+            period = _period(played, J, swapped)
+        if period:  # the block played twice now starts again
+            rounds = played[-period:]
+            states = [r[0] for r in rounds]
+            shift = [x - y for x, y in zip(d, states[0])]
+            m = _repeat_count(states, shift, left // period)
+            t0 = 1
+        if not m:
+            if on_round is not None:
+                on_round(J)
+                left = 1
+            j, k = adversary.choose_run(J, tuple(vectors), round_no, left)
+            if j not in J:
+                raise ValidationError(f"adversary chose j={j} outside J={sorted(J)}")
+            if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= left:
+                raise ValidationError(f"adversary run length {k!r} outside 1..{left}")
+            rounds = [(d, J, swapped, Step(J, j, n))]
+            states, m, t0 = [d], 1, 0
+            if k > 1:
+                shift = [0] * n
+                shift[j - 1] = sum(d[i - 1] for i in J if i != j)
+                m += _repeat_count(states, shift, k - 1)
+        block = [r[3] for r in rounds]
+        for step in block:  # the block's steps commute: each one's run in turn
+            vectors[:] = [apply_run(step, m, v) for v in vectors]
+        steps += block * m
+        if swaps is not None:
+            swaps += [r[2] for r in rounds] * m
+        if taus is not None:
+            if len(block) * m > 1:
+                taus += _repeat_taus(states, shift, t0, m)
+            taus.append(tau(vectors[p], vectors[q]))
+        if len(block) * m == 1:
+            played += rounds
+            del played[:-2 * n]
+        else:
+            played.clear()
+
+
 OnPairRound = Callable[[Vec, Vec, frozenset, int], None]
 
 
 def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
              step_limit: Optional[int] = None,
              on_round: Optional[OnPairRound] = None) -> EngineTrace:
-    """Iterate choose_J against the adversary until the pair is comparable.
+    """Descend the pair against the adversary until it is comparable.
 
     Terminates for every adversary; step_limit is a safety valve only and
     raises StepLimitExceeded (with the partial trace) when hit.
@@ -175,29 +389,22 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
     b = natvec(beta)
     if len(a) != len(b):
         raise ValidationError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
+    vectors = [a, b]
     steps: list[Step] = []
     swaps: list[bool] = []
     history = [tau(a, b)]
+    hook = None
+    if on_round is not None:
+        def hook(J):
+            on_round(vectors[0], vectors[1], J, len(steps) + 1)
     try:
-        while (rel := comparability(a, b)) is Comparability.INCOMPARABLE:
-            if step_limit is not None and len(steps) >= step_limit:
-                raise StepLimitExceeded(
-                    f"pair not comparable within {step_limit} steps", steps)
-            J, swapped = _choose_J_swapped(a, b)
-            if on_round is not None:
-                on_round(a, b, J, len(steps) + 1)
-            j = adversary.choose(J, (a, b), len(steps) + 1)
-            if j not in J:
-                raise ValidationError(
-                    f"adversary chose j={j} outside J={sorted(J)}")
-            step = Step(J, j, n)
-            a = apply_step(step, a)
-            b = apply_step(step, b)
-            steps.append(step)
-            swaps.append(swapped)
-            history.append(tau(a, b))
+        descend(vectors, 0, 1, adversary, steps, step_limit, hook, swaps, history)
     except InteractiveAborted as exc:
         exc.steps = tuple(steps)
         raise
+    a, b = vectors
+    rel = comparability(a, b)
+    if rel is Comparability.INCOMPARABLE:
+        raise StepLimitExceeded(
+            f"pair not comparable within {step_limit} steps", steps)
     return EngineTrace(tuple(steps), tuple(history), rel, tuple(swaps), a, b)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .engine import Adversary, choose_J
+from .engine import Adversary, choose_J, descend
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, comparability
 from .transforms import Step, Vec, apply_step, natvec
@@ -101,27 +101,31 @@ OnGameRound = Callable[[GameState, frozenset], None]
 def solve(vectors, adversary: Adversary,
           step_limit: Optional[int] = None,
           on_round: Optional[OnGameRound] = None) -> GameOutcome:
-    """Play the champion strategy to a won position, against any adversary."""
-    state = GameState(_validated_vectors(vectors))
+    """Play the champion strategy to a won position, against any adversary.
+
+    Each phase descends the champion and the first point it cannot be
+    compared with, carrying the other points along; the sweep stays fixed
+    until that pair is comparable, since steps preserve inequalities.
+    """
+    vs = list(_validated_vectors(vectors))
+    steps: list[Step] = []
+    champ = 0
+    hook = None
+    if on_round is not None:
+        def hook(J):
+            on_round(GameState(tuple(vs), len(steps), tuple(steps), champ), J)
     try:
         while True:
-            champ, target = advance_champion(state.vectors, state.champion_index)
-            state = replace(state, champion_index=champ)
+            champ, target = advance_champion(vs, champ)
             if target is None:
-                winner = _minimum_index(state.vectors)
-                return GameOutcome(state.vectors, winner, state.trace, state.round)
-            if step_limit is not None and state.round >= step_limit:
+                return GameOutcome(tuple(vs), _minimum_index(vs), tuple(steps),
+                                   len(steps))
+            if step_limit is not None and len(steps) >= step_limit:
                 raise StepLimitExceeded(
-                    f"game not won within {step_limit} rounds", state.trace)
-            J = choose_J(state.vectors[champ], state.vectors[target])
-            if on_round is not None:
-                on_round(state, J)
-            j = adversary.choose(J, state.vectors, state.round + 1)
-            if j not in J:
-                raise ValidationError(f"adversary chose j={j} outside J={sorted(J)}")
-            state = apply_round(state, J, j)
+                    f"game not won within {step_limit} rounds", steps)
+            descend(vs, champ, target, adversary, steps, step_limit, hook)
     except InteractiveAborted as exc:
-        exc.steps = state.trace
+        exc.steps = tuple(steps)
         raise
 
 

@@ -18,7 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .engine import Adversary, run_pair
 from .errors import InternalError, ValidationError
-from .transforms import Matrix, Step, Vec, apply_step, identity_matrix, intvec
+from .transforms import (Matrix, Step, Vec, apply_run, identity_matrix, intvec,
+                         step_runs)
 
 LexVec = tuple[Fraction, ...]
 
@@ -155,6 +156,57 @@ def element_compare(e1: GroupElement, e2: GroupElement) -> int:
     return lex_sign(_lv_sub(element_value(e1), element_value(e2)))
 
 
+def _lex_minimal(basis: GroupBasis, J: frozenset[int]) -> int:
+    """The member of J with the lex-minimal image; images must be distinct."""
+    ranked = sorted(J, key=lambda i: basis.images[i - 1])
+    if len(ranked) > 1 and basis.images[ranked[0] - 1] == basis.images[ranked[1] - 1]:
+        raise InternalError("two basis elements share an image; order is degenerate")
+    return ranked[0]
+
+
+def _perron_transform(basis: GroupBasis, J: frozenset[int], j: int,
+                      k: int) -> GroupBasis:
+    """Subtract k times basis element j from every other element of J."""
+    j_img = basis.images[j - 1]
+    j_row = basis.coords_in_original[j - 1]
+    images = tuple(
+        tuple(x - k * y for x, y in zip(img, j_img)) if (i in J and i != j) else img
+        for i, img in enumerate(basis.images, start=1))
+    rows = tuple(
+        tuple(x - k * y for x, y in zip(row, j_row)) if (i in J and i != j) else row
+        for i, row in enumerate(basis.coords_in_original, start=1))
+    for i in J:
+        if i != j and lex_sign(images[i - 1]) <= 0:
+            raise InternalError("transformed basis image is not lex-positive")
+    return GroupBasis(basis.order, rows, images)
+
+
+def _perron_run_length(images: Sequence[LexVec], J: frozenset[int], j: int,
+                       limit: int) -> int:
+    """The largest K <= limit with image_i - K * image_j lex-positive for every
+    i in J other than j: how long j stays the J-minimal image while it is
+    subtracted from the others.
+
+    image_j leads with a positive entry at some position p.  An image with a
+    non-zero entry before p stays positive whatever K is; any other one stays
+    positive exactly for K below the quotient of the entries at p, and at
+    that quotient when the remainder after it is positive.
+    """
+    j_img = images[j - 1]
+    p = next(pos for pos, x in enumerate(j_img) if x)
+    K = limit
+    for i in J:
+        img = images[i - 1]
+        if i == j or any(img[:p]):
+            continue
+        q = img[p] / j_img[p]
+        m = math.floor(q)
+        if m == q and lex_sign(tuple(x - m * y for x, y in zip(img, j_img))) <= 0:
+            m -= 1
+        K = min(K, m)
+    return K
+
+
 def simple_perron(basis: GroupBasis, J) -> tuple[GroupBasis, Step]:
     """Subtract the J-minimal basis element from every other element of J.
 
@@ -167,35 +219,32 @@ def simple_perron(basis: GroupBasis, J) -> tuple[GroupBasis, Step]:
     Jset = frozenset(J)
     if not Jset or not all(1 <= i <= n for i in Jset):
         raise ValidationError(f"J must be a non-empty subset of 1..{n}")
-    ranked = sorted(Jset, key=lambda i: basis.images[i - 1])
-    j = ranked[0]
-    if len(ranked) > 1 and basis.images[ranked[0] - 1] == basis.images[ranked[1] - 1]:
-        raise InternalError("two basis elements share an image; order is degenerate")
-    j_img = basis.images[j - 1]
-    j_row = basis.coords_in_original[j - 1]
-    images = tuple(
-        _lv_sub(img, j_img) if (i in Jset and i != j) else img
-        for i, img in enumerate(basis.images, start=1))
-    rows = tuple(
-        tuple(x - y for x, y in zip(row, j_row)) if (i in Jset and i != j) else row
-        for i, row in enumerate(basis.coords_in_original, start=1))
-    for i in Jset:
-        if i != j and lex_sign(images[i - 1]) <= 0:
-            raise InternalError("transformed basis image is not lex-positive")
-    return GroupBasis(basis.order, rows, images), Step(Jset, j, n)
+    j = _lex_minimal(basis, Jset)
+    return _perron_transform(basis, Jset, j, 1), Step(Jset, j, n)
 
 
 class _PerronChooser(Adversary):
-    """j-chooser that tracks the evolving basis: picks the J-minimal image and
-    applies the matching basis transform as it goes.  A legitimate adversary,
-    so the pair engine's termination guarantee applies unchanged."""
+    """j-chooser that tracks the evolving basis: picks the J-minimal image for
+    as many rounds as it stays minimal, and applies the matching basis
+    transforms once the descent has played them.  A legitimate adversary, so
+    the pair engine's termination guarantee applies unchanged."""
 
     def __init__(self, basis: GroupBasis):
         self.basis = basis
+        self._run = None  # (J, j, first round) of the answer not yet applied
 
-    def choose(self, J, vectors, round_no):
-        self.basis, step = simple_perron(self.basis, J)
-        return step.j
+    def settle(self, round_no: int):
+        """Apply the transforms of the rounds played before round_no."""
+        if self._run is not None:
+            J, j, start = self._run
+            self.basis = _perron_transform(self.basis, J, j, round_no - start)
+            self._run = None
+
+    def choose_run(self, J, vectors, round_no, limit):
+        self.settle(round_no)
+        j = _lex_minimal(self.basis, J)
+        self._run = (J, j, round_no)
+        return j, _perron_run_length(self.basis.images, J, j, limit)
 
 
 class PositivizeResult(NamedTuple):
@@ -224,6 +273,7 @@ def positivize(basis: GroupBasis, element: GroupElement,
     minus = tuple(max(-c, 0) for c in element.coords)
     chooser = _PerronChooser(basis)
     trace = run_pair(plus, minus, chooser, step_limit=step_limit)
+    chooser.settle(trace.rounds + 1)
     coords = tuple(p - m for p, m in zip(trace.final_alpha, trace.final_beta))
     if any(c < 0 for c in coords):
         raise InternalError("positive element ended with a negative coordinate")
@@ -261,8 +311,8 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
                 coords_list[i] = result.coords
             else:
                 c = coords_list[i]
-                for step in result.steps:
-                    c = apply_step(step, c)
+                for step, times in step_runs(result.steps):
+                    c = apply_run(step, times, c)
                 coords_list[i] = c
         current = result.basis
         steps.extend(result.steps)

@@ -9,7 +9,7 @@ Coordinate indices are 1-based throughout, matching the usual convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -85,6 +85,35 @@ def apply_step(step: Step, v: Sequence[int]) -> Vec:
     return tuple(out)
 
 
+def apply_run(step: Step, k: int, v: Sequence[int]) -> Vec:
+    """apply_step k times, in closed form.
+
+    The step leaves every coordinate but j fixed, so each application adds
+    the same sum of the other J-coordinates to coordinate j.
+    """
+    if len(v) != step.dim:
+        raise ValidationError(
+            f"dimension mismatch: step has dim {step.dim}, vector has {len(v)}")
+    j = step.j
+    out = list(v)
+    out[j - 1] += k * sum(v[i - 1] for i in step.J if i != j)
+    return tuple(out)
+
+
+def step_runs(steps: Iterable[Step]) -> Iterator[tuple[Step, int]]:
+    """Group a trace into (step, count) runs of consecutive equal steps."""
+    run, k = None, 0
+    for step in steps:
+        if step is run or step == run:
+            k += 1
+        else:
+            if run is not None:
+                yield run, k
+            run, k = step, 1
+    if run is not None:
+        yield run, k
+
+
 def apply_matrix(m: Matrix, v: Sequence[int]) -> Vec:
     """Exact matrix-vector product."""
     if not m or len(m[0]) != len(v):
@@ -105,14 +134,22 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def compose_trace(steps: Sequence[Step], n: int) -> Matrix:
-    """Product of the step matrices, last step leftmost; empty gives identity."""
-    result = identity_matrix(n)
-    for step in steps:
+    """Product of the step matrices, last step leftmost; empty gives identity.
+
+    Multiplying by a step matrix on the left is the row operation
+    row_j <- sum of the J-rows, so a run of k equal steps adds k times the
+    sum of the other J-rows to row j.
+    """
+    rows = [list(row) for row in identity_matrix(n)]
+    for step, k in step_runs(steps):
         if step.dim != n:
             raise ValidationError(
                 f"trace mixes dimensions: expected {n}, found {step.dim}")
-        result = mat_mul(step_matrix(step), result)
-    return result
+        others = [rows[i - 1] for i in step.J if i != step.j]
+        if others:
+            rows[step.j - 1] = [x + k * sum(col) for x, col
+                                in zip(rows[step.j - 1], zip(*others))]
+    return tuple(tuple(row) for row in rows)
 
 
 def determinant(m: Matrix) -> int:

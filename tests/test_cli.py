@@ -72,6 +72,25 @@ def test_step_limit_is_exit_3(tmp_path):
     assert doc["trace"] == []
 
 
+def test_long_pair_hits_default_step_limit_then_finishes(tmp_path):
+    # 10^6 + 1 rounds: one past the default limit, well within 2 * 10^6
+    job = {"alpha": [1000001, 0], "beta": [0, 1]}
+    inp, out = tmp_path / "job.json", tmp_path / "result.json"
+    inp.write_text(json.dumps(job))
+    argv = ["compare", "--input", str(inp), "--output", str(out)]
+    assert main(argv) == 3
+    text = out.read_text()
+    assert '"status":"error"' in text
+    assert text.count('{"J":[1,2],"j":1}') == 10 ** 6
+
+    code, doc, _ = run_cli(tmp_path, ["compare"], job, "--step-limit", "2000000")
+    assert code == 0
+    assert doc["payload"]["rounds"] == 1000001
+    assert doc["payload"]["relation"] == "le"
+    assert doc["payload"]["final_beta"] == [1000001, 1]
+    assert doc["payload"]["matrix"] == [[1, 1000001], [0, 1]]
+
+
 def test_trace_replay_round_trip(tmp_path):
     job = {"alpha": [9, 2, 0], "beta": [1, 3, 4],
            "adversary": {"kind": "random", "seed": 7}}
@@ -191,6 +210,16 @@ def test_monomialize_rational_monomial(tmp_path):
     assert payload["substitution"] == [[1, 0], [0, 1]]
     assert payload["factor_exponents"] == [1, 0]
     assert payload["unit"] == [{"coeff": "3/2", "exponents": [0, 0]}]
+
+
+def test_monomialize_value_must_be_a_list(tmp_path):
+    code, doc, _ = run_cli(
+        tmp_path, ["monomialize"],
+        {"num_vars": 1, "num_toric": 1, "values": ["12"],
+         "polynomial": [{"coeff": "1", "exponents": [1]}]})
+    assert code == 1
+    assert doc["status"] == "error"
+    assert "list" in doc["diagnostics"][0]
 
 
 def test_monomialize_zero_polynomial_is_exit_2(tmp_path):

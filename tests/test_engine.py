@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perron import (Comparability, FirstIndex, MaxGrowth, Scripted,
+from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
+                    GroupOrder, MaxGrowth, PositivizeResult, Scripted,
                     SeededRandom, Step, StepLimitExceeded, ValidationError,
                     apply_matrix, apply_step, choose_J, comparability,
-                    compose_trace, run_pair, tau)
+                    compose_trace, element_value, lex_sign, positivize,
+                    run_pair, simple_perron, solve, tau)
 from perron.engine import _choose_J_swapped
 
 from conftest import adversary_kinds, build_adversary, vec_pairs
@@ -155,3 +159,182 @@ def test_every_adversary_sequence_terminates(pair):
             t2 = tau(a2, b2)
             assert t2 < t
             stack.append((a2, b2, t2))
+
+
+# ---------------------------------------------------------------------------
+# division-form descent against the one-round path
+
+class OneRound(FirstIndex):
+    """FirstIndex one round at a time: overriding choose opts out of runs."""
+
+    def choose(self, J, vectors, round_no):
+        return min(J)
+
+
+class OneRoundPerron(FirstIndex):
+    """The positivize chooser one round at a time: one simple_perron per round."""
+
+    def __init__(self, basis):
+        self.basis = basis
+
+    def choose(self, J, vectors, round_no):
+        self.basis, step = simple_perron(self.basis, J)
+        return step.j
+
+
+def positivize_one_round(basis, element, step_limit):
+    coords = element.coords
+    if all(c >= 0 for c in coords):
+        return PositivizeResult(basis, coords, ())
+    chooser = OneRoundPerron(basis)
+    trace = run_pair(tuple(max(c, 0) for c in coords),
+                     tuple(max(-c, 0) for c in coords), chooser, step_limit)
+    final = tuple(p - m for p, m in zip(trace.final_alpha, trace.final_beta))
+    return PositivizeResult(chooser.basis, final, trace.steps)
+
+
+def outcome_of(call):
+    try:
+        return call()
+    except StepLimitExceeded as exc:
+        return "step limit", exc.steps
+
+
+@st.composite
+def lopsided_vectors(draw, count, max_dim=4):
+    """Entries mixing small values with large ones, some of them close to
+    each other, so both long runs of one step and repeating blocks of
+    alternating steps occur."""
+    n = draw(st.integers(1, max_dim))
+    big = draw(st.sampled_from([10, 100, 600]))
+    entry = st.one_of(st.integers(0, 3), st.integers(0, big),
+                      st.integers(big - 6, big + 6))
+    return [tuple(draw(entry) for _ in range(n)) for _ in range(count)]
+
+
+step_limits = st.one_of(st.none(), st.integers(0, 400))
+
+
+@settings(max_examples=150)
+@given(lopsided_vectors(2), step_limits)
+def test_run_pair_runs_match_one_round_path(pair, step_limit):
+    alpha, beta = pair
+    fast = outcome_of(lambda: run_pair(alpha, beta, FirstIndex(), step_limit))
+    slow = outcome_of(lambda: run_pair(alpha, beta, OneRound(), step_limit))
+    assert fast == slow
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 4).flatmap(lopsided_vectors), step_limits)
+def test_solve_runs_match_one_round_path(vectors, step_limit):
+    fast = outcome_of(lambda: solve(vectors, FirstIndex(), step_limit))
+    slow = outcome_of(lambda: solve(vectors, OneRound(), step_limit))
+    assert fast == slow
+
+
+@st.composite
+def ill_conditioned_elements(draw):
+    """Echelon images whose later rows are scaled far down, and a positive
+    element with large mixed-sign coordinates."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for i in range(n):
+        row = [Fraction(0)] * n
+        row[i] = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 300)))
+        for c in range(i + 1, n):
+            row[c] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+        rows.append(tuple(row))
+    rows = draw(st.permutations(rows))
+    basis = GroupBasis.initial(GroupOrder(tuple(rows)))
+    coords = tuple(draw(st.integers(-300, 300)) for _ in range(n))
+    element = GroupElement(basis, coords)
+    if lex_sign(element_value(element)) < 0:
+        element = GroupElement(basis, tuple(-c for c in coords))
+    return basis, element
+
+
+@settings(max_examples=150)
+@given(ill_conditioned_elements(), step_limits)
+def test_positivize_runs_match_one_round_path(case, step_limit):
+    basis, element = case
+    fast = outcome_of(lambda: positivize(basis, element, step_limit))
+    slow = outcome_of(lambda: positivize_one_round(basis, element, step_limit))
+    assert fast == slow
+
+
+class CountingFirstIndex(FirstIndex):
+    def __init__(self):
+        self.calls = 0
+
+    def choose_run(self, J, vectors, round_no, limit):
+        self.calls += 1
+        return super().choose_run(J, vectors, round_no, limit)
+
+
+def test_lopsided_pair_runs_in_few_iterations():
+    N = 10 ** 6
+    adversary = CountingFirstIndex()
+    trace = run_pair((N, 0), (0, 1), adversary)
+    assert trace.rounds == N
+    assert 1 <= adversary.calls <= N.bit_length()
+    assert set(trace.steps) == {Step(frozenset({1, 2}), 1, 2)}
+    assert (trace.final_alpha, trace.final_beta) == ((N, 0), (N, 1))
+    assert trace.outcome is Comparability.LESS_EQ
+    assert trace.tau_history[:3] == ((1, N), (1, N - 1), (1, N - 2))
+    assert trace.tau_history[-2:] == ((1, 1), (0, 1))
+
+
+def test_repeating_blocks_run_in_few_iterations():
+    # the two large entries take turns: the steps alternate with period 2,
+    # and with period 3 for three large entries
+    N = 10 ** 6
+    adversary = CountingFirstIndex()
+    trace = run_pair((N, N + 3, 0), (0, 0, 5), adversary)
+    assert trace.rounds == 400001
+    assert [(sorted(s.J), s.j) for s in trace.steps[:4]] == \
+        [([2, 3], 2), ([1, 3], 1), ([2, 3], 2), ([1, 3], 1)]
+    assert 1 <= adversary.calls <= 10
+    assert run_pair((1000, 1003, 0), (0, 0, 5), FirstIndex()) == \
+        run_pair((1000, 1003, 0), (0, 0, 5), OneRound())
+
+    adversary = CountingFirstIndex()
+    M = 10 ** 5
+    trace = run_pair((M, M + 1, M + 2, 0), (0, 0, 0, 1), adversary)
+    assert trace.rounds == 3 * M + 3
+    assert 1 <= adversary.calls <= 10
+
+    adversary = CountingFirstIndex()
+    vectors = ((3, 17021, 4, 5), (1, 17023, 2, 4), (0, 0, 0, 2), (0, 17020, 1, 0))
+    outcome = solve(vectors, adversary)
+    assert outcome.rounds == 17024
+    assert 1 <= adversary.calls <= 10
+    assert outcome == solve(vectors, OneRound())
+
+
+def test_overriding_choose_plays_one_round_at_a_time():
+    class CountingOneRound(OneRound):
+        def __init__(self):
+            self.calls = 0
+
+        def choose(self, J, vectors, round_no):
+            self.calls += 1
+            return super().choose(J, vectors, round_no)
+
+    adversary = CountingOneRound()
+    trace = run_pair((500, 503, 0), (0, 0, 5), adversary)
+    assert adversary.calls == trace.rounds == 201
+
+
+def test_run_stops_at_the_step_limit():
+    with pytest.raises(StepLimitExceeded) as err:
+        run_pair((10 ** 6, 0), (0, 1), FirstIndex(), step_limit=12345)
+    assert len(err.value.steps) == 12345
+
+
+def test_run_length_outside_limit_rejected():
+    class Overrun(FirstIndex):
+        def choose_run(self, J, vectors, round_no, limit):
+            return min(J), limit + 1
+
+    with pytest.raises(ValidationError):
+        run_pair((30, 0), (0, 1), Overrun(), step_limit=10)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from perron import (GroupBasis, GroupElement, GroupOrder, ValidationError,
-                    apply_step, determinant, element_compare, lex_sign, lexvec,
-                    positivize, positivize_all, simple_perron, validate_order)
+from perron import (GroupBasis, GroupElement, GroupOrder, Step,
+                    ValidationError, apply_step, determinant, element_compare,
+                    lex_sign, lexvec, positivize, positivize_all, simple_perron,
+                    validate_order)
 
 from conftest import group_orders, positive_element
 
@@ -180,3 +181,16 @@ def test_positivize_all_round_trip(order, data):
         assert all(c >= 0 for c in coords)
         assert expansion(coords, result.basis.images) == \
             expansion(element.coords, basis.images)
+
+
+def test_ill_conditioned_positivize_takes_one_run():
+    N = 10 ** 5
+    basis = GroupBasis.initial(GroupOrder(((Fraction(1), Fraction(0)),
+                                           (Fraction(1, N), Fraction(1)))))
+    result = positivize(basis, GroupElement(basis, (1, -(N - 1))))
+    assert len(result.steps) == N - 1
+    assert set(result.steps) == {Step(frozenset({1, 2}), 2, 2)}
+    assert result.coords == (1, 0)
+    assert result.basis.images == ((Fraction(1, N), Fraction(-(N - 1))),
+                                   (Fraction(1, N), Fraction(1)))
+    assert result.basis.coords_in_original == ((1, -(N - 1)), (0, 1))
