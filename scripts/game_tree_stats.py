@@ -10,8 +10,7 @@ import argparse
 import itertools
 from dataclasses import dataclass
 
-from perron import Step, apply_step, choose_J
-from perron.game import _minimum_index, advance_champion
+from perron import champion_moves, is_won
 
 
 @dataclass(frozen=True)
@@ -25,20 +24,15 @@ def tree_stats(vectors):
     """(leaves, max depth) of the exhaustive adversary tree from this start."""
     leaves = 0
     max_depth = 0
-    n = len(vectors[0])
     stack = [(tuple(vectors), 0, 0)]
     while stack:
         vs, champ, depth = stack.pop()
-        champ, target = advance_champion(vs, champ)
-        if target is None:
-            assert _minimum_index(vs) is not None
+        champ, moves = champion_moves(vs, champ)
+        if not moves:
+            assert is_won(vs) is not None
             leaves += 1
             max_depth = max(max_depth, depth)
-            continue
-        J = choose_J(vs[champ], vs[target])
-        for j in J:
-            step = Step(J, j, n)
-            stack.append((tuple(apply_step(step, v) for v in vs), champ, depth + 1))
+        stack += [(child, champ, depth + 1) for _, child in moves]
     return leaves, max_depth
 
 

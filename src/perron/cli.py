@@ -159,10 +159,10 @@ def _cmd_compare(doc, args, infile):
 
     on_round = None
     if isinstance(adversary, Interactive):
-        def on_round(a, b, J, round_no):
+        def on_round(event):
+            a, b = (_format_vec(v) for v in event.vectors)
             sys.stderr.write(
-                f"round {round_no}: alpha={_format_vec(a)} beta={_format_vec(b)} "
-                f"J={_format_set(J)}\n")
+                f"round {event.number}: alpha={a} beta={b} J={_format_set(event.J)}\n")
 
     trace = run_pair(alpha, beta, adversary, step_limit=args.step_limit,
                      on_round=on_round)
@@ -193,12 +193,12 @@ def _cmd_game(doc, args, infile, mode):
 
     on_round = None
     if isinstance(adversary, Interactive):
-        def on_round(state, J):
-            vecs = " ".join(_format_vec(v) for v in state.vectors)
-            champ = state.champion_index
+        def on_round(event):
+            vecs = " ".join(_format_vec(v) for v in event.vectors)
+            champ = event.pair[0]
             sys.stderr.write(
-                f"round {state.round + 1}: vectors {vecs}; champion "
-                f"#{champ} {_format_vec(state.vectors[champ])}; J={_format_set(J)}\n")
+                f"round {event.number}: vectors {vecs}; champion #{champ} "
+                f"{_format_vec(event.vectors[champ])}; J={_format_set(event.J)}\n")
 
     outcome = solve(vectors, adversary, step_limit=args.step_limit,
                     on_round=on_round)
@@ -342,13 +342,18 @@ def _read_job(args):
     """Parse the job document.  When it arrives on stdin, anything after the
     document becomes the interactive input stream (so piped play is one
     stream: the JSON followed by the j choices)."""
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    stripped = text.lstrip()
-    doc, end = json.JSONDecoder().raw_decode(stripped)
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        stripped = text.lstrip()
+        doc, end = json.JSONDecoder().raw_decode(stripped)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"cannot read input: {exc}")
+    except RecursionError:
+        raise MalformedInput("invalid JSON: nested too deeply")
     rest = stripped[end:]
     if args.input == "-":
         infile = io.StringIO(rest.lstrip("\n"))

@@ -15,10 +15,10 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
-from .tau import Comparability, Tau, comparability, reduce_pair, tau
+from .tau import Comparability, Tau, comparability, tau
 from .transforms import Step, Vec, apply_run, apply_step, natvec
 
 UNBOUNDED = sys.maxsize  # run limit offered when no step limit applies
@@ -143,28 +143,41 @@ class Interactive(Adversary):
             out.flush()
 
 
-def _choose_J_swapped(alpha: Vec, beta: Vec) -> tuple[frozenset[int], bool]:
-    """choose_J plus the flag saying whether the roles of alpha and beta were
-    swapped to put the smaller reduced norm first."""
-    _, abar, bbar = reduce_pair(alpha, beta)
-    if sum(abar) == 0 or sum(bbar) == 0:
-        raise ValidationError("pair is already comparable; no J to choose")
-    swapped = sum(abar) > sum(bbar)
+def _J_rule(d: Sequence[int]):
+    """(J, swapped, order) for a pair with difference d = alpha - beta, or
+    None when the pair is comparable.
+
+    swapped says the roles were swapped to put the smaller reduced norm
+    first; order lists the larger side's support by falling residual.  J is
+    the smaller side's support plus the shortest prefix of order whose
+    residuals cover that side's norm: that makes tau drop for every j.  The
+    triple fixes every sign of d and the prefix length too, so equal triples
+    mean every branch here went alike.
+    """
+    na = nb = 0
+    for x in d:
+        if x > 0:
+            na += x
+        elif x < 0:
+            nb -= x
+    if not na or not nb:
+        return None
+    swapped = na > nb
     if swapped:
-        abar, bbar = bbar, abar
-    J = {i for i, e in enumerate(abar, start=1) if e > 0}
-    # Largest residuals first; the shortest prefix whose sum covers the small
-    # side's norm is what makes tau drop for every j.
-    order = sorted((i for i, e in enumerate(bbar, start=1) if e > 0),
-                   key=lambda i: (-bbar[i - 1], i))
-    need = sum(abar)
+        large = sorted([(-x, i) for i, x in enumerate(d, start=1) if x > 0])
+        J = [i for i, x in enumerate(d, start=1) if x < 0]
+        need = nb
+    else:
+        large = sorted([(x, i) for i, x in enumerate(d, start=1) if x < 0])
+        J = [i for i, x in enumerate(d, start=1) if x > 0]
+        need = na
     acc = 0
-    for i in order:
-        J.add(i)
-        acc += bbar[i - 1]
+    for key, i in large:
+        J.append(i)
+        acc -= key
         if acc >= need:
             break
-    return frozenset(J), swapped
+    return frozenset(J), swapped, [i for _, i in large]
 
 
 def choose_J(alpha: Vec, beta: Vec) -> frozenset[int]:
@@ -172,18 +185,32 @@ def choose_J(alpha: Vec, beta: Vec) -> frozenset[int]:
 
     Requires the pair to be incomparable (both reduced parts non-zero).
     """
-    return _choose_J_swapped(alpha, beta)[0]
+    if len(alpha) != len(beta):
+        raise ValidationError(f"dimension mismatch: {len(alpha)} vs {len(beta)}")
+    rule = _J_rule([x - y for x, y in zip(alpha, beta)])
+    if rule is None:
+        raise ValidationError("pair is already comparable; no J to choose")
+    return rule[0]
+
+
+class Round(NamedTuple):
+    """A round about to be played: its number (from 1), the tracked vectors,
+    the indices of the pair being descended and the proposed J."""
+
+    number: int
+    vectors: tuple[Vec, ...]
+    pair: tuple[int, int]
+    J: frozenset[int]
 
 
 @dataclass(frozen=True)
 class EngineTrace:
     """Record of one descent run: steps taken, tau before each step and after
-    the last, the final relation, and the per-step role-swap flags."""
+    the last, and the final relation."""
 
     steps: tuple[Step, ...]
     tau_history: tuple[Tau, ...]
     outcome: Comparability
-    swap_history: tuple[bool, ...]
     final_alpha: Vec
     final_beta: Vec
 
@@ -192,43 +219,20 @@ class EngineTrace:
         return len(self.steps)
 
 
-def _decisions(d: Sequence[int]):
-    """Every branch _choose_J_swapped takes on a pair with difference
-    d = alpha - beta: the sign of each entry, the role swap, the order of the
-    larger side's support and the length of its covering prefix.  Equal
-    decisions give equal (J, swapped); choose_J keeps its own lean code
-    because the exhaustive game-tree walks call it millions of times."""
-    na = sum(x for x in d if x > 0)
-    nb = -sum(x for x in d if x < 0)
-    swapped = na > nb
-    need = nb if swapped else na
-    if swapped:
-        large = sorted((-x, i) for i, x in enumerate(d, start=1) if x > 0)
-    else:
-        large = sorted((x, i) for i, x in enumerate(d, start=1) if x < 0)
-    acc = cut = 0
-    for key, _ in large:
-        cut += 1
-        acc -= key
-        if acc >= need:
-            break
-    signs = tuple((x > 0) - (x < 0) for x in d)
-    return signs, swapped, tuple(i for _, i in large), cut
-
-
 def _repeat_count(states: list[list[int]], shift: list[int], limit: int) -> int:
     """How many more times, at most limit, a block of rounds repeats.
 
     states[i] is alpha - beta at the start of round i of one repetition, and
     every repetition shifts each of them by `shift`.  Counts the repetitions
     t = 1, 2, ... in which every round decides like its counterpart in
-    repetition 0.  Each decision compares quantities linear in t, so the
-    repetitions that do form an interval: gallop to its end, then bisect.
+    repetition 0: same _J_rule triple, hence same signs and prefix cut.
+    Each decision compares quantities linear in t, so the repetitions that
+    do form an interval: gallop to its end, then bisect.
     """
-    firsts = [_decisions(d) for d in states]
+    firsts = [_J_rule(d) for d in states]
 
     def same(t):
-        return all(_decisions([x + t * y for x, y in zip(d, shift)]) == first
+        return all(_J_rule([x + t * y for x, y in zip(d, shift)]) == first
                    for d, first in zip(states, firsts))
 
     lo, stride = 0, 1  # repetitions up to lo decide like repetition 0
@@ -283,21 +287,20 @@ def _repeat_taus(states: list[list[int]], shift: list[int], t0: int,
     return out
 
 
-def _period(played, J: frozenset[int], swapped: bool) -> int:
+def _period(played, rule) -> int:
     """The period p of the single rounds just played, when they end with two
     equal repetitions of p commuting steps and the coming round, the first
-    of a third repetition, proposes J again; 0 when there is none.
+    of a third repetition, decides alike (same _J_rule triple); else 0.
 
     A step (J', j') commutes with the others when no other step adds to an
     entry in J' other than j': the sums each step adds are then fixed for
     the whole block.
     """
     for p in range(2, len(played) // 2 + 1):
-        start = played[-p]
-        if start[1] != J or start[2] != swapped:
+        if played[-p][1] != rule:
             continue
-        block = [r[3] for r in played[-p:]]
-        if block != [r[3] for r in played[-2 * p:-p]]:
+        block = [r[2] for r in played[-p:]]
+        if block != [r[2] for r in played[-2 * p:-p]]:
             continue
         if all(s.j == t.j or s.j not in t.J for s in block for t in block):
             return p
@@ -306,36 +309,35 @@ def _period(played, J: frozenset[int], swapped: bool) -> int:
 
 def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             steps: list[Step], step_limit: Optional[int] = None,
-            on_round: Optional[Callable[[frozenset], None]] = None,
-            swaps: Optional[list[bool]] = None,
+            on_round: Optional[Callable[[Round], None]] = None,
             taus: Optional[list[Tau]] = None) -> None:
     """Descend the pair vectors[p], vectors[q] to comparability, carrying
     every tracked vector along, in runs of identical steps.
 
     `vectors` is updated in place and the steps are appended to `steps`; its
-    length is the number of rounds played so far.  When given, `swaps` and
-    `taus` get the role-swap flag and the tau after each round.  Returns once
-    the pair is comparable, or with it still incomparable once round
-    step_limit has been played.  With on_round set, it is called with J
-    before every round and every run is one round long.
+    length is the number of rounds played so far.  When given, `taus` gets
+    the tau after each round.  Returns once the pair is comparable, or with
+    it still incomparable once round step_limit has been played.  With
+    on_round set, it gets a Round before every round and every run is one
+    round long.
 
     A run of k equal steps (J, j) adds k times the sum of the other
     J-entries to entry j.  For an adversary that answers by J alone, a
     repeating block of commuting steps is likewise applied in one go.
     """
     n = len(vectors[p])
-    played = []  # (d, J, swapped, step) of the single rounds just played
-    while comparability(vectors[p], vectors[q]) is Comparability.INCOMPARABLE:
+    played = []  # (d, rule, step) of the single rounds just played
+    while True:
         round_no = len(steps) + 1
-        if step_limit is not None and round_no > step_limit:
+        d = [x - y for x, y in zip(vectors[p], vectors[q])]
+        rule = _J_rule(d)
+        if rule is None or (step_limit is not None and round_no > step_limit):
             return
-        a, b = vectors[p], vectors[q]
-        d = [x - y for x, y in zip(a, b)]
-        J, swapped = _choose_J_swapped(a, b)
+        J = rule[0]
         left = UNBOUNDED if step_limit is None else step_limit - round_no + 1
         period = m = 0
         if on_round is None and adversary.by_J:
-            period = _period(played, J, swapped)
+            period = _period(played, rule)
         if period:  # the block played twice now starts again
             rounds = played[-period:]
             states = [r[0] for r in rounds]
@@ -344,25 +346,23 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             t0 = 1
         if not m:
             if on_round is not None:
-                on_round(J)
+                on_round(Round(round_no, tuple(vectors), (p, q), J))
                 left = 1
             j, k = adversary.choose_run(J, tuple(vectors), round_no, left)
             if j not in J:
                 raise ValidationError(f"adversary chose j={j} outside J={sorted(J)}")
             if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= left:
                 raise ValidationError(f"adversary run length {k!r} outside 1..{left}")
-            rounds = [(d, J, swapped, Step(J, j, n))]
+            rounds = [(d, rule, Step(J, j, n))]
             states, m, t0 = [d], 1, 0
             if k > 1:
                 shift = [0] * n
                 shift[j - 1] = sum(d[i - 1] for i in J if i != j)
                 m += _repeat_count(states, shift, k - 1)
-        block = [r[3] for r in rounds]
+        block = [r[2] for r in rounds]
         for step in block:  # the block's steps commute: each one's run in turn
             vectors[:] = [apply_run(step, m, v) for v in vectors]
         steps += block * m
-        if swaps is not None:
-            swaps += [r[2] for r in rounds] * m
         if taus is not None:
             if len(block) * m > 1:
                 taus += _repeat_taus(states, shift, t0, m)
@@ -374,12 +374,9 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             played.clear()
 
 
-OnPairRound = Callable[[Vec, Vec, frozenset, int], None]
-
-
 def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
              step_limit: Optional[int] = None,
-             on_round: Optional[OnPairRound] = None) -> EngineTrace:
+             on_round: Optional[Callable[[Round], None]] = None) -> EngineTrace:
     """Descend the pair against the adversary until it is comparable.
 
     Terminates for every adversary; step_limit is a safety valve only and
@@ -391,14 +388,9 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
         raise ValidationError(f"dimension mismatch: {len(a)} vs {len(b)}")
     vectors = [a, b]
     steps: list[Step] = []
-    swaps: list[bool] = []
     history = [tau(a, b)]
-    hook = None
-    if on_round is not None:
-        def hook(J):
-            on_round(vectors[0], vectors[1], J, len(steps) + 1)
     try:
-        descend(vectors, 0, 1, adversary, steps, step_limit, hook, swaps, history)
+        descend(vectors, 0, 1, adversary, steps, step_limit, on_round, history)
     except InteractiveAborted as exc:
         exc.steps = tuple(steps)
         raise
@@ -407,4 +399,4 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
     if rel is Comparability.INCOMPARABLE:
         raise StepLimitExceeded(
             f"pair not comparable within {step_limit} steps", steps)
-    return EngineTrace(tuple(steps), tuple(history), rel, tuple(swaps), a, b)
+    return EngineTrace(tuple(steps), tuple(history), rel, a, b)

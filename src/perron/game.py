@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .engine import Adversary, choose_J, descend
+from .engine import Adversary, Round, choose_J, descend
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, comparability
 from .transforms import Step, Vec, apply_step, natvec
@@ -46,16 +46,13 @@ def _validated_vectors(vectors) -> tuple[Vec, ...]:
     return vs
 
 
-def _minimum_index(vs: Sequence[Vec]) -> Optional[int]:
+def is_won(vectors: Sequence[Vec]) -> Optional[int]:
+    """Index of a componentwise minimum (smallest index on ties), or None."""
+    vs = _validated_vectors(vectors)
     for i, v in enumerate(vs):
         if all(all(x <= y for x, y in zip(v, w)) for w in vs):
             return i
     return None
-
-
-def is_won(vectors: Sequence[Vec]) -> Optional[int]:
-    """Index of a componentwise minimum (smallest index on ties), or None."""
-    return _minimum_index(_validated_vectors(vectors))
 
 
 def apply_round(state: GameState, J, j: int) -> GameState:
@@ -95,35 +92,44 @@ def propose_J(state: GameState) -> frozenset[int]:
     return choose_J(state.vectors[champ], state.vectors[target])
 
 
-OnGameRound = Callable[[GameState, frozenset], None]
+def champion_moves(vectors: Sequence[Vec], champion_index: int = 0
+                   ) -> tuple[int, list[tuple[Step, tuple[Vec, ...]]]]:
+    """The champion strategy's moves from a position: the updated champion
+    index, and one (step, child) per j in sorted J, child being the vectors
+    after the step.  There are no moves once the position is won; the
+    champion is then a componentwise minimum.  A pair is a two-point game.
+    """
+    champ, target = advance_champion(vectors, champion_index)
+    if target is None:
+        return champ, []
+    J = choose_J(vectors[champ], vectors[target])
+    steps = [Step(J, j, len(vectors[0])) for j in sorted(J)]
+    return champ, [(s, tuple(apply_step(s, v) for v in vectors)) for s in steps]
 
 
 def solve(vectors, adversary: Adversary,
           step_limit: Optional[int] = None,
-          on_round: Optional[OnGameRound] = None) -> GameOutcome:
+          on_round: Optional[Callable[[Round], None]] = None) -> GameOutcome:
     """Play the champion strategy to a won position, against any adversary.
 
     Each phase descends the champion and the first point it cannot be
     compared with, carrying the other points along; the sweep stays fixed
-    until that pair is comparable, since steps preserve inequalities.
+    until that pair is comparable, since steps preserve inequalities.  The
+    winner is the final champion: it only ever moves to a strictly smaller
+    point, so no earlier point equals it and it is is_won's answer.
     """
     vs = list(_validated_vectors(vectors))
     steps: list[Step] = []
     champ = 0
-    hook = None
-    if on_round is not None:
-        def hook(J):
-            on_round(GameState(tuple(vs), len(steps), tuple(steps), champ), J)
     try:
         while True:
             champ, target = advance_champion(vs, champ)
             if target is None:
-                return GameOutcome(tuple(vs), _minimum_index(vs), tuple(steps),
-                                   len(steps))
+                return GameOutcome(tuple(vs), champ, tuple(steps), len(steps))
             if step_limit is not None and len(steps) >= step_limit:
                 raise StepLimitExceeded(
                     f"game not won within {step_limit} rounds", steps)
-            descend(vs, champ, target, adversary, steps, step_limit, hook)
+            descend(vs, champ, target, adversary, steps, step_limit, on_round)
     except InteractiveAborted as exc:
         exc.steps = tuple(steps)
         raise

@@ -16,15 +16,14 @@ from fractions import Fraction
 
 from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder,
                     MaxGrowth, Scripted, SeededRandom, Step, ValuedRing,
-                    apply_matrix, apply_step, apply_substitution, choose_J,
-                    comparability, compose_trace, determinant,
-                    divisibility_transform, element_value, identity_matrix,
-                    is_won, lex_sign, mat_mul, monomial_value, monomialize,
-                    polynomial, positivize, positivize_all, run_pair,
-                    simple_perron, solve, step_matrix, substitute_exponents,
-                    tau, validate_order)
+                    apply_matrix, apply_step, apply_substitution,
+                    champion_moves, choose_J, comparability, compose_trace,
+                    determinant, divisibility_transform, element_value,
+                    identity_matrix, is_won, lex_sign, mat_mul, monomial_value,
+                    monomialize, polynomial, positivize, positivize_all,
+                    run_pair, simple_perron, solve, step_matrix,
+                    substitute_exponents, tau, validate_order)
 from perron.cli import main as cli_main
-from perron.game import advance_champion
 
 # traces produced by criteria 1, 5, 6, 7 as (steps, dim); criterion 2 checks
 # its (much more numerous) leaf traces inline and records the counts here.
@@ -73,23 +72,20 @@ def test_criterion_2_adversary_universality():
                     start = tau(alpha, beta)
                     if start.first == 0:
                         continue
-                    stack = [(alpha, beta, start, ident)]
+                    stack = [((alpha, beta), start, ident)]
                     while stack:
-                        a, b, t, matrix = stack.pop()
-                        if t.first == 0:
+                        pair, t, matrix = stack.pop()
+                        moves = champion_moves(pair)[1]
+                        if not moves:
                             _C2_COUNTS["leaves"] += 1
+                            assert t.first == 0
                             assert determinant(matrix) == 1
                             _C2_COUNTS["verified"] += 1
-                            continue
-                        J = choose_J(a, b)
-                        for j in sorted(J):
-                            step = Step(J, j, n)
-                            a2 = apply_step(step, a)
-                            b2 = apply_step(step, b)
-                            t2 = tau(a2, b2)
+                        for step, child in moves:
+                            t2 = tau(*child)
                             assert t2 < t
                             stack.append(
-                                (a2, b2, t2, mat_mul(step_matrix(step), matrix)))
+                                (child, t2, mat_mul(step_matrix(step), matrix)))
         assert _C2_COUNTS["leaves"] == _C2_COUNTS["verified"] > 0
 
 
@@ -105,18 +101,13 @@ def test_criterion_4_game_soundness():
                     stack = [(combo, 0)]
                     while stack:
                         vs, champ = stack.pop()
-                        champ, target = advance_champion(vs, champ)
-                        if target is None:
+                        champ, moves = champion_moves(vs, champ)
+                        if not moves:
                             winner = is_won(vs)
                             assert winner is not None
                             assert all(all(x <= y for x, y in zip(vs[winner], v))
                                        for v in vs)
-                            continue
-                        J = choose_J(vs[champ], vs[target])
-                        for j in sorted(J):
-                            step = Step(J, j, n)
-                            stack.append(
-                                (tuple(apply_step(step, v) for v in vs), champ))
+                        stack += [(child, champ) for _, child in moves]
                     # spot-check that solve itself agrees with the walker
                     if spot_rng.random() < 0.001:
                         outcome = solve(list(combo), SeededRandom(total_sets))
@@ -398,14 +389,10 @@ def _worked_examples_game():
     stack = [(start, 0)]
     while stack:
         vs, champ = stack.pop()
-        champ, target = advance_champion(vs, champ)
-        if target is None:
+        champ, moves = champion_moves(vs, champ)
+        if not moves:
             assert is_won(vs) is not None
-            continue
-        J = choose_J(vs[champ], vs[target])
-        for j in J:
-            step = Step(J, j, 2)
-            stack.append((tuple(apply_step(step, v) for v in vs), champ))
+        stack += [(child, champ) for _, child in moves]
 
 
 def _worked_examples_groups():

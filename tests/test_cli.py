@@ -327,3 +327,66 @@ def test_game_play_eof_mid_game_keeps_partial_trace(tmp_path, monkeypatch):
         stdin="2\n", monkeypatch=monkeypatch)
     assert code == 4
     assert doc["trace"] == [{"J": [1, 2], "j": 2}]
+
+
+def test_interactive_round_lines(tmp_path, monkeypatch, capsys):
+    code, _, _ = run_cli(
+        tmp_path, ["compare"],
+        {"alpha": [3, 1], "beta": [1, 2], "adversary": {"kind": "interactive"}},
+        stdin="1\n2\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "round 1: alpha=[3,1] beta=[1,2] J={1,2}\nchoose j in {1,2}: "
+        "round 2: alpha=[4,1] beta=[3,2] J={1,2}\nchoose j in {1,2}: ")
+
+    code, _, _ = run_cli(
+        tmp_path, ["game", "play"], {"vectors": [[2, 0], [0, 3], [1, 1]]},
+        stdin="2\n1\n1\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "round 1: vectors [2,0] [0,3] [1,1]; champion #0 [2,0]; J={1,2}\n"
+        "choose j in {1,2}: "
+        "round 2: vectors [2,2] [0,3] [1,2]; champion #0 [2,2]; J={1,2}\n"
+        "choose j in {1,2}: "
+        "round 3: vectors [4,2] [3,3] [3,2]; champion #0 [4,2]; J={1,2}\n"
+        "choose j in {1,2}: won after 3 round(s): winner #2 [5,2]\n")
+
+    code, _, _ = run_cli(
+        tmp_path, ["game", "play"], {"vectors": [[3, 3], [1, 1], [2, 0]]},
+        stdin="1\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "round 1: vectors [3,3] [1,1] [2,0]; champion #1 [1,1]; J={1,2}\n"
+        "choose j in {1,2}: won after 1 round(s): winner #2 [2,0]\n")
+
+
+def assert_malformed(argv, tmp_path, fragment):
+    out = tmp_path / "result.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "error"
+    assert doc["payload"] is None
+    assert fragment in doc["diagnostics"][0]
+
+
+def test_missing_input_is_exit_1(tmp_path):
+    missing = str(tmp_path / "no-such-job.json")
+    assert_malformed(["compare", "--input", missing], tmp_path, "cannot read input")
+
+
+def test_directory_input_is_exit_1(tmp_path):
+    assert_malformed(["compare", "--input", str(tmp_path)], tmp_path,
+                     "cannot read input")
+
+
+def test_non_utf8_input_is_exit_1(tmp_path):
+    inp = tmp_path / "job.json"
+    inp.write_bytes(b'{"alpha": [1], "beta": [2], "name": "\xff\xfe"}')
+    assert_malformed(["compare", "--input", str(inp)], tmp_path,
+                     "cannot read input")
+
+
+def test_deeply_nested_json_is_exit_1(tmp_path):
+    inp = tmp_path / "job.json"
+    inp.write_text("[" * 100000)
+    assert_malformed(["compare", "--input", str(inp)], tmp_path, "nested too deeply")

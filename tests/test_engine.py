@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     GroupOrder, MaxGrowth, PositivizeResult, Scripted,
                     SeededRandom, Step, StepLimitExceeded, ValidationError,
-                    apply_matrix, apply_step, choose_J, comparability,
-                    compose_trace, element_value, lex_sign, positivize,
-                    run_pair, simple_perron, solve, tau)
-from perron.engine import _choose_J_swapped
+                    apply_matrix, apply_step, champion_moves, choose_J,
+                    comparability, compose_trace, element_value, lex_sign,
+                    positivize, run_pair, simple_perron, solve, tau)
+from perron.engine import _J_rule
 
 from conftest import adversary_kinds, build_adversary, vec_pairs
 
@@ -29,7 +29,7 @@ def assert_J_decreases_for_every_j(alpha, beta):
 def test_choose_J_examples():
     # roles swap since the first reduced part has the larger norm
     assert assert_J_decreases_for_every_j((3, 1), (1, 2)) == {1, 2}
-    assert _choose_J_swapped((3, 1), (1, 2))[1] is True
+    assert _J_rule((3 - 1, 1 - 2)) == ({1, 2}, True, [1])
 
     # both positive residuals of (0,1,1) are needed to cover norm 2
     assert assert_J_decreases_for_every_j((2, 0, 0), (0, 1, 1)) == {1, 2, 3}
@@ -50,6 +50,11 @@ def test_choose_J_requires_incomparable():
         choose_J((1, 0), (1, 1))
     with pytest.raises(ValidationError):
         choose_J((2, 2), (2, 2))
+
+
+def test_choose_J_requires_equal_dimensions():
+    with pytest.raises(ValidationError):
+        choose_J((1, 0), (0, 1, 1))
 
 
 def replay(steps, vec):
@@ -76,7 +81,6 @@ def test_run_pair_scripted_one_round():
     assert replay(trace.steps, (3, 1)) == (3, 4)
     assert replay(trace.steps, (1, 2)) == (1, 3)
     assert comparability((3, 4), (1, 3)) is Comparability.GREATER_EQ
-    assert trace.swap_history == (True,)
 
 
 def test_run_pair_scripted_then_fallback():
@@ -128,7 +132,6 @@ def test_descent_is_strict_and_terminates(pair, kind, seed):
     assert trace.outcome is not Comparability.INCOMPARABLE
     for before, after in zip(trace.tau_history, trace.tau_history[1:]):
         assert after < before
-    assert len(trace.swap_history) == len(trace.steps)
     assert len(trace.tau_history) == len(trace.steps) + 1
 
 
@@ -145,20 +148,13 @@ def test_composed_trace_reproduces_final_pair(pair, kind, seed):
 @given(vec_pairs(max_dim=3, max_entry=8))
 def test_every_adversary_sequence_terminates(pair):
     """Exhaustive game tree over all j choices for one starting pair."""
-    alpha, beta = pair
-    n = len(alpha)
-    stack = [(alpha, beta, tau(alpha, beta))]
+    stack = [(pair, tau(*pair))]
     while stack:
-        a, b, t = stack.pop()
-        if t.first == 0:
-            continue
-        J = choose_J(a, b)
-        for j in J:
-            step = Step(J, j, n)
-            a2, b2 = apply_step(step, a), apply_step(step, b)
-            t2 = tau(a2, b2)
+        vs, t = stack.pop()
+        for _, child in champion_moves(vs)[1]:
+            t2 = tau(*child)
             assert t2 < t
-            stack.append((a2, b2, t2))
+            stack.append((child, t2))
 
 
 # ---------------------------------------------------------------------------

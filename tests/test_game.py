@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from perron import (FirstIndex, GameState, Scripted, Step, ValidationError,
                     advance_champion, apply_matrix, apply_round, apply_step,
-                    choose_J, compose_trace, is_won, propose_J, prune_dominated,
-                    solve)
-from perron.game import _minimum_index
+                    champion_moves, choose_J, compose_trace, is_won, propose_J,
+                    prune_dominated, solve)
 
 from conftest import adversary_kinds, build_adversary
 
@@ -71,23 +70,18 @@ def test_solve_examples():
 
 def exhaustive_game_tree_is_won(vectors, depth_limit=200):
     """Walk every adversary choice sequence of the champion strategy."""
-    n = len(vectors[0])
     leaves = 0
     stack = [(tuple(vectors), 0, 0)]
     while stack:
         vs, champ, depth = stack.pop()
         assert depth <= depth_limit
-        champ, target = advance_champion(vs, champ)
-        if target is None:
-            winner = _minimum_index(vs)
+        champ, moves = champion_moves(vs, champ)
+        if not moves:
+            winner = is_won(vs)
             assert winner is not None
             assert all(all(x <= y for x, y in zip(vs[winner], v)) for v in vs)
             leaves += 1
-            continue
-        J = choose_J(vs[champ], vs[target])
-        for j in J:
-            step = Step(J, j, n)
-            stack.append((tuple(apply_step(step, v) for v in vs), champ, depth + 1))
+        stack += [(child, champ, depth + 1) for _, child in moves]
     return leaves
 
 
@@ -120,8 +114,8 @@ def test_comparability_persists_round_by_round(vectors, kind, seed):
 
     seen = [tuple(vectors)]
 
-    def on_round(state, J):
-        seen.append(state.vectors)
+    def on_round(event):
+        seen.append(event.vectors)
 
     solve(vectors, build_adversary(kind, seed), on_round=on_round)
     for vs in seen:
@@ -155,11 +149,12 @@ def test_strategy_sound_for_every_adversary_sequence(vectors):
 
 @given(vector_lists(), adversary_kinds, st.integers(0, 2 ** 32 - 1))
 def test_champion_stays_below_settled_prefix(vectors, kind, seed):
-    def on_round(state, J):
-        champ, target = advance_champion(state.vectors, state.champion_index)
-        prefix_end = len(state.vectors) if target is None else target
-        champion = state.vectors[champ]
-        for v in state.vectors[:prefix_end]:
+    def on_round(event):
+        champ, target = advance_champion(event.vectors, event.pair[0])
+        assert (champ, target) == event.pair
+        prefix_end = len(event.vectors) if target is None else target
+        champion = event.vectors[champ]
+        for v in event.vectors[:prefix_end]:
             assert all(x <= y for x, y in zip(champion, v))
 
     solve(vectors, build_adversary(kind, seed), on_round=on_round)
