@@ -12,8 +12,8 @@ from .engine import (Adversary, EngineTrace, FirstIndex, Interactive, MaxGrowth,
                      Round, Scripted, SeededRandom, choose_J, run_pair)
 from .errors import (InteractiveAborted, InternalError, PerronError,
                      StepLimitExceeded, ValidationError)
-from .game import (GameOutcome, GameState, advance_champion, apply_round,
-                   champion_moves, is_won, propose_J, prune_dominated, solve)
+from .game import (GameOutcome, advance_champion, champion_moves, is_won,
+                   prune_dominated, solve)
 from .monomials import (MonomializationResult, Polynomial, Substitution,
                         ValuedRing, apply_substitution, divisibility_transform,
                         monomial_value, monomialize, polynomial,
@@ -32,18 +32,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adversary", "Comparability", "EngineTrace", "FirstIndex", "GameOutcome",
-    "GameState", "GroupBasis", "GroupElement", "GroupOrder", "Interactive",
+    "GroupBasis", "GroupElement", "GroupOrder", "Interactive",
     "InteractiveAborted", "InternalError", "LexVec", "Matrix", "MaxGrowth",
-    "MonomializationResult", "PerronError", "Polynomial", "PositivizeAllResult",
-    "PositivizeResult", "ReducedPair", "Round", "Scripted", "SeededRandom",
-    "Step", "StepLimitExceeded", "Substitution", "Tau", "ValidationError",
-    "ValuedRing", "Vec", "advance_champion", "apply_matrix", "apply_round",
-    "apply_step", "apply_substitution", "champion_moves", "choose_J",
-    "comparability", "compose_trace", "determinant", "divisibility_transform",
-    "element_compare", "element_value", "identity_matrix", "intvec", "is_won",
-    "lex_sign", "lexvec", "mat_mul", "monomial_value", "monomialize", "natvec",
-    "polynomial", "positivize", "positivize_all", "propose_J",
-    "prune_dominated", "reduce_pair", "run_pair", "simple_perron", "solve",
-    "step_matrix", "substitute_exponents", "tau", "validate_order",
-    "validate_ring",
+    "MonomializationResult", "PerronError", "Polynomial",
+    "PositivizeAllResult", "PositivizeResult", "ReducedPair", "Round",
+    "Scripted", "SeededRandom", "Step", "StepLimitExceeded", "Substitution",
+    "Tau", "ValidationError", "ValuedRing", "Vec", "advance_champion",
+    "apply_matrix", "apply_step", "apply_substitution", "champion_moves",
+    "choose_J", "comparability", "compose_trace", "determinant",
+    "divisibility_transform", "element_compare", "element_value",
+    "identity_matrix", "intvec", "is_won", "lex_sign", "lexvec", "mat_mul",
+    "monomial_value", "monomialize", "natvec", "polynomial", "positivize",
+    "positivize_all", "prune_dominated", "reduce_pair", "run_pair",
+    "simple_perron", "solve", "step_matrix", "substitute_exponents", "tau",
+    "validate_order", "validate_ring",
 ]

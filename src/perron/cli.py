@@ -8,8 +8,9 @@ Every run emits one result document with a top-level schema_version of 1:
 
 Rationals travel as strings "p/q" (or "p"); integers as JSON numbers while
 they fit exactly in a double, as decimal strings beyond that.  Exit codes:
-0 ok, 1 malformed input, 2 validation failure, 3 step limit exceeded,
-4 interactive session aborted.
+0 ok, 1 malformed input or an unwritable --output (the error document then
+goes to stdout), 2 validation failure, 3 step limit exceeded, 4 interactive
+session aborted.
 """
 
 from __future__ import annotations
@@ -369,17 +370,37 @@ def _read_job(args):
     return doc, infile
 
 
-def _write_document(args, doc):
+def _write_document(args, doc, code) -> int:
+    """Write the document and return its exit code.  When --output cannot
+    be written, an error document goes to stdout instead, with exit 1."""
     data = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.output == "-":
-        sys.stdout.write(data)
-        sys.stdout.flush()
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(data)
+    if args.output != "-":
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(data)
+            return code
+        except OSError as exc:
+            args.output = "-"
+            return _emit_error(args, f"cannot write output: {exc}", EXIT_MALFORMED)
+    sys.stdout.write(data)
+    sys.stdout.flush()
+    return code
 
 
 def main(argv=None) -> int:
+    """Run one job.  Integers of any length pass: Python's limit on int/str
+    conversion, where it has one, is lifted for the call and then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     steps = None
     try:
@@ -403,8 +424,7 @@ def main(argv=None) -> int:
     }
     if args.trace:
         out["trace"] = _encode_trace(steps)
-    _write_document(args, out)
-    return EXIT_OK
+    return _write_document(args, out, EXIT_OK)
 
 
 def _emit_error(args, message, code, steps=None) -> int:
@@ -416,5 +436,4 @@ def _emit_error(args, message, code, steps=None) -> int:
     }
     if steps is not None:
         out["trace"] = _encode_trace(steps)
-    _write_document(args, out)
-    return code
+    return _write_document(args, out, code)

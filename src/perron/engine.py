@@ -14,12 +14,12 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, comparability, tau
-from .transforms import Step, Vec, apply_run, apply_step, natvec
+from .transforms import Step, Vec, apply_run, apply_step, natvec, step_runs
 
 UNBOUNDED = sys.maxsize  # run limit offered when no step limit applies
 
@@ -205,18 +205,40 @@ class Round(NamedTuple):
 
 @dataclass(frozen=True)
 class EngineTrace:
-    """Record of one descent run: steps taken, tau before each step and after
-    the last, and the final relation."""
+    """Record of one descent run: steps taken, the final relation and pair,
+    and the start pair."""
 
     steps: tuple[Step, ...]
-    tau_history: tuple[Tau, ...]
     outcome: Comparability
     final_alpha: Vec
     final_beta: Vec
+    alpha: Vec
+    beta: Vec
 
     @property
     def rounds(self) -> int:
         return len(self.steps)
+
+    @cached_property
+    def tau_history(self) -> tuple[Tau, ...]:
+        """tau before each step and after the last, replayed from the start.
+
+        Steps are linear, so d = alpha - beta moves by them too: each round
+        of a run (J, j) adds the same sum of the other J-entries to d_j, and
+        tau is ((|d|_1 - |sum d|) / 2, (|d|_1 + |sum d|) / 2).
+        """
+        d = [x - y for x, y in zip(self.alpha, self.beta)]
+        out = [tau(self.alpha, self.beta)]
+        for step, k in step_runs(self.steps):
+            x = d[step.j - 1]
+            s = sum(d[i - 1] for i in step.J) - x
+            rest, others = sum(map(abs, d)) - abs(x), sum(d) - x
+            for _ in range(k):
+                x += s
+                n, t = rest + abs(x), abs(others + x)
+                out.append(Tau((n - t) // 2, (n + t) // 2))
+            d[step.j - 1] = x
+        return tuple(out)
 
 
 def _repeat_count(states: list[list[int]], shift: list[int], limit: int) -> int:
@@ -249,44 +271,6 @@ def _repeat_count(states: list[list[int]], shift: list[int], limit: int) -> int:
     return lo
 
 
-def _line(start: int, delta: int, count: int):
-    """start, start + delta, ...: count terms."""
-    if delta == 0:
-        return repeat(start, count)
-    return range(start, start + count * delta, delta)
-
-
-def _repeat_taus(states: list[list[int]], shift: list[int], t0: int,
-                 m: int) -> list[Tau]:
-    """tau after every round but the last of repetitions t0 .. t0 + m - 1 of
-    the block that `states` and `shift` describe (as in _repeat_count).
-
-    Each of those rounds ends where a round of the block starts and decides
-    like its counterpart in repetition 0.  So the signs and the role swap
-    there are known, and both norms move linearly with the repetition.
-    """
-    columns = []
-    for i, d in enumerate(states):
-        na = sum(x for x in d if x > 0)
-        nb = -sum(x for x in d if x < 0)
-        dna = sum(y for x, y in zip(d, shift) if x > 0)
-        dnb = -sum(y for x, y in zip(d, shift) if x < 0)
-        # round i - 1 ends where round i starts; the last round of a
-        # repetition ends where round 0 of the next one starts
-        t = t0 + 1 if i == 0 else t0
-        count = m - 1 if i == 0 else m
-        first, second = _line(na + t * dna, dna, count), _line(nb + t * dnb, dnb, count)
-        if na > nb:
-            first, second = second, first
-        columns.append(list(map(Tau, first, second)))
-    if len(columns) == 1:
-        return columns[0]
-    later = columns[1:]
-    out = [tau_ for group in zip(*later, columns[0]) for tau_ in group]
-    out += [column[-1] for column in later]
-    return out
-
-
 def _period(played, rule) -> int:
     """The period p of the single rounds just played, when they end with two
     equal repetitions of p commuting steps and the coming round, the first
@@ -309,17 +293,15 @@ def _period(played, rule) -> int:
 
 def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             steps: list[Step], step_limit: Optional[int] = None,
-            on_round: Optional[Callable[[Round], None]] = None,
-            taus: Optional[list[Tau]] = None) -> None:
+            on_round: Optional[Callable[[Round], None]] = None) -> None:
     """Descend the pair vectors[p], vectors[q] to comparability, carrying
     every tracked vector along, in runs of identical steps.
 
     `vectors` is updated in place and the steps are appended to `steps`; its
-    length is the number of rounds played so far.  When given, `taus` gets
-    the tau after each round.  Returns once the pair is comparable, or with
-    it still incomparable once round step_limit has been played.  With
-    on_round set, it gets a Round before every round and every run is one
-    round long.
+    length is the number of rounds played so far.  Returns once the pair is
+    comparable, or with it still incomparable once round step_limit has been
+    played.  With on_round set, it gets a Round before every round and every
+    run is one round long.
 
     A run of k equal steps (J, j) adds k times the sum of the other
     J-entries to entry j.  For an adversary that answers by J alone, a
@@ -340,10 +322,8 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             period = _period(played, rule)
         if period:  # the block played twice now starts again
             rounds = played[-period:]
-            states = [r[0] for r in rounds]
-            shift = [x - y for x, y in zip(d, states[0])]
-            m = _repeat_count(states, shift, left // period)
-            t0 = 1
+            shift = [x - y for x, y in zip(d, rounds[0][0])]
+            m = _repeat_count([r[0] for r in rounds], shift, left // period)
         if not m:
             if on_round is not None:
                 on_round(Round(round_no, tuple(vectors), (p, q), J))
@@ -354,19 +334,15 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= left:
                 raise ValidationError(f"adversary run length {k!r} outside 1..{left}")
             rounds = [(d, rule, Step(J, j, n))]
-            states, m, t0 = [d], 1, 0
+            m = 1
             if k > 1:
                 shift = [0] * n
                 shift[j - 1] = sum(d[i - 1] for i in J if i != j)
-                m += _repeat_count(states, shift, k - 1)
+                m += _repeat_count([d], shift, k - 1)
         block = [r[2] for r in rounds]
         for step in block:  # the block's steps commute: each one's run in turn
             vectors[:] = [apply_run(step, m, v) for v in vectors]
         steps += block * m
-        if taus is not None:
-            if len(block) * m > 1:
-                taus += _repeat_taus(states, shift, t0, m)
-            taus.append(tau(vectors[p], vectors[q]))
         if len(block) * m == 1:
             played += rounds
             del played[:-2 * n]
@@ -388,15 +364,13 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
         raise ValidationError(f"dimension mismatch: {len(a)} vs {len(b)}")
     vectors = [a, b]
     steps: list[Step] = []
-    history = [tau(a, b)]
     try:
-        descend(vectors, 0, 1, adversary, steps, step_limit, on_round, history)
+        descend(vectors, 0, 1, adversary, steps, step_limit, on_round)
     except InteractiveAborted as exc:
         exc.steps = tuple(steps)
         raise
-    a, b = vectors
-    rel = comparability(a, b)
+    rel = comparability(*vectors)
     if rel is Comparability.INCOMPARABLE:
         raise StepLimitExceeded(
             f"pair not comparable within {step_limit} steps", steps)
-    return EngineTrace(tuple(steps), tuple(history), rel, a, b)
+    return EngineTrace(tuple(steps), rel, *vectors, a, b)

@@ -10,21 +10,13 @@ so settled points stay settled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .engine import Adversary, Round, choose_J, descend
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, comparability
 from .transforms import Step, Vec, apply_step, natvec
-
-
-@dataclass(frozen=True)
-class GameState:
-    vectors: tuple[Vec, ...]
-    round: int = 0
-    trace: tuple[Step, ...] = ()
-    champion_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -55,15 +47,6 @@ def is_won(vectors: Sequence[Vec]) -> Optional[int]:
     return None
 
 
-def apply_round(state: GameState, J, j: int) -> GameState:
-    """Apply the step (J, j) to every vector; append it to the trace."""
-    step = Step(frozenset(J), j, len(state.vectors[0]))
-    return replace(state,
-                   vectors=tuple(apply_step(step, v) for v in state.vectors),
-                   round=state.round + 1,
-                   trace=state.trace + (step,))
-
-
 def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, Optional[int]]:
     """Sweep the vectors in input order, absorbing everything comparable into
     the champion; return the updated champion index and the index of the first
@@ -81,15 +64,6 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
         if rel is Comparability.GREATER_EQ:
             champ = i
     return champ, None
-
-
-def propose_J(state: GameState) -> frozenset[int]:
-    """The J to play now: choose_J on the champion and the first vector it
-    cannot be compared with."""
-    champ, target = advance_champion(state.vectors, state.champion_index)
-    if target is None:
-        raise ValidationError("game is already won; nothing to propose")
-    return choose_J(state.vectors[champ], state.vectors[target])
 
 
 def champion_moves(vectors: Sequence[Vec], champion_index: int = 0

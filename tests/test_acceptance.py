@@ -365,18 +365,20 @@ def _worked_examples_tau_and_engine():
 
 
 def _worked_examples_game():
-    from perron import GameState, apply_round, propose_J
-
-    state = GameState(((1, 0), (0, 1)))
+    vectors = ((1, 0), (0, 1))
+    moves = champion_moves(vectors)[1]
     for j, expected in ((1, ((1, 0), (1, 1))), (2, ((1, 1), (0, 1)))):
         step = Step(frozenset({1, 2}), j, 2)
-        assert tuple(apply_step(step, v) for v in state.vectors) == expected
-        assert apply_round(state, {1, 2}, j).vectors == expected
+        assert tuple(apply_step(step, v) for v in vectors) == expected
+        assert (step, expected) in moves
 
-    assert propose_J(GameState(((1, 0), (0, 1)))) == {1, 2}
-    assert propose_J(GameState(((3, 1), (1, 2), (9, 9)))) == \
-        choose_J((3, 1), (1, 2)) == {1, 2}
-    assert propose_J(GameState(((2, 0, 0), (0, 1, 1)))) == {1, 2, 3}
+    # the J proposed is the J of every move
+    for vectors, expected in ((((1, 0), (0, 1)), {1, 2}),
+                              (((3, 1), (1, 2), (9, 9)), {1, 2}),
+                              (((2, 0, 0), (0, 1, 1)), {1, 2, 3})):
+        Js = {step.J for step, _ in champion_moves(vectors)[1]}
+        assert Js == {frozenset(expected)}
+    assert choose_J((3, 1), (1, 2)) == {1, 2}
 
     outcome = solve([(1, 0), (0, 1)], Scripted([1]))
     assert outcome.rounds == 1 and outcome.winner_index == 0

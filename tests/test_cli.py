@@ -1,5 +1,8 @@
 import io
 import json
+import sys
+
+import pytest
 
 from perron import Step, apply_step, compose_trace
 from perron.cli import main
@@ -390,3 +393,50 @@ def test_deeply_nested_json_is_exit_1(tmp_path):
     inp = tmp_path / "job.json"
     inp.write_text("[" * 100000)
     assert_malformed(["compare", "--input", str(inp)], tmp_path, "nested too deeply")
+
+
+def test_output_into_missing_directory_is_exit_1(tmp_path, capsys):
+    inp = tmp_path / "job.json"
+    inp.write_text(json.dumps({"alpha": [3, 1], "beta": [1, 2]}))
+    out = tmp_path / "no-such-dir" / "result.json"
+    assert main(["compare", "--input", str(inp), "--output", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert doc["payload"] is None
+    assert "cannot write output" in doc["diagnostics"][0]
+    assert not out.exists()
+
+
+# 5000 digits: past Python's default limit of 4300 on int/str conversion
+NINES = "9" * 5000
+
+
+def assert_nines_round_trip(tmp_path, entry):
+    """compare on a job whose first entry is 5000 nines, written as `entry`."""
+    inp, out = tmp_path / "job.json", tmp_path / "result.json"
+    inp.write_text('{"alpha": [%s, 1], "beta": [1, 2], '
+                   '"adversary": {"kind": "scripted", "choices": [2]}}' % entry)
+    assert main(["compare", "--input", str(inp), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "ok"
+    # j=2 sums both coordinates into the second slot: 10^5000, 5001 digits
+    assert doc["payload"]["final_alpha"] == [NINES, "1" + "0" * 5000]
+    assert doc["payload"]["final_beta"] == [1, 3]
+
+
+@pytest.mark.parametrize("entry", [NINES, f'"{NINES}"'],
+                         ids=["json-number", "decimal-string"])
+def test_5000_digit_integers_round_trip(tmp_path, entry):
+    assert_nines_round_trip(tmp_path, entry)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int/str conversion limit")
+def test_int_digit_limit_is_restored_after_main(tmp_path):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert_nines_round_trip(tmp_path, NINES)
+        assert sys.get_int_max_str_digits() == 1000
+    finally:
+        sys.set_int_max_str_digits(before)

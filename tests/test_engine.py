@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     GroupOrder, MaxGrowth, PositivizeResult, Scripted,
-                    SeededRandom, Step, StepLimitExceeded, ValidationError,
+                    SeededRandom, Step, StepLimitExceeded, Tau, ValidationError,
                     apply_matrix, apply_step, champion_moves, choose_J,
                     comparability, compose_trace, element_value, lex_sign,
                     positivize, run_pair, simple_perron, solve, tau)
@@ -218,6 +218,20 @@ def test_run_pair_runs_match_one_round_path(pair, step_limit):
     fast = outcome_of(lambda: run_pair(alpha, beta, FirstIndex(), step_limit))
     slow = outcome_of(lambda: run_pair(alpha, beta, OneRound(), step_limit))
     assert fast == slow
+
+
+@settings(max_examples=150)
+@given(lopsided_vectors(2))
+def test_tau_history_matches_tau_round_by_round(pair):
+    """The replayed history against tau of the pair after each step, over
+    long runs and repeating blocks."""
+    alpha, beta = pair
+    trace = run_pair(alpha, beta, FirstIndex())
+    assert len(trace.tau_history) == trace.rounds + 1
+    assert trace.tau_history[0] == tau(alpha, beta)
+    for step, t in zip(trace.steps, trace.tau_history[1:]):
+        alpha, beta = apply_step(step, alpha), apply_step(step, beta)
+        assert type(t) is Tau and t == tau(alpha, beta)
 
 
 @settings(max_examples=100)

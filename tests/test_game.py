@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perron import (FirstIndex, GameState, Scripted, Step, ValidationError,
-                    advance_champion, apply_matrix, apply_round, apply_step,
-                    champion_moves, choose_J, compose_trace, is_won, propose_J,
-                    prune_dominated, solve)
+from perron import (FirstIndex, Scripted, Step, ValidationError,
+                    advance_champion, apply_matrix, apply_step, champion_moves,
+                    choose_J, compose_trace, is_won, prune_dominated, solve,
+                    step_matrix)
 
 from conftest import adversary_kinds, build_adversary
 
@@ -28,30 +28,44 @@ def test_is_won_examples():
         is_won([])
 
 
-def test_apply_round_examples():
-    state = GameState(((1, 0), (0, 1)))
-    # oracle: per-point apply_step
-    step = Step(frozenset({1, 2}), 1, 2)
-    assert tuple(apply_step(step, v) for v in state.vectors) == ((1, 0), (1, 1))
-    next_state = apply_round(state, {1, 2}, 1)
-    assert next_state.vectors == ((1, 0), (1, 1))
-    assert next_state.round == 1
-    assert len(next_state.trace) == 1
+def play_round(vectors, J, j):
+    """Every point moves by the same step (J, j)."""
+    step = Step(frozenset(J), j, len(vectors[0]))
+    return tuple(apply_step(step, v) for v in vectors)
 
-    assert apply_round(state, {1, 2}, 2).vectors == ((1, 1), (0, 1))
-    assert apply_round(GameState(((4, 4),)), {2}, 2).vectors == ((4, 4),)
+
+def test_apply_round_examples():
+    vectors = ((1, 0), (0, 1))
+    # oracle: the step matrix applied to each point
+    step = Step(frozenset({1, 2}), 1, 2)
+    assert tuple(apply_matrix(step_matrix(step), v) for v in vectors) == \
+        ((1, 0), (1, 1))
+    assert play_round(vectors, {1, 2}, 1) == ((1, 0), (1, 1))
+    assert play_round(vectors, {1, 2}, 2) == ((1, 1), (0, 1))
+    assert champion_moves(vectors)[1] == [
+        (Step(frozenset({1, 2}), 1, 2), ((1, 0), (1, 1))),
+        (Step(frozenset({1, 2}), 2, 2), ((1, 1), (0, 1)))]
+    assert play_round(((4, 4),), {2}, 2) == ((4, 4),)
     with pytest.raises(ValidationError):
-        apply_round(state, {1, 2}, 3)
+        play_round(vectors, {1, 2}, 3)
+
+
+def proposed_J(vectors):
+    """The J of the champion strategy's moves: one move per j in J."""
+    _, moves = champion_moves(vectors)
+    (J,) = {step.J for step, _ in moves}
+    assert [step.j for step, _ in moves] == sorted(J)
+    return J
 
 
 def test_propose_J_examples():
-    assert propose_J(GameState(((1, 0), (0, 1)))) == {1, 2}
+    assert proposed_J(((1, 0), (0, 1))) == {1, 2}
     # the first vector incomparable to the champion is (1,2); (9,9) waits
-    assert propose_J(GameState(((3, 1), (1, 2), (9, 9)))) == {1, 2}
-    assert propose_J(GameState(((3, 1), (1, 2), (9, 9)))) == choose_J((3, 1), (1, 2))
-    assert propose_J(GameState(((2, 0, 0), (0, 1, 1)))) == {1, 2, 3}
-    with pytest.raises(ValidationError):
-        propose_J(GameState(((1, 0), (1, 1))))
+    assert proposed_J(((3, 1), (1, 2), (9, 9))) == {1, 2}
+    assert proposed_J(((3, 1), (1, 2), (9, 9))) == choose_J((3, 1), (1, 2))
+    assert proposed_J(((2, 0, 0), (0, 1, 1))) == {1, 2, 3}
+    # a won position has no moves
+    assert champion_moves(((1, 0), (1, 1))) == (0, [])
 
 
 def test_solve_examples():
@@ -126,12 +140,11 @@ def test_comparability_persists_round_by_round(vectors, kind, seed):
 
 @given(vector_lists())
 def test_prune_commutes_with_rounds_up_to_domination(vectors):
-    state = GameState(tuple(vectors))
     n = len(vectors[0])
     J = frozenset(range(1, n + 1))
     for j in sorted(J):
-        after_full = apply_round(state, J, j).vectors
-        after_pruned = apply_round(GameState(prune_dominated(vectors)), J, j).vectors
+        after_full = play_round(vectors, J, j)
+        after_pruned = play_round(prune_dominated(vectors), J, j)
         assert set(prune_dominated(after_full)) == set(prune_dominated(after_pruned))
 
 
