@@ -10,7 +10,8 @@ Rationals travel as strings "p/q" (or "p"); integers as JSON numbers while
 they fit exactly in a double, as decimal strings beyond that.  Exit codes:
 0 ok, 1 malformed input or an unwritable --output (the error document then
 goes to stdout), 2 validation failure, 3 step limit exceeded, 4 interactive
-session aborted.
+session aborted, 5 internal error (a result that failed its own consistency
+check).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from fractions import Fraction
 
 from .engine import (Adversary, FirstIndex, Interactive, MaxGrowth, Scripted,
                      SeededRandom, run_pair)
-from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
+from .errors import (InteractiveAborted, InternalError, StepLimitExceeded,
+                     ValidationError)
 from .game import solve
 from .monomials import ValuedRing, apply_substitution, monomialize, polynomial
 from .ordered_group import (GroupBasis, GroupElement, GroupOrder, lexvec,
@@ -39,6 +41,7 @@ EXIT_MALFORMED = 1
 EXIT_VALIDATION = 2
 EXIT_STEP_LIMIT = 3
 EXIT_ABORTED = 4
+EXIT_INTERNAL = 5
 
 
 class MalformedInput(Exception):
@@ -275,7 +278,7 @@ def _cmd_monomialize(doc, args, infile):
     product = {tuple(x + y for x, y in zip(e, shift)): c
                for e, c in result.unit_part.items()}
     if product != apply_substitution(f, result.substitution):
-        raise ValidationError("factorization identity failed re-verification")
+        raise InternalError("factorization identity failed re-verification")
 
     unit_terms = [{"coeff": str(c), "exponents": _encode_vec(e)}
                   for e, c in sorted(result.unit_part.items())]
@@ -416,6 +419,8 @@ def _run(argv) -> int:
         return _emit_error(args, str(exc), EXIT_STEP_LIMIT, exc.steps)
     except InteractiveAborted as exc:
         return _emit_error(args, str(exc), EXIT_ABORTED, exc.steps)
+    except InternalError as exc:
+        return _emit_error(args, str(exc), EXIT_INTERNAL)
     out = {
         "schema_version": SCHEMA_VERSION,
         "status": "ok",

@@ -28,7 +28,7 @@ class GameOutcome:
 
 
 def _validated_vectors(vectors) -> tuple[Vec, ...]:
-    vs = tuple(natvec(v) for v in vectors)
+    vs = tuple([natvec(v) for v in vectors])
     if not vs:
         raise ValidationError("vector list must be non-empty")
     n = len(vs[0])
@@ -39,12 +39,14 @@ def _validated_vectors(vectors) -> tuple[Vec, ...]:
 
 
 def is_won(vectors: Sequence[Vec]) -> Optional[int]:
-    """Index of a componentwise minimum (smallest index on ties), or None."""
+    """Index of a componentwise minimum (smallest index on ties), or None.
+
+    v is below every point exactly when v is below the coordinatewise
+    minimum of the set, that is when v equals it; one pass finds it.
+    """
     vs = _validated_vectors(vectors)
-    for i, v in enumerate(vs):
-        if all(all(x <= y for x, y in zip(v, w)) for w in vs):
-            return i
-    return None
+    low = tuple(map(min, zip(*vs)))
+    return vs.index(low) if low in vs else None
 
 
 def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, Optional[int]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from operator import ge, le
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -53,13 +54,14 @@ def tau(alpha: Vec, beta: Vec) -> Tau:
 
 def comparability(alpha: Vec, beta: Vec) -> Comparability:
     """Componentwise relation; Incomparable exactly when tau's first coordinate is positive."""
-    _check_dims(alpha, beta)
-    le = all(a <= b for a, b in zip(alpha, beta))
-    ge = all(a >= b for a, b in zip(alpha, beta))
-    if le and ge:
+    if len(alpha) != len(beta):
+        _check_dims(alpha, beta)
+    below = all(map(le, alpha, beta))
+    above = all(map(ge, alpha, beta))
+    if below and above:
         return Comparability.EQUAL
-    if le:
+    if below:
         return Comparability.LESS_EQ
-    if ge:
+    if above:
         return Comparability.GREATER_EQ
     return Comparability.INCOMPARABLE

@@ -23,7 +23,7 @@ def intvec(entries: Iterable[int]) -> Vec:
     if not v:
         raise ValidationError("vector must have dimension >= 1")
     for e in v:
-        if isinstance(e, bool) or not isinstance(e, int):
+        if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
             raise ValidationError(f"vector entries must be integers, got {e!r}")
     return v
 
@@ -31,9 +31,9 @@ def intvec(entries: Iterable[int]) -> Vec:
 def natvec(entries: Iterable[int]) -> Vec:
     """Freeze a vector of non-negative integers."""
     v = intvec(entries)
-    for k, e in enumerate(v):
-        if e < 0:
-            raise ValidationError(f"entry {k + 1} is negative: {e}")
+    if min(v) < 0:
+        k, e = next((k, e) for k, e in enumerate(v) if e < 0)
+        raise ValidationError(f"entry {k + 1} is negative: {e}")
     return v
 
 
@@ -46,15 +46,18 @@ class Step:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "J", frozenset(self.J))
-        if not self.J:
+        J = frozenset(self.J)
+        object.__setattr__(self, "J", J)
+        if not J:
             raise ValidationError("J must be non-empty")
-        for i in self.J:
-            if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= self.dim:
+        dim = self.dim
+        for i in J:
+            if (type(i) is not int and (isinstance(i, bool) or not isinstance(i, int))
+                    or not 1 <= i <= dim):
                 raise ValidationError(
-                    f"J must be a subset of 1..{self.dim}, got {sorted(self.J)}")
-        if self.j not in self.J:
-            raise ValidationError(f"j={self.j} is not a member of J={sorted(self.J)}")
+                    f"J must be a subset of 1..{dim}, got {sorted(J)}")
+        if self.j not in J:
+            raise ValidationError(f"j={self.j} is not a member of J={sorted(J)}")
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -79,7 +82,7 @@ def apply_step(step: Step, v: Sequence[int]) -> Vec:
     if len(v) != step.dim:
         raise ValidationError(
             f"dimension mismatch: step has dim {step.dim}, vector has {len(v)}")
-    total = sum(v[i - 1] for i in step.J)
+    total = sum([v[i - 1] for i in step.J])
     out = list(v)
     out[step.j - 1] = total
     return tuple(out)

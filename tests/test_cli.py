@@ -1,11 +1,15 @@
+import dataclasses
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perron import Step, apply_step, compose_trace
+from perron import InternalError, Step, apply_step, compose_trace
 from perron.cli import main
+from perron.monomials import monomialize
 
 
 def run_cli(tmp_path, command, doc, *extra, stdin=None, monkeypatch=None):
@@ -440,3 +444,143 @@ def test_int_digit_limit_is_restored_after_main(tmp_path):
         assert sys.get_int_max_str_digits() == 1000
     finally:
         sys.set_int_max_str_digits(before)
+
+
+# internal errors: exit 5 with one error document ---------------------------
+
+MONOMIAL_JOB = {"num_vars": 2, "num_toric": 2,
+                "values": [["1", "0"], ["0", "1"]],
+                "polynomial": [{"coeff": "1", "exponents": [1, 0]},
+                               {"coeff": "1", "exponents": [0, 1]}]}
+
+
+def assert_internal_error(tmp_path, capsys, command, job, fragment):
+    code, doc, text = run_cli(tmp_path, command, job, "--trace")
+    assert code == 5
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert doc["status"] == "error"
+    assert doc["payload"] is None
+    assert doc["diagnostics"] == [fragment]
+    assert "trace" not in doc
+    assert capsys.readouterr().out == ""
+
+
+def test_failed_monomialize_reverification_is_exit_5(tmp_path, monkeypatch, capsys):
+    def corrupted(ring, f):
+        result = monomialize(ring, f)
+        wrong = tuple(e + 1 for e in result.factor_exponents)
+        return dataclasses.replace(result, factor_exponents=wrong)
+
+    monkeypatch.setattr("perron.cli.monomialize", corrupted)
+    assert_internal_error(tmp_path, capsys, ["monomialize"], MONOMIAL_JOB,
+                          "factorization identity failed re-verification")
+
+
+def test_internal_error_from_the_library_is_exit_5(tmp_path, monkeypatch, capsys):
+    def broken(basis, elements, step_limit=None):
+        raise InternalError("transformed basis image is not lex-positive")
+
+    monkeypatch.setattr("perron.cli.positivize_all", broken)
+    assert_internal_error(
+        tmp_path, capsys, ["positivize"],
+        {"generator_images": [["1", "0"], ["0", "1"]], "elements": [[2, -1]]},
+        "transformed basis image is not lex-positive")
+
+
+# fuzz: every input gives one document and a documented exit code -----------
+
+FUZZ_COMMANDS = {
+    "compare": ["compare", "--step-limit", "200"],
+    "game solve": ["game", "solve", "--step-limit", "200"],
+    "game play": ["game", "play"],
+    "positivize": ["positivize", "--step-limit", "200"],
+    "monomialize": ["monomialize"],
+}
+
+
+def run_on_stdin(argv, data: bytes):
+    """In-process main with stdin fed from bytes; returns (code, stdout)."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    out = io.StringIO()
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    sys.stdout, sys.stderr = out, io.StringIO()
+    try:
+        code = main(argv)
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue()
+
+
+def assert_one_document(code, text):
+    assert code in {0, 1, 2, 3, 4, 5}
+    assert text.count("\n") == 1 and text.endswith("\n")
+    doc = json.loads(text)
+    assert doc["schema_version"] == 1
+    assert doc["status"] == ("ok" if code == 0 else "error")
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False), st.text(max_size=8),
+    st.sampled_from(["1/2", "-3", "0", "x", "1/0", "12"]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(FUZZ_COMMANDS)),
+       st.one_of(st.binary(max_size=120),
+                 st.tuples(json_values, st.binary(max_size=20)).map(
+                     lambda t: json.dumps(t[0]).encode() + t[1])))
+def test_fuzz_arbitrary_stdin_bytes(command, data):
+    assert_one_document(*run_on_stdin(FUZZ_COMMANDS[command], data))
+
+
+JOB_KEYS = {
+    "compare": ["alpha", "beta", "adversary"],
+    "game solve": ["vectors", "adversary"],
+    "game play": ["vectors", "adversary"],
+    "positivize": ["generator_images", "elements"],
+    "monomialize": ["num_vars", "num_toric", "values", "polynomial"],
+}
+ADVERSARY_KINDS = ["first", "max_growth", "random", "scripted", "interactive"]
+small_entries = st.one_of(st.integers(-2, 5), st.sampled_from(["1/2", "-1", "3"]))
+# near-valid shapes reach the validation behind the type checks
+shaped_values = st.one_of(
+    small_entries,
+    st.lists(small_entries, min_size=1, max_size=3),
+    st.lists(st.lists(small_entries, min_size=1, max_size=3),
+             min_size=1, max_size=3))
+
+
+@st.composite
+def structured_jobs(draw):
+    """A command and a job with its valid keys holding values of any type."""
+    command = draw(st.sampled_from(sorted(JOB_KEYS)))
+    job = {}
+    for key in JOB_KEYS[command]:
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        if key == "adversary" and draw(st.booleans()):
+            value = {"kind": draw(st.sampled_from(ADVERSARY_KINDS)),
+                     "seed": draw(json_values), "choices": draw(json_values)}
+        elif key == "polynomial" and draw(st.booleans()):
+            value = [{"coeff": draw(json_values), "exponents": draw(json_values)}
+                     for _ in range(draw(st.integers(0, 3)))]
+        else:
+            value = draw(st.one_of(json_values, shaped_values))
+        job[key] = value
+    if draw(st.booleans()):
+        job["schema_version"] = draw(st.one_of(st.just(1), json_scalars))
+    return command, json.dumps(job).encode()
+
+
+@settings(max_examples=150)
+@given(structured_jobs())
+def test_fuzz_wrong_typed_job_values(case):
+    command, data = case
+    assert_one_document(*run_on_stdin(FUZZ_COMMANDS[command], data))

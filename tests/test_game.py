@@ -171,3 +171,46 @@ def test_champion_stays_below_settled_prefix(vectors, kind, seed):
             assert all(x <= y for x, y in zip(champion, v))
 
     solve(vectors, build_adversary(kind, seed), on_round=on_round)
+
+
+# is_won against the pairwise scan it replaced ------------------------------
+
+def oracle_is_won(vectors):
+    """First point below every point, by comparing all pairs."""
+    vs = [tuple(v) for v in vectors]
+    for i, v in enumerate(vs):
+        if all(all(x <= y for x, y in zip(v, w)) for w in vs):
+            return i
+    return None
+
+
+@st.composite
+def vector_lists_with_repeats(draw):
+    """Point lists where points often repeat, in tuple or list form."""
+    base = draw(vector_lists(max_count=4, max_dim=3, max_entry=3))
+    count = draw(st.integers(1, 6))
+    vs = [draw(st.sampled_from(base)) for _ in range(count)]
+    if draw(st.booleans()):
+        vs = [list(v) for v in vs]
+    return vs
+
+
+@given(vector_lists_with_repeats())
+def test_is_won_matches_pairwise_scan(vectors):
+    assert is_won(vectors) == oracle_is_won(vectors)
+
+
+def test_is_won_oracle_edge_cases():
+    cases = [
+        [(4,)], [(3,), (1,), (1,), (2,)], [[0], [0]],
+        [[2, 3], [2, 3], [5, 3]], [[5, 3], [2, 3], [2, 3]],
+        [(1, 0), (0, 1), (0, 0), (0, 0)], [(1, 2), (2, 1), (1, 1)],
+        [[1, 0], [0, 1]],
+    ]
+    for vectors in cases:
+        assert is_won(vectors) == oracle_is_won(vectors)
+    assert is_won([[3], [1], [1]]) == 1
+    with pytest.raises(ValidationError, match="share one dimension"):
+        is_won([(1, 2), (1,)])
+    with pytest.raises(ValidationError, match="entry 2 is negative: -1"):
+        is_won([[0, -1]])

@@ -75,3 +75,35 @@ def test_tau_translation_invariance(pair, shifts):
     shifted_a = tuple(a + d for a, d in zip(alpha, delta))
     shifted_b = tuple(b + d for b, d in zip(beta, delta))
     assert tau(shifted_a, shifted_b) == tau(alpha, beta)
+
+
+# comparability against the two-pass definition it replaced ----------------
+
+def oracle_comparability(alpha, beta):
+    le = all(a <= b for a, b in zip(alpha, beta))
+    ge = all(a >= b for a, b in zip(alpha, beta))
+    if le and ge:
+        return Comparability.EQUAL
+    if le:
+        return Comparability.LESS_EQ
+    if ge:
+        return Comparability.GREATER_EQ
+    return Comparability.INCOMPARABLE
+
+
+@given(vec_pairs(max_entry=3), st.booleans())
+def test_comparability_matches_two_pass_definition(pair, as_lists):
+    alpha, beta = pair
+    if as_lists:
+        alpha, beta = list(alpha), list(beta)
+    assert comparability(alpha, beta) is oracle_comparability(alpha, beta)
+
+
+@given(vec_pairs(), st.integers(1, 3))
+def test_comparability_length_mismatch_message(pair, extra):
+    alpha, beta = pair
+    longer = beta + (0,) * extra
+    for a, b in ((alpha, longer), (longer, alpha)):
+        with pytest.raises(ValidationError) as info:
+            comparability(a, b)
+        assert str(info.value) == f"dimension mismatch: {len(a)} vs {len(b)}"

@@ -3,10 +3,11 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from perron import (Step, ValidationError, apply_matrix, apply_step,
-                    compose_trace, determinant, identity_matrix, natvec,
-                    step_matrix)
+                    compose_trace, determinant, identity_matrix, intvec,
+                    natvec, step_matrix)
 
 from conftest import ordered_pair_with_step, traces, vec_with_step
 
@@ -115,6 +116,7 @@ def test_determinant_against_leibniz():
 def test_apply_step_matches_matrix_action(case):
     v, step = case
     assert apply_step(step, v) == naive_matvec(step_matrix(step), v)
+    assert apply_step(step, list(v)) == naive_matvec(step_matrix(step), v)
 
 
 @given(traces())
@@ -165,3 +167,56 @@ def test_vector_validation():
         compose_trace([Step({1}, 1, 2), Step({1}, 1, 3)], 2)
     with pytest.raises(ValidationError):
         determinant(((1, 2, 3), (4, 5, 6)))
+
+
+# primitives against the definitions their fast paths replaced --------------
+
+class IntSubclass(int):
+    """An int subclass; accepted wherever int is."""
+
+
+def test_vector_validation_messages():
+    with pytest.raises(ValidationError) as info:
+        intvec([1, True])
+    assert str(info.value) == "vector entries must be integers, got True"
+    with pytest.raises(ValidationError) as info:
+        natvec([1, 2.0])
+    assert str(info.value) == "vector entries must be integers, got 2.0"
+    with pytest.raises(ValidationError) as info:
+        natvec([0, 3, -2, -5])
+    assert str(info.value) == "entry 3 is negative: -2"
+    with pytest.raises(ValidationError) as info:
+        natvec([])
+    assert str(info.value) == "vector must have dimension >= 1"
+    assert natvec([IntSubclass(2), 0]) == (2, 0)
+    assert intvec((IntSubclass(-4), 1)) == (-4, 1)
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6))
+def test_natvec_reports_the_first_negative_entry(entries):
+    negatives = [(k, e) for k, e in enumerate(entries) if e < 0]
+    if not negatives:
+        assert natvec(entries) == tuple(entries)
+        return
+    k, e = negatives[0]
+    with pytest.raises(ValidationError) as info:
+        natvec(entries)
+    assert str(info.value) == f"entry {k + 1} is negative: {e}"
+
+
+def test_step_validation_messages():
+    cases = [
+        ((frozenset(), 1, 2), "J must be non-empty"),
+        (({True, 2}, 2, 2), "J must be a subset of 1..2, got [True, 2]"),
+        (({0, 1}, 1, 2), "J must be a subset of 1..2, got [0, 1]"),
+        (({1, 3}, 1, 2), "J must be a subset of 1..2, got [1, 3]"),
+        (({1.0, 2}, 2, 2), "J must be a subset of 1..2, got [1.0, 2]"),
+        (({1, 2}, 3, 3), "j=3 is not a member of J=[1, 2]"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValidationError) as info:
+            Step(*args)
+        assert str(info.value) == message
+    step = Step([IntSubclass(1), 2], 2, 2)
+    assert step.J == frozenset({1, 2})
+    assert apply_step(step, (3, 4)) == (3, 7)
