@@ -23,8 +23,8 @@ from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec,
                             element_compare, element_value, lex_sign, lexvec,
                             positivize, positivize_all, simple_perron,
                             validate_order)
-from .tau import Comparability, ReducedPair, Tau, comparability, reduce_pair, tau
-from .transforms import (Matrix, Step, Vec, apply_matrix, apply_step,
+from .tau import Comparability, Tau, comparability, reduce_pair, tau
+from .transforms import (Matrix, Step, Trace, Vec, apply_matrix, apply_step,
                          compose_trace, determinant, identity_matrix, intvec,
                          mat_mul, natvec, step_matrix)
 
@@ -35,9 +35,9 @@ __all__ = [
     "GroupBasis", "GroupElement", "GroupOrder", "Interactive",
     "InteractiveAborted", "InternalError", "LexVec", "Matrix", "MaxGrowth",
     "MonomializationResult", "PerronError", "Polynomial",
-    "PositivizeAllResult", "PositivizeResult", "ReducedPair", "Round",
+    "PositivizeAllResult", "PositivizeResult", "Round",
     "Scripted", "SeededRandom", "Step", "StepLimitExceeded", "Substitution",
-    "Tau", "ValidationError", "ValuedRing", "Vec", "advance_champion",
+    "Tau", "Trace", "ValidationError", "ValuedRing", "Vec", "advance_champion",
     "apply_matrix", "apply_step", "apply_substitution", "champion_moves",
     "choose_J", "comparability", "compose_trace", "determinant",
     "divisibility_transform", "element_compare", "element_value",

@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .engine import (Adversary, FirstIndex, Interactive, MaxGrowth, Scripted,
                      SeededRandom, run_pair)
@@ -30,8 +31,7 @@ from .game import solve
 from .monomials import ValuedRing, apply_substitution, monomialize, polynomial
 from .ordered_group import (GroupBasis, GroupElement, GroupOrder, lexvec,
                             positivize_all, validate_order)
-from .tau import Comparability
-from .transforms import compose_trace, intvec, natvec, step_runs
+from .transforms import compose_trace, intvec, natvec
 
 SCHEMA_VERSION = 1
 _EXACT_DOUBLE = 2 ** 53  # integers beyond this are emitted as decimal strings
@@ -70,10 +70,14 @@ def _as_int(value, what) -> int:
     raise MalformedInput(f"{what} must be an integer or decimal string")
 
 
-def _as_int_list(value, what) -> list[int]:
+def _as_list(value, what) -> list:
     if not isinstance(value, list):
         raise MalformedInput(f"{what} must be a list")
-    return [_as_int(x, what) for x in value]
+    return value
+
+
+def _as_int_list(value, what) -> list[int]:
+    return [_as_int(x, what) for x in _as_list(value, what)]
 
 
 def _as_rational(value, what) -> Fraction:
@@ -87,6 +91,11 @@ def _as_rational(value, what) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise MalformedInput(f"{what} is not a rational: {value!r}")
     raise MalformedInput(f"{what} must be an integer or a 'p/q' string")
+
+
+def _as_lexvecs(value, what, each, entry) -> tuple:
+    return tuple(lexvec([_as_rational(x, entry) for x in _as_list(row, each)])
+                 for row in _as_list(value, what))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +119,8 @@ def _encode_lexvec(v):
 
 def _encode_trace(steps):
     out = []
-    for step, k in step_runs(steps):
-        out += [{"J": sorted(step.J), "j": step.j}] * k
+    for block, m in steps.runs:
+        out += [{"J": sorted(step.J), "j": step.j} for step in block] * m
     return out
 
 
@@ -170,10 +179,8 @@ def _cmd_compare(doc, args, infile):
 
     trace = run_pair(alpha, beta, adversary, step_limit=args.step_limit,
                      on_round=on_round)
-    relation = {Comparability.LESS_EQ: "le", Comparability.GREATER_EQ: "ge",
-                Comparability.EQUAL: "eq"}[trace.outcome]
     payload = {
-        "relation": relation,
+        "relation": trace.outcome.value,  # "le", "ge" or "eq"
         "final_alpha": _encode_vec(trace.final_alpha),
         "final_beta": _encode_vec(trace.final_beta),
         "matrix": _encode_matrix(compose_trace(trace.steps, len(alpha))),
@@ -183,9 +190,7 @@ def _cmd_compare(doc, args, infile):
 
 
 def _cmd_game(doc, args, infile, mode):
-    raw = _field(doc, "vectors")
-    if not isinstance(raw, list):
-        raise MalformedInput("vectors must be a list")
+    raw = _as_list(_field(doc, "vectors"), "vectors")
     if not raw:
         raise ValidationError("vector list must be non-empty")
     vectors = [natvec(_as_int_list(v, "vector")) for v in raw]
@@ -222,22 +227,15 @@ def _cmd_positivize(doc, args, infile):
     raw_images = _field(doc, "generator_images")
     if not isinstance(raw_images, list) or not raw_images:
         raise MalformedInput("generator_images must be a non-empty list")
-    images = []
-    for row in raw_images:
-        if not isinstance(row, list):
-            raise MalformedInput("each generator image must be a list")
-        images.append(lexvec([_as_rational(x, "image entry") for x in row]))
-    order = GroupOrder(tuple(images))
+    order = GroupOrder(_as_lexvecs(raw_images, "generator_images",
+                                   "each generator image", "image entry"))
     violations = validate_order(order)
     if violations:
         raise ValidationError("; ".join(violations))
     basis = GroupBasis.initial(order)
 
-    raw_elements = _field(doc, "elements")
-    if not isinstance(raw_elements, list):
-        raise MalformedInput("elements must be a list")
     elements = [GroupElement(basis, intvec(_as_int_list(row, "element")))
-                for row in raw_elements]
+                for row in _as_list(_field(doc, "elements"), "elements")]
     result = positivize_all(basis, elements, step_limit=args.step_limit)
     payload = {
         "basis_in_original": _encode_matrix(result.basis.coords_in_original),
@@ -250,29 +248,19 @@ def _cmd_positivize(doc, args, infile):
 def _cmd_monomialize(doc, args, infile):
     m = _as_int(_field(doc, "num_vars"), "num_vars")
     n = _as_int(_field(doc, "num_toric"), "num_toric")
-    raw_values = _field(doc, "values")
-    if not isinstance(raw_values, list):
-        raise MalformedInput("values must be a list")
-    values = []
-    for row in raw_values:
-        if not isinstance(row, list):
-            raise MalformedInput("each value must be a list")
-        values.append(lexvec([_as_rational(x, "value entry") for x in row]))
-    ring = ValuedRing(m, n, tuple(values))
+    ring = ValuedRing(m, n, _as_lexvecs(_field(doc, "values"), "values",
+                                        "each value", "value entry"))
 
     raw_terms = _field(doc, "polynomial")
     if not isinstance(raw_terms, list):
         raise MalformedInput("polynomial must be a list of terms")
-    terms = []
-    for term in raw_terms:
-        exponents = _as_int_list(_field(term, "exponents"), "exponents")
-        coeff = _as_rational(_field(term, "coeff"), "coeff")
-        terms.append((exponents, coeff))
-    f = polynomial(terms)
+    f = polynomial([(_as_int_list(_field(term, "exponents"), "exponents"),
+                     _as_rational(_field(term, "coeff"), "coeff"))
+                    for term in raw_terms])
     if not f:
         raise ValidationError("zero polynomial")
 
-    result = monomialize(ring, f)
+    result = monomialize(ring, f, step_limit=args.step_limit)
     # Re-verify the exact factorization before emitting anything.
     shift = result.factor_exponents + (0,) * (m - n)
     product = {tuple(x + y for x, y in zip(e, shift)): c
@@ -294,7 +282,8 @@ def _cmd_monomialize(doc, args, infile):
 # ---------------------------------------------------------------------------
 # argument parsing and the main entry point
 
-def _add_io_flags(p):
+def _add_subcommand(sub, name, help_text, handler):
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--input", default="-", metavar="PATH",
                    help="job document path, or - for stdin (default)")
     p.add_argument("--output", default="-", metavar="PATH",
@@ -306,6 +295,7 @@ def _add_io_flags(p):
     p.add_argument("--step-limit", type=int, default=1_000_000,
                    dest="step_limit", metavar="N",
                    help="safety valve on the number of rounds (default 10^6)")
+    p.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,31 +304,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact unimodular descent transforms: pair comparability, "
                     "the polyhedra game, positive cones, monomialization.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    compare = sub.add_parser("compare", help="make a pair of vectors comparable")
-    _add_io_flags(compare)
-    compare.set_defaults(handler=_cmd_compare)
-
+    _add_subcommand(sub, "compare", "make a pair of vectors comparable",
+                    _cmd_compare)
     game = sub.add_parser("game", help="the polyhedra game")
     game_sub = game.add_subparsers(dest="game_mode", required=True)
-    game_solve = game_sub.add_parser("solve", help="play out the winning strategy")
-    _add_io_flags(game_solve)
-    game_solve.set_defaults(handler=lambda doc, args, infile:
-                            _cmd_game(doc, args, infile, "solve"))
-    game_play = game_sub.add_parser("play", help="interactive: you pick each j")
-    _add_io_flags(game_play)
-    game_play.set_defaults(handler=lambda doc, args, infile:
-                           _cmd_game(doc, args, infile, "play"))
-
-    positivize = sub.add_parser(
-        "positivize", help="give group elements non-negative coordinates")
-    _add_io_flags(positivize)
-    positivize.set_defaults(handler=_cmd_positivize)
-
-    monomialize_p = sub.add_parser(
-        "monomialize", help="factor a polynomial as monomial times unit")
-    _add_io_flags(monomialize_p)
-    monomialize_p.set_defaults(handler=_cmd_monomialize)
+    _add_subcommand(game_sub, "solve", "play out the winning strategy",
+                    partial(_cmd_game, mode="solve"))
+    _add_subcommand(game_sub, "play", "interactive: you pick each j",
+                    partial(_cmd_game, mode="play"))
+    _add_subcommand(sub, "positivize",
+                    "give group elements non-negative coordinates",
+                    _cmd_positivize)
+    _add_subcommand(sub, "monomialize",
+                    "factor a polynomial as monomial times unit",
+                    _cmd_monomialize)
     return parser
 
 

@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, comparability, tau
-from .transforms import Step, Vec, apply_run, apply_step, natvec, step_runs
+from .transforms import (Step, Trace, Vec, apply_run, apply_step, commute,
+                         natvec)
 
 UNBOUNDED = sys.maxsize  # run limit offered when no step limit applies
 
@@ -81,19 +82,9 @@ class MaxGrowth(Adversary):
     step; ties broken by the smallest index."""
 
     def choose(self, J, vectors, round_no):
-        dim = len(vectors[0])
-
-        def grown_total(j):
-            step = Step(J, j, dim)
-            return sum(sum(apply_step(step, v)) for v in vectors)
-
-        best = None
-        best_total = None
-        for j in sorted(J):
-            t = grown_total(j)
-            if best_total is None or t > best_total:
-                best, best_total = j, t
-        return best
+        steps = [Step(J, j, len(vectors[0])) for j in sorted(J)]
+        return max(steps, key=lambda step: sum(  # max keeps the first of equals
+            sum(apply_step(step, v)) for v in vectors)).j
 
 
 class Scripted(Adversary):
@@ -102,14 +93,10 @@ class Scripted(Adversary):
 
     def __init__(self, choices: Sequence[int]):
         self.choices = list(choices)
-        self._cursor = 0
+        self._script = iter(self.choices)
 
     def choose(self, J, vectors, round_no):
-        if self._cursor < len(self.choices):
-            j = self.choices[self._cursor]
-            self._cursor += 1
-            return j
-        return min(J)
+        return next(self._script, min(J))
 
 
 class Interactive(Adversary):
@@ -208,7 +195,7 @@ class EngineTrace:
     """Record of one descent run: steps taken, the final relation and pair,
     and the start pair."""
 
-    steps: tuple[Step, ...]
+    steps: Trace
     outcome: Comparability
     final_alpha: Vec
     final_beta: Vec
@@ -223,21 +210,24 @@ class EngineTrace:
     def tau_history(self) -> tuple[Tau, ...]:
         """tau before each step and after the last, replayed from the start.
 
-        Steps are linear, so d = alpha - beta moves by them too: each round
-        of a run (J, j) adds the same sum of the other J-entries to d_j, and
-        tau is ((|d|_1 - |sum d|) / 2, (|d|_1 + |sum d|) / 2).
+        Steps are linear, so d = alpha - beta moves by them too.  Within a
+        run, each step of the commuting block adds the same sum of its other
+        J-entries to d_j every time, and tau is
+        ((|d|_1 - |sum d|) / 2, (|d|_1 + |sum d|) / 2), kept up to date.
         """
         d = [x - y for x, y in zip(self.alpha, self.beta)]
+        norm, total = sum(map(abs, d)), sum(d)
         out = [tau(self.alpha, self.beta)]
-        for step, k in step_runs(self.steps):
-            x = d[step.j - 1]
-            s = sum(d[i - 1] for i in step.J) - x
-            rest, others = sum(map(abs, d)) - abs(x), sum(d) - x
-            for _ in range(k):
-                x += s
-                n, t = rest + abs(x), abs(others + x)
-                out.append(Tau((n - t) // 2, (n + t) // 2))
-            d[step.j - 1] = x
+        for block, m in self.steps.runs:
+            adds = [(s.j - 1, sum(d[i - 1] for i in s.J if i != s.j))
+                    for s in block]
+            for _ in range(m):
+                for j, add in adds:
+                    norm += abs(d[j] + add) - abs(d[j])
+                    d[j] += add
+                    total += add
+                    t = abs(total)
+                    out.append(Tau((norm - t) // 2, (norm + t) // 2))
         return tuple(out)
 
 
@@ -273,35 +263,30 @@ def _repeat_count(states: list[list[int]], shift: list[int], limit: int) -> int:
 
 def _period(played, rule) -> int:
     """The period p of the single rounds just played, when they end with two
-    equal repetitions of p commuting steps and the coming round, the first
-    of a third repetition, decides alike (same _J_rule triple); else 0.
-
-    A step (J', j') commutes with the others when no other step adds to an
-    entry in J' other than j': the sums each step adds are then fixed for
-    the whole block.
-    """
+    equal repetitions of p steps that commute (see transforms.commute) and
+    the coming round, the first of a third repetition, decides alike (same
+    _J_rule triple); else 0."""
     for p in range(2, len(played) // 2 + 1):
         if played[-p][1] != rule:
             continue
         block = [r[2] for r in played[-p:]]
-        if block != [r[2] for r in played[-2 * p:-p]]:
-            continue
-        if all(s.j == t.j or s.j not in t.J for s in block for t in block):
+        if block == [r[2] for r in played[-2 * p:-p]] and commute(block):
             return p
     return 0
 
 
 def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
-            steps: list[Step], step_limit: Optional[int] = None,
+            steps: Trace, step_limit: Optional[int] = None,
             on_round: Optional[Callable[[Round], None]] = None) -> None:
     """Descend the pair vectors[p], vectors[q] to comparability, carrying
     every tracked vector along, in runs of identical steps.
 
-    `vectors` is updated in place and the steps are appended to `steps`; its
-    length is the number of rounds played so far.  Returns once the pair is
-    comparable, or with it still incomparable once round step_limit has been
-    played.  With on_round set, it gets a Round before every round and every
-    run is one round long.
+    `vectors` is updated in place and each driver iteration adds one run to
+    `steps`, whose length is the number of rounds played so far.  Returns
+    once the pair is comparable, or with it still incomparable once round
+    step_limit has been played.  With on_round set, it gets a Round before
+    every round and every run is one round long.  An InteractiveAborted
+    from the adversary leaves with `steps` attached as the partial trace.
 
     A run of k equal steps (J, j) adds k times the sum of the other
     J-entries to entry j.  For an adversary that answers by J alone, a
@@ -328,7 +313,11 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             if on_round is not None:
                 on_round(Round(round_no, tuple(vectors), (p, q), J))
                 left = 1
-            j, k = adversary.choose_run(J, tuple(vectors), round_no, left)
+            try:
+                j, k = adversary.choose_run(J, tuple(vectors), round_no, left)
+            except InteractiveAborted as exc:
+                exc.steps = steps
+                raise
             if j not in J:
                 raise ValidationError(f"adversary chose j={j} outside J={sorted(J)}")
             if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= left:
@@ -342,7 +331,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
         block = [r[2] for r in rounds]
         for step in block:  # the block's steps commute: each one's run in turn
             vectors[:] = [apply_run(step, m, v) for v in vectors]
-        steps += block * m
+        steps.add_run(block, m)
         if len(block) * m == 1:
             played += rounds
             del played[:-2 * n]
@@ -363,14 +352,10 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
     if len(a) != len(b):
         raise ValidationError(f"dimension mismatch: {len(a)} vs {len(b)}")
     vectors = [a, b]
-    steps: list[Step] = []
-    try:
-        descend(vectors, 0, 1, adversary, steps, step_limit, on_round)
-    except InteractiveAborted as exc:
-        exc.steps = tuple(steps)
-        raise
+    steps = Trace()
+    descend(vectors, 0, 1, adversary, steps, step_limit, on_round)
     rel = comparability(*vectors)
     if rel is Comparability.INCOMPARABLE:
         raise StepLimitExceeded(
             f"pair not comparable within {step_limit} steps", steps)
-    return EngineTrace(tuple(steps), rel, *vectors, a, b)
+    return EngineTrace(steps, rel, *vectors, a, b)

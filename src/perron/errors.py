@@ -9,20 +9,20 @@ class ValidationError(PerronError):
     """Invalid input: dimension mismatch, malformed step, violated precondition."""
 
 
-class StepLimitExceeded(PerronError):
+class _PartialTrace(PerronError):
+    """An error that carries the trace played before it, in `steps`."""
+
+    def __init__(self, message, steps=()):
+        super().__init__(message)
+        self.steps = steps
+
+
+class StepLimitExceeded(_PartialTrace):
     """An iteration ran past its step limit; carries the partial trace."""
 
-    def __init__(self, message, steps=()):
-        super().__init__(message)
-        self.steps = tuple(steps)
 
-
-class InteractiveAborted(PerronError):
+class InteractiveAborted(_PartialTrace):
     """An interactive session hit end-of-input; carries the partial trace."""
-
-    def __init__(self, message, steps=()):
-        super().__init__(message)
-        self.steps = tuple(steps)
 
 
 class InternalError(PerronError):

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .engine import Adversary, Round, choose_J, descend
-from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
+from .errors import StepLimitExceeded, ValidationError
 from .tau import Comparability, comparability
-from .transforms import Step, Vec, apply_step, natvec
+from .transforms import Step, Trace, Vec, apply_step, natvec
 
 
 @dataclass(frozen=True)
 class GameOutcome:
     final_vectors: tuple[Vec, ...]
     winner_index: int
-    trace: tuple[Step, ...]
+    trace: Trace
     rounds: int
 
 
@@ -95,20 +95,16 @@ def solve(vectors, adversary: Adversary,
     point, so no earlier point equals it and it is is_won's answer.
     """
     vs = list(_validated_vectors(vectors))
-    steps: list[Step] = []
+    steps = Trace()
     champ = 0
-    try:
-        while True:
-            champ, target = advance_champion(vs, champ)
-            if target is None:
-                return GameOutcome(tuple(vs), champ, tuple(steps), len(steps))
-            if step_limit is not None and len(steps) >= step_limit:
-                raise StepLimitExceeded(
-                    f"game not won within {step_limit} rounds", steps)
-            descend(vs, champ, target, adversary, steps, step_limit, on_round)
-    except InteractiveAborted as exc:
-        exc.steps = tuple(steps)
-        raise
+    while True:
+        champ, target = advance_champion(vs, champ)
+        if target is None:
+            return GameOutcome(tuple(vs), champ, steps, len(steps))
+        if step_limit is not None and len(steps) >= step_limit:
+            raise StepLimitExceeded(
+                f"game not won within {step_limit} rounds", steps)
+        descend(vs, champ, target, adversary, steps, step_limit, on_round)
 
 
 def prune_dominated(vectors) -> tuple[Vec, ...]:

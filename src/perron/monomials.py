@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalError, ValidationError
 from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec,
                             lex_sign, positivize, positivize_all,
-                            _rational_rank)
-from .transforms import Matrix, Step, Vec, compose_trace, natvec
+                            _combination, _rational_rank)
+from .transforms import Matrix, Trace, Vec, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
 Polynomial = dict[Vec, Fraction]
@@ -85,12 +85,7 @@ def monomial_value(ring: ValuedRing, exponents: Sequence[int]) -> LexVec:
     if len(e) != ring.num_vars:
         raise ValidationError(
             f"monomial has {len(e)} exponents, ring has {ring.num_vars} variables")
-    acc = [Fraction(0)] * ring.order_dim
-    for c, val in zip(e, ring.values):
-        if c:
-            for k, x in enumerate(val):
-                acc[k] += c * x
-    return tuple(acc)
+    return _combination(e, ring.values)
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ class Substitution:
 
     matrix: Matrix
     num_vars: int
-    steps: tuple[Step, ...] = ()
+    steps: Trace = ()
 
     @property
     def num_toric(self) -> int:
@@ -130,7 +125,7 @@ def apply_substitution(p: Polynomial, s: Substitution) -> Polynomial:
 
 
 def _substitution_from(ring: ValuedRing, final_basis: GroupBasis,
-                       steps: tuple[Step, ...]) -> tuple[Substitution, ValuedRing]:
+                       steps: Trace) -> tuple[Substitution, ValuedRing]:
     """Assemble the substitution matrix and the primed ring from the final
     basis reached by a run of basis transforms.
 
@@ -178,7 +173,8 @@ class MonomializationResult:
     unit_part: Polynomial
 
 
-def monomialize(ring: ValuedRing, f: Polynomial) -> MonomializationResult:
+def monomialize(ring: ValuedRing, f: Polynomial,
+                step_limit: Optional[int] = None) -> MonomializationResult:
     """Rewrite f as (toric monomial) * unit with the unit outside the toric
     ideal: f's image under the substitution factors exactly, and the unit has
     a term with all toric exponents zero.
@@ -186,6 +182,7 @@ def monomialize(ring: ValuedRing, f: Polynomial) -> MonomializationResult:
     Groups the terms by toric exponent part; the value-minimal part is unique
     because distinct toric monomials have distinct values.  One combined run
     positivizes every value difference at once, yielding a single substitution.
+    step_limit bounds each positivize of that run, as in positivize_all.
     """
     _require_valid(ring)
     if not f:
@@ -206,7 +203,7 @@ def monomialize(ring: ValuedRing, f: Polynomial) -> MonomializationResult:
     basis = GroupBasis.initial(GroupOrder(ring.values[:n]))
     deltas = [GroupElement(basis, tuple(a - b for a, b in zip(t, min_part)))
               for t in toric_parts if t != min_part]
-    combined = positivize_all(basis, deltas)
+    combined = positivize_all(basis, deltas, step_limit=step_limit)
     substitution, new_ring = _substitution_from(ring, combined.basis,
                                                 combined.steps)
 

@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .engine import Adversary, run_pair
 from .errors import InternalError, ValidationError
-from .transforms import (Matrix, Step, Vec, apply_run, identity_matrix, intvec,
-                         step_runs)
+from .transforms import (Matrix, Step, Trace, Vec, apply_run, identity_matrix,
+                         intvec)
 
 LexVec = tuple[Fraction, ...]
 
@@ -38,10 +38,6 @@ def lex_sign(v: LexVec) -> int:
         if c:
             return 1 if c > 0 else -1
     return 0
-
-
-def _lv_sub(u: LexVec, v: LexVec) -> LexVec:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def _rational_rank(rows: Sequence[LexVec]) -> int:
@@ -138,22 +134,27 @@ class GroupElement:
                 f"{self.basis.rank}")
 
 
-def element_value(element: GroupElement) -> LexVec:
-    """The element's image: the coordinate combination of the basis images."""
-    imgs = element.basis.images
-    acc = [Fraction(0)] * len(imgs[0])
-    for c, img in zip(element.coords, imgs):
+def _combination(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> LexVec:
+    """The integer combination of lex vectors with the given coefficients."""
+    acc = [Fraction(0)] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
         if c:
-            for k, x in enumerate(img):
+            for k, x in enumerate(v):
                 acc[k] += c * x
     return tuple(acc)
+
+
+def element_value(element: GroupElement) -> LexVec:
+    """The element's image: the coordinate combination of the basis images."""
+    return _combination(element.coords, element.basis.images)
 
 
 def element_compare(e1: GroupElement, e2: GroupElement) -> int:
     """-1, 0 or 1 as e1 is below, equal to, or above e2 in the group order."""
     if e1.basis != e2.basis:
         raise ValidationError("elements must be expressed in the same basis")
-    return lex_sign(_lv_sub(element_value(e1), element_value(e2)))
+    return lex_sign(tuple(a - b for a, b in zip(element_value(e1),
+                                                element_value(e2))))
 
 
 def _lex_minimal(basis: GroupBasis, J: frozenset[int]) -> int:
@@ -167,14 +168,11 @@ def _lex_minimal(basis: GroupBasis, J: frozenset[int]) -> int:
 def _perron_transform(basis: GroupBasis, J: frozenset[int], j: int,
                       k: int) -> GroupBasis:
     """Subtract k times basis element j from every other element of J."""
-    j_img = basis.images[j - 1]
-    j_row = basis.coords_in_original[j - 1]
-    images = tuple(
-        tuple(x - k * y for x, y in zip(img, j_img)) if (i in J and i != j) else img
-        for i, img in enumerate(basis.images, start=1))
-    rows = tuple(
-        tuple(x - k * y for x, y in zip(row, j_row)) if (i in J and i != j) else row
-        for i, row in enumerate(basis.coords_in_original, start=1))
+    def subtract(vecs):
+        return tuple(tuple(x - k * y for x, y in zip(v, vecs[j - 1]))
+                     if i in J and i != j else v for i, v in enumerate(vecs, start=1))
+
+    images, rows = subtract(basis.images), subtract(basis.coords_in_original)
     for i in J:
         if i != j and lex_sign(images[i - 1]) <= 0:
             raise InternalError("transformed basis image is not lex-positive")
@@ -250,7 +248,7 @@ class _PerronChooser(Adversary):
 class PositivizeResult(NamedTuple):
     basis: GroupBasis
     coords: Vec
-    steps: tuple[Step, ...]
+    steps: Trace
 
 
 def positivize(basis: GroupBasis, element: GroupElement,
@@ -268,7 +266,7 @@ def positivize(basis: GroupBasis, element: GroupElement,
         raise ValidationError(
             "element is negative; only positive elements join the cone")
     if all(c >= 0 for c in element.coords):
-        return PositivizeResult(basis, element.coords, ())
+        return PositivizeResult(basis, element.coords, Trace())
     plus = tuple(max(c, 0) for c in element.coords)
     minus = tuple(max(-c, 0) for c in element.coords)
     chooser = _PerronChooser(basis)
@@ -283,7 +281,7 @@ def positivize(basis: GroupBasis, element: GroupElement,
 class PositivizeAllResult(NamedTuple):
     basis: GroupBasis
     coords: tuple[Vec, ...]
-    steps: tuple[Step, ...]
+    steps: Trace
 
 
 def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
@@ -302,18 +300,14 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
             raise ValidationError(f"element {k + 1} is negative")
         coords_list.append(e.coords)
     current = basis
-    steps: list[Step] = []
+    steps = Trace()
     for k in range(len(coords_list)):
         result = positivize(current, GroupElement(current, coords_list[k]),
                             step_limit=step_limit)
-        for i in range(len(coords_list)):
-            if i == k:
-                coords_list[i] = result.coords
-            else:
-                c = coords_list[i]
-                for step, times in step_runs(result.steps):
-                    c = apply_run(step, times, c)
-                coords_list[i] = c
+        for block, m in result.steps.runs:
+            steps.add_run(block, m)
+            for step in block:
+                coords_list = [apply_run(step, m, c) for c in coords_list]
+        coords_list[k] = result.coords
         current = result.basis
-        steps.extend(result.steps)
-    return PositivizeAllResult(current, tuple(coords_list), tuple(steps))
+    return PositivizeAllResult(current, tuple(coords_list), steps)

@@ -24,25 +24,19 @@ class Tau(NamedTuple):
     second: int
 
 
-class ReducedPair(NamedTuple):
-    gamma: Vec
-    abar: Vec
-    bbar: Vec
-
-
 def _check_dims(alpha: Vec, beta: Vec):
     if len(alpha) != len(beta):
         raise ValidationError(
             f"dimension mismatch: {len(alpha)} vs {len(beta)}")
 
 
-def reduce_pair(alpha: Vec, beta: Vec) -> ReducedPair:
-    """Split off the coordinatewise minimum; the two remainders have disjoint supports."""
+def reduce_pair(alpha: Vec, beta: Vec) -> tuple[Vec, Vec, Vec]:
+    """Split off the coordinatewise minimum: (gamma, abar, bbar), disjoint remainders."""
     _check_dims(alpha, beta)
     gamma = tuple(map(min, alpha, beta))
     abar = tuple(a - c for a, c in zip(alpha, gamma))
     bbar = tuple(b - c for b, c in zip(beta, gamma))
-    return ReducedPair(gamma, abar, bbar)
+    return gamma, abar, bbar
 
 
 def tau(alpha: Vec, beta: Vec) -> Tau:

@@ -8,8 +8,11 @@ Coordinate indices are 1-based throughout, matching the usual convention.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -103,18 +106,67 @@ def apply_run(step: Step, k: int, v: Sequence[int]) -> Vec:
     return tuple(out)
 
 
-def step_runs(steps: Iterable[Step]) -> Iterator[tuple[Step, int]]:
-    """Group a trace into (step, count) runs of consecutive equal steps."""
-    run, k = None, 0
-    for step in steps:
-        if step is run or step == run:
-            k += 1
-        else:
-            if run is not None:
-                yield run, k
-            run, k = step, 1
-    if run is not None:
-        yield run, k
+def commute(block: Sequence[Step]) -> bool:
+    """True when no step of the block adds to an entry in another step's J
+    other than that step's own j: the sum each step adds then stays fixed
+    while the block repeats, so m repetitions apply in closed form."""
+    return all(s.j == t.j or s.j not in t.J for s in block for t in block)
+
+
+class Trace(Sequence):
+    """A step trace stored run-length.  `runs` holds (block, m) pairs: a block
+    is one step, or one period of commuting steps, played m times over.
+
+    As a sequence it is the flat tuple of steps, one per round: len is the
+    round count, and iteration, indexing and == (with any sequence) expand
+    the runs on demand.
+    """
+
+    def __init__(self, runs: Iterable[tuple[Sequence[Step], int]] = ()):
+        self.runs: list[tuple[tuple[Step, ...], int]] = []
+        self._rounds = 0
+        for block, m in runs:
+            self.add_run(block, m)
+
+    def add_run(self, block: Sequence[Step], m: int) -> None:
+        """Record block played m more times; a repeat of the last run's block
+        extends that run."""
+        block = tuple(block)
+        if not block or not commute(block) or m < 1:
+            raise ValidationError(
+                "a run is a non-empty block of commuting steps played m >= 1 times")
+        self._rounds += len(block) * m
+        if self.runs and self.runs[-1][0] == block:
+            m += self.runs.pop()[1]
+        self.runs.append((block, m))
+
+    def __len__(self) -> int:
+        return self._rounds
+
+    def __iter__(self):
+        return chain.from_iterable(chain.from_iterable(
+            repeat(block, m) for block, m in self.runs))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, stride = i.indices(self._rounds)
+            return tuple(islice(self, start, stop, stride) if stride > 0 else
+                         tuple(self)[i])
+        k = range(self._rounds)[i]  # a negative i counts from the end
+        for block, m in self.runs:
+            if k < len(block) * m:
+                return block[k % len(block)]
+            k -= len(block) * m
+
+    def __eq__(self, other):
+        if isinstance(other, Trace) and self.runs == other.runs:
+            return True
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Trace({self.runs!r})"
 
 
 def apply_matrix(m: Matrix, v: Sequence[int]) -> Vec:
@@ -140,18 +192,21 @@ def compose_trace(steps: Sequence[Step], n: int) -> Matrix:
     """Product of the step matrices, last step leftmost; empty gives identity.
 
     Multiplying by a step matrix on the left is the row operation
-    row_j <- sum of the J-rows, so a run of k equal steps adds k times the
-    sum of the other J-rows to row j.
+    row_j <- sum of the J-rows.  A Trace is read run by run: m repetitions
+    of a block of commuting steps add m times the sum of each step's other
+    J-rows to its row j.  Any other sequence is read one step at a time.
     """
+    runs = steps.runs if isinstance(steps, Trace) else [((s,), 1) for s in steps]
     rows = [list(row) for row in identity_matrix(n)]
-    for step, k in step_runs(steps):
-        if step.dim != n:
-            raise ValidationError(
-                f"trace mixes dimensions: expected {n}, found {step.dim}")
-        others = [rows[i - 1] for i in step.J if i != step.j]
-        if others:
-            rows[step.j - 1] = [x + k * sum(col) for x, col
-                                in zip(rows[step.j - 1], zip(*others))]
+    for block, m in runs:
+        for step in block:  # commuting: no step writes another's other J-rows
+            if step.dim != n:
+                raise ValidationError(
+                    f"trace mixes dimensions: expected {n}, found {step.dim}")
+            others = [rows[i - 1] for i in step.J if i != step.j]
+            if others:
+                rows[step.j - 1] = [x + m * sum(col) for x, col
+                                    in zip(rows[step.j - 1], zip(*others))]
     return tuple(tuple(row) for row in rows)
 
 

@@ -238,6 +238,22 @@ def test_monomialize_zero_polynomial_is_exit_2(tmp_path):
     assert "zero polynomial" in doc["diagnostics"][0]
 
 
+def test_monomialize_honours_the_step_limit(tmp_path):
+    # x2 + x1^200001 with values (1,0), (200000,1) takes about 200,000 rounds
+    code, doc, text = run_cli(
+        tmp_path, ["monomialize"],
+        {"num_vars": 2, "num_toric": 2,
+         "values": [["1", "0"], ["200000", "1"]],
+         "polynomial": [{"coeff": "1", "exponents": [0, 1]},
+                        {"coeff": "1", "exponents": [200001, 0]}]},
+        "--step-limit", "10", "--trace")
+    assert code == 3
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert doc["status"] == "error" and doc["payload"] is None
+    assert doc["diagnostics"] == ["pair not comparable within 10 steps"]
+    assert len(doc["trace"]) == 10
+
+
 def test_seeded_outputs_are_deterministic(tmp_path):
     job = {"alpha": [8, 0, 3], "beta": [2, 5, 1],
            "adversary": {"kind": "random", "seed": 123}}
@@ -466,8 +482,8 @@ def assert_internal_error(tmp_path, capsys, command, job, fragment):
 
 
 def test_failed_monomialize_reverification_is_exit_5(tmp_path, monkeypatch, capsys):
-    def corrupted(ring, f):
-        result = monomialize(ring, f)
+    def corrupted(ring, f, step_limit=None):
+        result = monomialize(ring, f, step_limit)
         wrong = tuple(e + 1 for e in result.factor_exponents)
         return dataclasses.replace(result, factor_exponents=wrong)
 
@@ -485,6 +501,62 @@ def test_internal_error_from_the_library_is_exit_5(tmp_path, monkeypatch, capsys
         tmp_path, capsys, ["positivize"],
         {"generator_images": [["1", "0"], ["0", "1"]], "elements": [[2, -1]]},
         "transformed basis image is not lex-positive")
+
+
+# golden --trace bytes: the trace encoder reads runs, and what it prints is
+# fixed byte for byte ---------------------------------------------------------
+
+GOLDEN_TRACES = [
+    (['compare', '--trace'],
+     '{"alpha":[30,33,0],"beta":[0,0,5]}',
+     0,
+     '{"diagnostics":[],"payload":{"final_alpha":[30,33,0],"final_beta":[30,35'
+     ',5],"matrix":[[1,0,6],[0,1,7],[0,0,1]],"relation":"le","rounds":13},"sch'
+     'ema_version":1,"status":"ok","trace":[{"J":[2,3],"j":2},{"J":[1,3],"j":1'
+     '},{"J":[2,3],"j":2},{"J":[1,3],"j":1},{"J":[2,3],"j":2},{"J":[1,3],"j":1'
+     '},{"J":[2,3],"j":2},{"J":[1,3],"j":1},{"J":[2,3],"j":2},{"J":[1,3],"j":1'
+     '},{"J":[2,3],"j":2},{"J":[1,3],"j":1},{"J":[2,3],"j":2}]}\n'),
+    (['game', 'solve', '--trace'],
+     '{"vectors":[[7,0,2],[0,3,1],[2,2,0]]}',
+     0,
+     '{"diagnostics":[],"payload":{"final_vectors":[[11,6,2],[11,6,1],[8,2,0]]'
+     ',"rounds":7,"winner_index":2},"schema_version":1,"status":"ok","trace":['
+     '{"J":[1,2],"j":1},{"J":[1,2],"j":1},{"J":[1,2,3],"j":1},{"J":[2,3],"j":2'
+     '},{"J":[2,3],"j":2},{"J":[1,3],"j":1},{"J":[2,3],"j":2}]}\n'),
+    (['positivize', '--trace'],
+     '{"generator_images":[["1","0"],["1/7","1"]],"elements":[[9,-40],[-2,20]]}',
+     0,
+     '{"diagnostics":[],"payload":{"basis_images":[["1/7","-6"],["0","7"]],"ba'
+     'sis_in_original":[[1,-6],[-1,7]],"coords":[[23,14],[6,8]]},"schema_versi'
+     'on":1,"status":"ok","trace":[{"J":[1,2],"j":2},{"J":[1,2],"j":2},{"J":[1'
+     ',2],"j":2},{"J":[1,2],"j":2},{"J":[1,2],"j":2},{"J":[1,2],"j":2},{"J":[1'
+     ',2],"j":1}]}\n'),
+    (['monomialize', '--trace'],
+     '{"num_vars":2,"num_toric":2,"values":[["1","0"],["5","1"]],'
+     '"polynomial":[{"coeff":"1","exponents":[0,1]},'
+     '{"coeff":"-2/3","exponents":[6,0]}]}',
+     0,
+     '{"diagnostics":[],"payload":{"factor_exponents":[5,6],"new_values":[["1"'
+     ',"-1"],["0","1"]],"substitution":[[1,1],[5,6]],"unit":[{"coeff":"1","exp'
+     'onents":[0,0]},{"coeff":"-2/3","exponents":[1,0]}]},"schema_version":1,"'
+     'status":"ok","trace":[{"J":[1,2],"j":1},{"J":[1,2],"j":1},{"J":[1,2],"j"'
+     ':1},{"J":[1,2],"j":1},{"J":[1,2],"j":1},{"J":[1,2],"j":2}]}\n'),
+    (['compare', '--trace', '--step-limit', '7'],
+     '{"alpha":[30,0],"beta":[0,1]}',
+     3,
+     '{"diagnostics":["pair not comparable within 7 steps"],"payload":null,"sc'
+     'hema_version":1,"status":"error","trace":[{"J":[1,2],"j":1},{"J":[1,2],"'
+     'j":1},{"J":[1,2],"j":1},{"J":[1,2],"j":1},{"J":[1,2],"j":1},{"J":[1,2],"'
+     'j":1},{"J":[1,2],"j":1}]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, job, code, stdout", GOLDEN_TRACES)
+def test_trace_documents_are_byte_identical(argv, job, code, stdout,
+                                            monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(argv) == code
+    assert capsys.readouterr().out == stdout
 
 
 # fuzz: every input gives one document and a documented exit code -----------

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -339,6 +343,43 @@ def test_run_stops_at_the_step_limit():
     with pytest.raises(StepLimitExceeded) as err:
         run_pair((10 ** 6, 0), (0, 1), FirstIndex(), step_limit=12345)
     assert len(err.value.steps) == 12345
+
+
+MEMORY_GUARD = """
+import resource, time
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from perron import (FirstIndex, StepLimitExceeded, apply_matrix, compose_trace,
+                    determinant, run_pair)
+
+start = time.perf_counter()
+trace = run_pair((299857033, 11, 3), (7218397668, 1132981884, 1), FirstIndex())
+assert time.perf_counter() - start < 1
+assert trace.rounds == 4025761255 and len(trace.steps.runs) <= 30
+matrix = compose_trace(trace.steps, 3)
+assert determinant(matrix) == 1
+assert apply_matrix(matrix, trace.alpha) == trace.final_alpha
+assert apply_matrix(matrix, trace.beta) == trace.final_beta
+try:
+    run_pair((10 ** 9, 0), (0, 1), FirstIndex(), step_limit=10 ** 8)
+except StepLimitExceeded as exc:
+    assert len(exc.steps) == 10 ** 8
+else:
+    raise AssertionError("step limit not hit")
+"""
+
+
+def test_billions_of_rounds_fit_in_one_gibibyte():
+    """Traces hold runs, not rounds: 4*10^9 rounds in a few runs, under a
+    1 GiB address-space limit, in a child process of its own."""
+    pytest.importorskip("resource")
+    import perron
+    src = str(Path(perron.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", MEMORY_GUARD],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_run_length_outside_limit_rejected():

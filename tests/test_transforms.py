@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from perron import (Step, ValidationError, apply_matrix, apply_step,
+from perron import (Step, Trace, ValidationError, apply_matrix, apply_step,
                     compose_trace, determinant, identity_matrix, intvec,
                     natvec, step_matrix)
 
@@ -141,6 +141,67 @@ def test_compose_equals_step_fold(case, trace_case):
     for step in steps:
         folded = apply_step(step, folded)
     assert apply_matrix(compose_trace(steps, n), v) == folded
+
+
+# run-length traces against their expansion --------------------------------
+
+@st.composite
+def trace_runs(draw, max_dim=4, max_runs=6):
+    """(n, runs): blocks of one step or of commuting steps (distinct targets,
+    each J free of the other targets), with repeated blocks now and then."""
+    n = draw(st.integers(1, max_dim))
+    runs = []
+    for _ in range(draw(st.integers(0, max_runs))):
+        if runs and draw(st.booleans()):
+            block = runs[-1][0]
+        else:
+            targets = draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
+                                    unique=True))
+            block = tuple(
+                Step(draw(st.frozensets(st.integers(1, n))) - set(targets) | {j},
+                     j, n)
+                for j in targets)
+        runs.append((block, draw(st.integers(1, 4))))
+    return n, runs
+
+
+bounds = st.one_of(st.none(), st.integers(-30, 30))
+
+
+@given(trace_runs(), bounds, bounds, st.one_of(st.none(), st.integers(-3, 3)
+                                               .filter(bool)))
+def test_trace_behaves_as_its_expansion(case, start, stop, stride):
+    n, runs = case
+    trace = Trace(runs)
+    flat = tuple(s for block, m in runs for _ in range(m) for s in block)
+    assert trace == flat and flat == trace
+    assert trace == list(flat) and not trace != flat
+    assert trace == Trace(((s,), 1) for s in flat)
+    assert len(trace) == len(flat) == sum(len(b) * m for b, m in trace.runs)
+    assert list(trace) == list(flat)
+    for i in range(-len(flat), len(flat)):
+        assert trace[i] == flat[i]
+    for i in (len(flat), -len(flat) - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+    assert trace[start:stop:stride] == flat[start:stop:stride]
+    if flat:
+        assert trace != flat[:-1] and trace != flat + flat[:1]
+    assert compose_trace(trace, n) == compose_trace(list(trace), n)
+
+
+def test_trace_merges_repeated_blocks_and_checks_its_runs():
+    a, b = Step({1, 3}, 1, 3), Step({2, 3}, 2, 3)
+    trace = Trace([((a,), 2), ((a,), 3), ((a, b), 4), ((a, b), 1), ((b,), 1)])
+    assert trace.runs == [((a,), 5), ((a, b), 5), ((b,), 1)]
+    assert len(trace) == 16 and trace[5:8] == (a, b, a)
+    assert Trace() == () == Trace() and Trace() != [a]
+    assert Trace([((a,), 2)]) != (a, b) and (b, a) != Trace([((a, b), 1)])
+    assert compose_trace(trace, 3) == compose_trace(list(trace), 3)
+    for block, m in (((), 1), ((a,), 0), ((Step({1, 2}, 1, 2),
+                                          Step({1, 2}, 2, 2)), 1)):
+        with pytest.raises(ValidationError):
+            Trace([(block, m)])
 
 
 # validation ---------------------------------------------------------------
