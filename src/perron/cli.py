@@ -8,10 +8,10 @@ Every run emits one result document with a top-level schema_version of 1:
 
 Rationals travel as strings "p/q" (or "p"); integers as JSON numbers while
 they fit exactly in a double, as decimal strings beyond that.  Exit codes:
-0 ok, 1 malformed input or an unwritable --output (the error document then
-goes to stdout), 2 validation failure, 3 step limit exceeded, 4 interactive
-session aborted, 5 internal error (a result that failed its own consistency
-check).
+0 ok, 1 malformed input, a usage error or an unwritable --output (the error
+document then goes to stdout), 2 validation failure, 3 step limit exceeded
+(the limit bounds the rounds of the whole job), 4 interactive session
+aborted, 5 internal error (a result that failed its own consistency check).
 """
 
 from __future__ import annotations
@@ -282,6 +282,25 @@ def _cmd_monomialize(doc, args, infile):
 # ---------------------------------------------------------------------------
 # argument parsing and the main entry point
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into a MalformedInput, so it ends in one error
+    document like any other malformed job; the usage line goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
+def _step_limit(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return limit
+
+
 def _add_subcommand(sub, name, help_text, handler):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--input", default="-", metavar="PATH",
@@ -292,14 +311,14 @@ def _add_subcommand(sub, name, help_text, handler):
                    help="include the step trace in the result document")
     p.add_argument("--seed", type=int, default=None, metavar="U64",
                    help="override the random adversary's seed")
-    p.add_argument("--step-limit", type=int, default=1_000_000,
+    p.add_argument("--step-limit", type=_step_limit, default=1_000_000,
                    dest="step_limit", metavar="N",
                    help="safety valve on the number of rounds (default 10^6)")
     p.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perron",
         description="Exact unimodular descent transforms: pair comparability, "
                     "the polyhedra game, positive cones, monomialization.")
@@ -319,6 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "factor a polynomial as monomial times unit",
                     _cmd_monomialize)
     return parser
+
+
+_PARSER = _build_parser()  # built once per process; each parse is fresh
 
 
 def _read_job(args):
@@ -383,7 +405,11 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except MalformedInput as exc:
+        return _emit_error(argparse.Namespace(output="-"), str(exc),
+                           EXIT_MALFORMED)
     steps = None
     try:
         doc, infile = _read_job(args)

@@ -182,7 +182,7 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     Groups the terms by toric exponent part; the value-minimal part is unique
     because distinct toric monomials have distinct values.  One combined run
     positivizes every value difference at once, yielding a single substitution.
-    step_limit bounds each positivize of that run, as in positivize_all.
+    step_limit bounds the rounds of that whole run, as in positivize_all.
     """
     _require_valid(ring)
     if not f:

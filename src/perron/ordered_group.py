@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .engine import Adversary, run_pair
-from .errors import InternalError, ValidationError
+from .errors import InternalError, StepLimitExceeded, ValidationError
 from .transforms import (Matrix, Step, Trace, Vec, apply_run, identity_matrix,
                          intvec)
 
@@ -289,7 +289,9 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
     """Positivize the elements one after another in one final basis.
 
     The cone only grows along the way, so elements already settled keep
-    non-negative coordinates while later ones are worked on.
+    non-negative coordinates while later ones are worked on.  step_limit
+    bounds the rounds of the whole job: each element gets what is left of
+    it, and StepLimitExceeded carries every round played so far.
     """
     coords_list: list[Vec] = []
     for k, e in enumerate(elements):
@@ -302,8 +304,15 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
     current = basis
     steps = Trace()
     for k in range(len(coords_list)):
-        result = positivize(current, GroupElement(current, coords_list[k]),
-                            step_limit=step_limit)
+        left = None if step_limit is None else step_limit - len(steps)
+        try:
+            result = positivize(current, GroupElement(current, coords_list[k]),
+                                step_limit=left)
+        except StepLimitExceeded as exc:
+            for block, m in exc.steps.runs:
+                steps.add_run(block, m)
+            message = f"pair not comparable within {step_limit} steps"
+            raise StepLimitExceeded(message, steps) from None
         for block, m in result.steps.runs:
             steps.add_run(block, m)
             for step in block:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -656,3 +657,180 @@ def structured_jobs(draw):
 def test_fuzz_wrong_typed_job_values(case):
     command, data = case
     assert_one_document(*run_on_stdin(FUZZ_COMMANDS[command], data))
+
+
+# one parser per process: calls share it and leave nothing behind ------------
+
+SEEDED_JOB = '{"alpha":[8,0,3],"beta":[2,5,1],"adversary":{"kind":"random","seed":123}}'
+SEED_5_STDOUT = (
+    '{"diagnostics":[],"payload":{"final_alpha":[8,8,3],"final_beta":[2,7,1],'
+    '"matrix":[[1,0,0],[1,1,0],[0,0,1]],"relation":"ge","rounds":1},"schema_v'
+    'ersion":1,"status":"ok","trace":[{"J":[1,2],"j":2}]}\n')
+SEED_123_STDOUT = (
+    '{"diagnostics":[],"payload":{"final_alpha":[8,14,3],"final_beta":[7,14,1'
+    '],"matrix":[[1,1,0],[1,2,2],[0,0,1]],"relation":"ge","rounds":3},"schema'
+    '_version":1,"status":"ok","trace":[{"J":[1,2],"j":1},{"J":[1,2,3],"j":2}'
+    ',{"J":[2,3],"j":2}]}\n')
+
+
+def test_parser_is_not_rebuilt_per_call(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, job, code, stdout in GOLDEN_TRACES[:3]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(job))
+        assert main(argv) == code
+        assert capsys.readouterr().out == stdout
+    assert built == []
+
+
+def test_golden_traces_back_to_back_in_one_process(tmp_path, monkeypatch,
+                                                   capsys):
+    def check(argv, job, code, stdout):
+        monkeypatch.setattr("sys.stdin", io.StringIO(job))
+        assert main(argv) == code
+        assert capsys.readouterr().out == stdout
+
+    def unwritable_output():
+        out = str(tmp_path / "no-such-dir" / "result.json")
+        monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_TRACES[0][1]))
+        assert main(["compare", "--trace", "--output", out]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "error"
+        assert "cannot write output" in doc["diagnostics"][0]
+
+    for case in GOLDEN_TRACES:
+        check(*case)
+    unwritable_output()
+    check(["compare", "--trace", "--seed", "5"], SEEDED_JOB, 0, SEED_5_STDOUT)
+    check(["compare", "--trace"], SEEDED_JOB, 0, SEED_123_STDOUT)
+    for case in reversed(GOLDEN_TRACES):
+        check(*case)
+    check(["compare", "--trace", "--seed", "5"], SEEDED_JOB, 0, SEED_5_STDOUT)
+    unwritable_output()
+    for case in GOLDEN_TRACES:
+        check(*case)
+    check(["compare", "--trace"], SEEDED_JOB, 0, SEED_123_STDOUT)
+
+
+# usage errors keep the one-document promise ----------------------------------
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["compare", "--bogus"], "unrecognized arguments: --bogus"),
+    (["compare", "--step-limit", "abc"], "argument --step-limit"),
+    ([], "required: command"),
+    (["game"], "required: game_mode"),
+    (["positivize", "--step-limit", "-5"], "not a non-negative integer: '-5'"),
+], ids=["unknown-flag", "step-limit-abc", "no-subcommand", "game-no-mode",
+        "negative-step-limit"])
+def test_usage_error_is_one_error_document(argv, fragment, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"alpha":[3,1],"beta":[1,2]}'))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_one_document(1, captured.out)
+    doc = json.loads(captured.out)
+    assert doc["payload"] is None and "trace" not in doc
+    assert fragment in doc["diagnostics"][0]
+    assert captured.err.startswith("usage: perron")
+
+
+# --step-limit bounds the whole job ------------------------------------------
+
+POSITIVIZE_TWO = ('{"generator_images":[["1","0"],["1/7","1"]],'
+                  '"elements":[[9,-40],[-2,20]]}')
+MONOMIALIZE_THREE = (
+    '{"num_vars":2,"num_toric":2,"values":[["1","0"],["15","1"]],'
+    '"polynomial":[{"coeff":"1","exponents":[12,1]},'
+    '{"coeff":"1","exponents":[4,2]},{"coeff":"1","exponents":[2,3]}]}')
+
+
+# positivize: 5 + 2 rounds over its two elements; monomialize: 8 rounds over
+# two value differences, at most 5 in either
+@pytest.mark.parametrize("command, job, limit", [
+    (["positivize"], POSITIVIZE_TWO, 5),
+    (["positivize"], POSITIVIZE_TWO, 6),
+    (["monomialize"], MONOMIALIZE_THREE, 5),
+    (["monomialize"], MONOMIALIZE_THREE, 7),
+], ids=["positivize-5", "positivize-6", "monomialize-5", "monomialize-7"])
+def test_step_limit_bounds_the_whole_job(command, job, limit, monkeypatch,
+                                         capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(command + ["--trace"]) == 0
+    full = json.loads(capsys.readouterr().out)["trace"]
+    assert len(full) > limit
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(command + ["--step-limit", str(limit)]) == 3
+    out = capsys.readouterr().out
+    assert_one_document(3, out)
+    doc = json.loads(out)
+    assert doc["diagnostics"] == [f"pair not comparable within {limit} steps"]
+    assert doc["trace"] == full[:limit]
+
+
+# --help text, captured with COLUMNS=80 -------------------------------------
+
+JOB_OPTIONS = """
+options:
+  -h, --help      show this help message and exit
+  --input PATH    job document path, or - for stdin (default)
+  --output PATH   result document path, or - for stdout (default)
+  --trace         include the step trace in the result document
+  --seed U64      override the random adversary's seed
+  --step-limit N  safety valve on the number of rounds (default 10^6)
+"""
+
+
+def job_help(prog):
+    pad = " " * len(f"usage: {prog} ")
+    return (f"usage: {prog} [-h] [--input PATH] [--output PATH] [--trace]\n"
+            f"{pad}[--seed U64] [--step-limit N]\n" + JOB_OPTIONS)
+
+
+GOLDEN_HELP = {
+    "perron": """\
+usage: perron [-h] {compare,game,positivize,monomialize} ...
+
+Exact unimodular descent transforms: pair comparability, the polyhedra game,
+positive cones, monomialization.
+
+positional arguments:
+  {compare,game,positivize,monomialize}
+    compare             make a pair of vectors comparable
+    game                the polyhedra game
+    positivize          give group elements non-negative coordinates
+    monomialize         factor a polynomial as monomial times unit
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "perron game": """\
+usage: perron game [-h] {solve,play} ...
+
+positional arguments:
+  {solve,play}
+    solve       play out the winning strategy
+    play        interactive: you pick each j
+
+options:
+  -h, --help    show this help message and exit
+""",
+    **{f"perron {name}": job_help(f"perron {name}")
+       for name in ("compare", "game solve", "game play", "positivize",
+                    "monomialize")},
+}
+
+
+@pytest.mark.parametrize("prog", sorted(GOLDEN_HELP))
+def test_help_text_is_unchanged(prog, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):  # the second call reads the same shared parser
+        with pytest.raises(SystemExit) as exit_:
+            main(prog.split()[1:] + ["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == GOLDEN_HELP[prog]

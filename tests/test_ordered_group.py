@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perron import (GroupBasis, GroupElement, GroupOrder, Step,
-                    ValidationError, apply_step, determinant, element_compare,
+                    StepLimitExceeded, ValidationError, apply_step, determinant, element_compare,
                     lex_sign, lexvec, positivize, positivize_all, simple_perron,
                     validate_order)
 
@@ -124,6 +124,24 @@ def test_positivize_all_examples():
         positivize_all(basis, [GroupElement(basis, (1, 0)),
                                GroupElement(basis, (-2, 0))])
     assert "element 2" in str(err.value)
+
+
+@given(group_orders(), st.data())
+def test_positivize_all_step_limit_bounds_the_whole_job(order, data):
+    basis = GroupBasis.initial(order)
+    elements = [positive_element(data.draw, basis)
+                for _ in range(data.draw(st.integers(1, 3)))]
+    full = positivize_all(basis, elements).steps
+    limit = data.draw(st.integers(0, len(full) + 1))
+    try:
+        result = positivize_all(basis, elements, step_limit=limit)
+    except StepLimitExceeded as exc:
+        assert len(full) > limit
+        assert tuple(exc.steps) == tuple(full)[:limit]
+        assert str(exc) == f"pair not comparable within {limit} steps"
+    else:
+        assert len(full) <= limit
+        assert result.steps == full
 
 
 @given(group_orders(), st.data())
