@@ -6,27 +6,44 @@ matter how an adversary picks within each proposed index set.  On top of
 that sit a winning strategy for the polyhedra game, basis transforms that
 give positive elements of ordered abelian groups non-negative coordinates,
 and monomialization of polynomials under a monomial valuation.
+
+The core (errors, transforms, tau, engine) loads with the package; game,
+ordered_group and monomials load on first use of one of their names here,
+so `import perron`, like a CLI call, compiles only the layers it runs.
 """
+
+from importlib import import_module
 
 from .engine import (Adversary, EngineTrace, FirstIndex, Interactive, MaxGrowth,
                      Round, Scripted, SeededRandom, choose_J, run_pair)
 from .errors import (InteractiveAborted, InternalError, PerronError,
                      StepLimitExceeded, ValidationError)
-from .game import (GameOutcome, advance_champion, champion_moves, is_won,
-                   prune_dominated, solve)
-from .monomials import (MonomializationResult, Polynomial, Substitution,
-                        ValuedRing, apply_substitution, divisibility_transform,
-                        monomial_value, monomialize, polynomial,
-                        substitute_exponents, validate_ring)
-from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec,
-                            PositivizeAllResult, PositivizeResult,
-                            element_compare, element_value, lex_sign, lexvec,
-                            positivize, positivize_all, simple_perron,
-                            validate_order)
 from .tau import Comparability, Tau, comparability, reduce_pair, tau
 from .transforms import (Matrix, Step, Trace, Vec, apply_matrix, apply_step,
                          compose_trace, determinant, identity_matrix, intvec,
                          mat_mul, natvec, step_matrix)
+
+_LAZY = {name: module for module, names in (
+    ("game", "GameOutcome advance_champion champion_moves is_won "
+             "prune_dominated solve"),
+    ("monomials", "MonomializationResult Polynomial Substitution ValuedRing "
+                  "apply_substitution divisibility_transform monomial_value "
+                  "monomialize polynomial substitute_exponents validate_ring"),
+    ("ordered_group", "GroupBasis GroupElement GroupOrder LexVec "
+                      "PositivizeAllResult PositivizeResult element_compare "
+                      "element_value lex_sign lexvec positivize positivize_all "
+                      "simple_perron validate_order"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    """Import the layer that defines `name` and keep the name here (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -27,10 +27,6 @@ from .engine import (Adversary, FirstIndex, Interactive, MaxGrowth, Scripted,
                      SeededRandom, run_pair)
 from .errors import (InteractiveAborted, InternalError, StepLimitExceeded,
                      ValidationError)
-from .game import solve
-from .monomials import ValuedRing, apply_substitution, monomialize, polynomial
-from .ordered_group import (GroupBasis, GroupElement, GroupOrder, lexvec,
-                            positivize_all, validate_order)
 from .transforms import compose_trace, intvec, natvec
 
 SCHEMA_VERSION = 1
@@ -94,6 +90,7 @@ def _as_rational(value, what) -> Fraction:
 
 
 def _as_lexvecs(value, what, each, entry) -> tuple:
+    from .ordered_group import lexvec
     return tuple(lexvec([_as_rational(x, entry) for x in _as_list(row, each)])
                  for row in _as_list(value, what))
 
@@ -163,7 +160,7 @@ def _build_adversary(doc, args, *, allow_interactive, infile) -> Adversary:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each imports the upper layer it runs, so a call loads only that
 
 def _cmd_compare(doc, args, infile):
     alpha = natvec(_as_int_list(_field(doc, "alpha"), "alpha"))
@@ -190,6 +187,7 @@ def _cmd_compare(doc, args, infile):
 
 
 def _cmd_game(doc, args, infile, mode):
+    from .game import solve
     raw = _as_list(_field(doc, "vectors"), "vectors")
     if not raw:
         raise ValidationError("vector list must be non-empty")
@@ -224,6 +222,8 @@ def _cmd_game(doc, args, infile, mode):
 
 
 def _cmd_positivize(doc, args, infile):
+    from .ordered_group import (GroupBasis, GroupElement, GroupOrder,
+                                positivize_all, validate_order)
     raw_images = _field(doc, "generator_images")
     if not isinstance(raw_images, list) or not raw_images:
         raise MalformedInput("generator_images must be a non-empty list")
@@ -246,6 +246,8 @@ def _cmd_positivize(doc, args, infile):
 
 
 def _cmd_monomialize(doc, args, infile):
+    from .monomials import (ValuedRing, apply_substitution, monomialize,
+                            polynomial)
     m = _as_int(_field(doc, "num_vars"), "num_vars")
     n = _as_int(_field(doc, "num_toric"), "num_toric")
     ring = ValuedRing(m, n, _as_lexvecs(_field(doc, "values"), "values",

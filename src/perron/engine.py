@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -190,17 +189,18 @@ class Round(NamedTuple):
     J: frozenset[int]
 
 
-@dataclass(frozen=True)
-class EngineTrace:
-    """Record of one descent run: steps taken, the final relation and pair,
-    and the start pair."""
-
+class _EngineTraceFields(NamedTuple):
     steps: Trace
     outcome: Comparability
     final_alpha: Vec
     final_beta: Vec
     alpha: Vec
     beta: Vec
+
+
+class EngineTrace(_EngineTraceFields):
+    """Record of one descent run: steps taken, the final relation and pair,
+    and the start pair.  No __slots__: tau_history is cached in __dict__."""
 
     @property
     def rounds(self) -> int:

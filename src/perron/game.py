@@ -10,8 +10,7 @@ so settled points stay settled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .engine import Adversary, Round, choose_J, descend
 from .errors import StepLimitExceeded, ValidationError
@@ -19,8 +18,7 @@ from .tau import Comparability, comparability
 from .transforms import Step, Trace, Vec, apply_step, natvec
 
 
-@dataclass(frozen=True)
-class GameOutcome:
+class GameOutcome(NamedTuple):
     final_vectors: tuple[Vec, ...]
     winner_index: int
     trace: Trace

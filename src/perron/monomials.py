@@ -10,9 +10,8 @@ Coefficients are exact rationals; identities below hold with zero tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, ValidationError
 from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec,
@@ -24,8 +23,7 @@ from .transforms import Matrix, Trace, Vec, compose_trace, natvec
 Polynomial = dict[Vec, Fraction]
 
 
-@dataclass(frozen=True)
-class ValuedRing:
+class ValuedRing(NamedTuple):
     """m variables with lex-vector values; the first num_toric are the toric
     variables whose values form a rational basis."""
 
@@ -88,8 +86,7 @@ def monomial_value(ring: ValuedRing, exponents: Sequence[int]) -> LexVec:
     return _combination(e, ring.values)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(NamedTuple):
     """x_i = prod_j (x'_j)^(matrix[i][j]) for toric i; identity beyond.
 
     Carries the generating steps so callers can audit unimodularity."""
@@ -165,8 +162,7 @@ def divisibility_transform(ring: ValuedRing, m1: Sequence[int],
     return _substitution_from(ring, result.basis, result.steps)
 
 
-@dataclass(frozen=True)
-class MonomializationResult:
+class MonomializationResult(NamedTuple):
     substitution: Substitution
     new_values: tuple[LexVec, ...]
     factor_exponents: Vec

@@ -12,7 +12,6 @@ what lets any positive element eventually acquire non-negative coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -65,8 +64,7 @@ def _rational_rank(rows: Sequence[LexVec]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class GroupOrder:
+class GroupOrder(NamedTuple):
     """Order data: the lex image of each original generator."""
 
     images: tuple[LexVec, ...]
@@ -98,8 +96,7 @@ def validate_order(order: GroupOrder) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class GroupBasis:
+class GroupBasis(NamedTuple):
     """A basis of the group: each row of coords_in_original writes one basis
     element in the original generators; images are cached lex values."""
 
@@ -119,19 +116,23 @@ class GroupBasis:
         return cls(order, identity_matrix(order.rank), order.images)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Integer coordinates relative to a designated basis."""
-
+class _GroupElementFields(NamedTuple):
     basis: GroupBasis
     coords: Vec
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", intvec(self.coords))
-        if len(self.coords) != self.basis.rank:
+
+class GroupElement(_GroupElementFields):
+    """Integer coordinates relative to a designated basis."""
+
+    __slots__ = ()
+
+    def __new__(cls, basis: GroupBasis, coords: Vec):
+        coords = intvec(coords)
+        if len(coords) != basis.rank:
             raise ValidationError(
-                f"element has {len(self.coords)} coordinates, basis rank is "
-                f"{self.basis.rank}")
+                f"element has {len(coords)} coordinates, basis rank is "
+                f"{basis.rank}")
+        return super().__new__(cls, basis, coords)
 
 
 def _combination(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> LexVec:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterable
 
@@ -20,13 +19,18 @@ Vec = tuple[int, ...]
 Matrix = tuple[Vec, ...]
 
 
+def _is_int(x) -> bool:
+    """An int, or a subclass of int other than bool."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+
+
 def intvec(entries: Iterable[int]) -> Vec:
     """Freeze a vector of signed integers, validating type and dimension."""
     v = tuple(entries)
     if not v:
         raise ValidationError("vector must have dimension >= 1")
     for e in v:
-        if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
+        if type(e) is not int and not _is_int(e):
             raise ValidationError(f"vector entries must be integers, got {e!r}")
     return v
 
@@ -40,27 +44,47 @@ def natvec(entries: Iterable[int]) -> Vec:
     return v
 
 
-@dataclass(frozen=True)
 class Step:
     """One move (J, j) in dimension dim, with j in J and J inside 1..dim."""
 
-    J: frozenset[int]
-    j: int
-    dim: int
+    __slots__ = ("J", "j", "dim")
 
-    def __post_init__(self):
-        J = frozenset(self.J)
-        object.__setattr__(self, "J", J)
+    def __init__(self, J: Iterable[int], j: int, dim: int):
+        J = frozenset(J)
         if not J:
             raise ValidationError("J must be non-empty")
-        dim = self.dim
+        dim_ok = type(dim) is int or _is_int(dim)
         for i in J:
-            if (type(i) is not int and (isinstance(i, bool) or not isinstance(i, int))
-                    or not 1 <= i <= dim):
+            if not dim_ok or type(i) is not int and not _is_int(i) \
+                    or not 1 <= i <= dim:
                 raise ValidationError(
                     f"J must be a subset of 1..{dim}, got {sorted(J)}")
-        if self.j not in J:
-            raise ValidationError(f"j={self.j} is not a member of J={sorted(J)}")
+        if j not in J or type(j) is not int and not _is_int(j):
+            raise ValidationError(f"j={j} is not a member of J={sorted(J)}")
+        assign = object.__setattr__
+        assign(self, "J", J)
+        assign(self, "j", j)
+        assign(self, "dim", dim)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        # type(self), not Step: a profiler may rebind the module name Step
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.j == other.j and self.dim == other.dim and self.J == other.J
+
+    def __hash__(self):
+        return hash((self.J, self.j, self.dim))
+
+    def __repr__(self):
+        return f"Step(J={self.J!r}, j={self.j!r}, dim={self.dim!r})"
+
+    def __reduce__(self):
+        return type(self), (self.J, self.j, self.dim)
 
 
 def identity_matrix(n: int) -> Matrix:

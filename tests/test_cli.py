@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import io
 import json
 import sys
@@ -486,9 +485,9 @@ def test_failed_monomialize_reverification_is_exit_5(tmp_path, monkeypatch, caps
     def corrupted(ring, f, step_limit=None):
         result = monomialize(ring, f, step_limit)
         wrong = tuple(e + 1 for e in result.factor_exponents)
-        return dataclasses.replace(result, factor_exponents=wrong)
+        return result._replace(factor_exponents=wrong)
 
-    monkeypatch.setattr("perron.cli.monomialize", corrupted)
+    monkeypatch.setattr("perron.monomials.monomialize", corrupted)
     assert_internal_error(tmp_path, capsys, ["monomialize"], MONOMIAL_JOB,
                           "factorization identity failed re-verification")
 
@@ -497,7 +496,7 @@ def test_internal_error_from_the_library_is_exit_5(tmp_path, monkeypatch, capsys
     def broken(basis, elements, step_limit=None):
         raise InternalError("transformed basis image is not lex-positive")
 
-    monkeypatch.setattr("perron.cli.positivize_all", broken)
+    monkeypatch.setattr("perron.ordered_group.positivize_all", broken)
     assert_internal_error(
         tmp_path, capsys, ["positivize"],
         {"generator_images": [["1", "0"], ["0", "1"]], "elements": [[2, -1]]},

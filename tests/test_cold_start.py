@@ -1,0 +1,86 @@
+"""What a cold process loads: each check runs in a fresh interpreter, and
+modules a bare `python -c pass` loads (site hooks included) do not count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+UPPER = {"perron.game", "perron.ordered_group", "perron.monomials"}
+HEAVY = {"dataclasses", "inspect"}
+
+
+def python(*args, stdin=None):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def imported(*args, stdin=None):
+    """Modules `python -X importtime ARGS` imports beyond a bare start, and
+    the process's stdout."""
+    def names(proc):
+        return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    proc = python("-X", "importtime", *args, stdin=stdin)
+    return names(proc) - names(python("-X", "importtime", "-c", "pass")), proc.stdout
+
+
+JOBS = {
+    "compare": '{"alpha":[3,1],"beta":[1,2]}',
+    "game solve": '{"vectors":[[3,1],[1,2]]}',
+    "positivize": '{"generator_images":[["1","0"],["1/7","1"]],'
+                  '"elements":[[9,-40]]}',
+    "monomialize": '{"num_vars":2,"num_toric":2,"values":[["1","0"],["0","1"]],'
+                   '"polynomial":[{"coeff":"1","exponents":[1,0]},'
+                   '{"coeff":"1","exponents":[0,1]}]}',
+}
+NOT_LOADED = {
+    "compare": HEAVY | UPPER,
+    "game solve": HEAVY | {"perron.ordered_group", "perron.monomials"},
+    "positivize": HEAVY | {"perron.game", "perron.monomials"},
+    "monomialize": HEAVY | {"perron.game"},
+}
+
+
+@pytest.mark.parametrize("command", list(JOBS))
+def test_a_cli_call_loads_only_its_subcommands_layers(command):
+    loaded, out = imported("-m", "perron", *command.split(), stdin=JOBS[command])
+    assert json.loads(out)["status"] == "ok"
+    assert "perron.cli" in loaded
+    assert not loaded & NOT_LOADED[command]
+
+
+def test_import_perron_loads_the_core_only():
+    loaded, _ = imported("-c", "import perron")
+    assert {"perron.transforms", "perron.tau", "perron.engine"} <= loaded
+    assert not loaded & (HEAVY | UPPER)
+
+
+RESOLVE = """
+import importlib, json, types
+from perron import tau
+import perron
+layers = [importlib.import_module(f"perron.{name}") for name in (
+    "errors", "transforms", "tau", "engine", "game", "ordered_group",
+    "monomials")]
+bad = [name for name in perron.__all__
+       if not any(hasattr(m, name) for m in layers)
+       or any(getattr(m, name) is not getattr(perron, name)
+              for m in layers if hasattr(m, name))]
+print(json.dumps([bad, isinstance(tau, types.FunctionType),
+                  perron.tau is tau, tau.__module__]))
+"""
+
+
+def test_every_exported_name_is_its_layers_object():
+    proc = python("-c", RESOLVE)
+    assert proc.returncode == 0, proc.stderr
+    bad, is_function, same, module = json.loads(proc.stdout)
+    assert bad == []
+    assert is_function and same and module == "perron.tau"

@@ -112,6 +112,16 @@ def test_adversary_outside_J_rejected():
         run_pair((3, 1), (1, 2), Cheater())
 
 
+@pytest.mark.parametrize("answer", [True, 1.0])
+def test_adversary_answering_a_non_integer_rejected(answer):
+    class Sly(FirstIndex):  # True == 1.0 == 1, so "j in J" alone lets both by
+        def choose(self, J, vectors, round_no):
+            return answer
+
+    with pytest.raises(ValidationError):
+        run_pair((3, 1), (1, 2), Sly())
+
+
 def test_max_growth_picks_largest_total_then_smallest_index():
     # J={1,2} on (3,1),(1,2): j=1 totals 4+1+3+2=10, j=2 totals 3+4+1+3=11
     trace = run_pair((3, 1), (1, 2), MaxGrowth(), step_limit=1)

@@ -281,3 +281,18 @@ def test_step_validation_messages():
     step = Step([IntSubclass(1), 2], 2, 2)
     assert step.J == frozenset({1, 2})
     assert apply_step(step, (3, 4)) == (3, 7)
+
+
+def test_step_rejects_a_non_integer_j_or_dim():
+    cases = [
+        (({1, 2}, True, 2), "j=True is not a member of J=[1, 2]"),
+        (({1, 2}, 1.0, 2), "j=1.0 is not a member of J=[1, 2]"),
+        (({1}, 1, 1.5), "J must be a subset of 1..1.5, got [1]"),
+        (({1}, 1, True), "J must be a subset of 1..True, got [1]"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValidationError) as info:
+            Step(*args)
+        assert str(info.value) == message
+    step = Step({1, 2}, IntSubclass(2), IntSubclass(2))
+    assert (step.j, step.dim) == (2, 2)
