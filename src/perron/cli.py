@@ -27,10 +27,12 @@ from .engine import (Adversary, FirstIndex, Interactive, MaxGrowth, Scripted,
                      SeededRandom, run_pair)
 from .errors import (InteractiveAborted, InternalError, StepLimitExceeded,
                      ValidationError)
-from .transforms import compose_trace, intvec, natvec
+from .transforms import compose_trace, natvec
 
 SCHEMA_VERSION = 1
 _EXACT_DOUBLE = 2 ** 53  # integers beyond this are emitted as decimal strings
+_DECODER = json.JSONDecoder()
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -82,7 +84,9 @@ def _as_rational(value, what) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
+        try:  # Fraction also reads exponents, and "1e10000000" takes minutes
+            if "e" in value or "E" in value:
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise MalformedInput(f"{what} is not a rational: {value!r}")
@@ -222,7 +226,7 @@ def _cmd_game(doc, args, infile, mode):
 
 
 def _cmd_positivize(doc, args, infile):
-    from .ordered_group import (GroupBasis, GroupElement, GroupOrder,
+    from .ordered_group import (GroupElement, GroupOrder, _initial_basis,
                                 positivize_all, validate_order)
     raw_images = _field(doc, "generator_images")
     if not isinstance(raw_images, list) or not raw_images:
@@ -232,9 +236,9 @@ def _cmd_positivize(doc, args, infile):
     violations = validate_order(order)
     if violations:
         raise ValidationError("; ".join(violations))
-    basis = GroupBasis.initial(order)
+    basis = _initial_basis(order)
 
-    elements = [GroupElement(basis, intvec(_as_int_list(row, "element")))
+    elements = [GroupElement(basis, _as_int_list(row, "element"))
                 for row in _as_list(_field(doc, "elements"), "elements")]
     result = positivize_all(basis, elements, step_limit=args.step_limit)
     payload = {
@@ -356,7 +360,7 @@ def _read_job(args):
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         stripped = text.lstrip()
-        doc, end = json.JSONDecoder().raw_decode(stripped)
+        doc, end = _DECODER.raw_decode(stripped)
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"cannot read input: {exc}")
     except RecursionError:
@@ -379,7 +383,7 @@ def _read_job(args):
 def _write_document(args, doc, code) -> int:
     """Write the document and return its exit code.  When --output cannot
     be written, an error document goes to stdout instead, with exit 1."""
-    data = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    data = _ENCODER.encode(doc) + "\n"
     if args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import InternalError, ValidationError
 from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec,
                             lex_sign, positivize, positivize_all,
-                            _combination, _rational_rank)
+                            _combination, _initial_basis, _rational_rank)
 from .transforms import Matrix, Trace, Vec, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
@@ -38,7 +38,6 @@ class ValuedRing(NamedTuple):
 
 def validate_ring(ring: ValuedRing) -> list[str]:
     """Return the list of violations (empty when the ring is usable)."""
-    violations = []
     if not 1 <= ring.num_toric <= ring.num_vars:
         return [f"need 1 <= num_toric <= num_vars, got {ring.num_toric} and "
                 f"{ring.num_vars}"]
@@ -46,11 +45,9 @@ def validate_ring(ring: ValuedRing) -> list[str]:
         return [f"expected {ring.num_vars} values, got {len(ring.values)}"]
     if len({len(v) for v in ring.values}) != 1:
         return ["values must share one length"]
-    for k, v in enumerate(ring.values, start=1):
-        if lex_sign(v) <= 0:
-            violations.append(f"value of variable {k} is not lex-positive")
-    toric = ring.values[:ring.num_toric]
-    rank = _rational_rank(toric)
+    violations = [f"value of variable {k} is not lex-positive"
+                  for k, v in enumerate(ring.values, start=1) if lex_sign(v) <= 0]
+    rank = _rational_rank(ring.values[:ring.num_toric])
     if rank != ring.num_toric:
         violations.append(
             f"toric values not independent: rank {rank} < {ring.num_toric}")
@@ -156,7 +153,7 @@ def divisibility_transform(ring: ValuedRing, m1: Sequence[int],
                 f"{name} must involve only the first {n} variables")
     if not monomial_value(ring, m1) < monomial_value(ring, m2):
         raise ValidationError("value of M1 must be strictly below value of M2")
-    basis = GroupBasis.initial(GroupOrder(ring.values[:n]))
+    basis = _initial_basis(GroupOrder(ring.values[:n]))
     delta = GroupElement(basis, tuple(e - d for d, e in zip(m1[:n], m2[:n])))
     result = positivize(basis, delta)
     return _substitution_from(ring, result.basis, result.steps)
@@ -196,7 +193,7 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     if sum(1 for v, _ in valued if v == min_value) > 1:
         raise InternalError("two distinct toric monomials share a value")
 
-    basis = GroupBasis.initial(GroupOrder(ring.values[:n]))
+    basis = _initial_basis(GroupOrder(ring.values[:n]))
     deltas = [GroupElement(basis, tuple(a - b for a, b in zip(t, min_part)))
               for t in toric_parts if t != min_part]
     combined = positivize_all(basis, deltas, step_limit=step_limit)

@@ -25,7 +25,7 @@ LexVec = tuple[Fraction, ...]
 
 def lexvec(entries) -> LexVec:
     """Freeze a vector of exact rationals."""
-    v = tuple(Fraction(e) for e in entries)
+    v = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
     if not v:
         raise ValidationError("lex vector must have dimension >= 1")
     return v
@@ -44,7 +44,7 @@ def _rational_rank(rows: Sequence[LexVec]) -> int:
     work = []
     for row in rows:
         den = math.lcm(*(c.denominator for c in row))
-        work.append([int(c * den) for c in row])
+        work.append([c.numerator * (den // c.denominator) for c in row])
     ncols = len(work[0]) if work else 0
     rank = 0
     col = 0
@@ -80,15 +80,12 @@ class GroupOrder(NamedTuple):
 
 def validate_order(order: GroupOrder) -> list[str]:
     """Return the list of violations (empty when the order is usable)."""
-    violations = []
     if not order.images:
         return ["order must have at least one generator image"]
-    lengths = {len(img) for img in order.images}
-    if len(lengths) != 1:
+    if len({len(img) for img in order.images}) != 1:
         return ["generator images must share one length"]
-    for k, img in enumerate(order.images, start=1):
-        if lex_sign(img) <= 0:
-            violations.append(f"image {k} is not lex-positive")
+    violations = [f"image {k} is not lex-positive"
+                  for k, img in enumerate(order.images, start=1) if lex_sign(img) <= 0]
     rank = _rational_rank(order.images)
     if rank != order.rank:
         violations.append(
@@ -113,7 +110,12 @@ class GroupBasis(NamedTuple):
         violations = validate_order(order)
         if violations:
             raise ValidationError("invalid order: " + "; ".join(violations))
-        return cls(order, identity_matrix(order.rank), order.images)
+        return _initial_basis(order)
+
+
+def _initial_basis(order: GroupOrder) -> GroupBasis:
+    """GroupBasis.initial for an order its caller has already validated."""
+    return GroupBasis(order, identity_matrix(order.rank), order.images)
 
 
 class _GroupElementFields(NamedTuple):
@@ -135,14 +137,27 @@ class GroupElement(_GroupElementFields):
         return super().__new__(cls, basis, coords)
 
 
+def _entry_sums(coeffs: Sequence[int], vecs: Sequence[LexVec]):
+    """Entry by entry, the integer combination of lex vectors as (num, den):
+    den is the lcm of the entry's denominators q, num the sum of c*p*(den/q)."""
+    terms = [(c, v) for c, v in zip(coeffs, vecs) if c]
+    for k in range(len(vecs[0])):
+        num, den = 0, 1
+        for c, v in terms:
+            p, q = v[k].numerator, v[k].denominator
+            lcm = math.lcm(den, q)
+            num, den = num * (lcm // den) + c * p * (lcm // q), lcm
+        yield num, den
+
+
 def _combination(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> LexVec:
     """The integer combination of lex vectors with the given coefficients."""
-    acc = [Fraction(0)] * len(vecs[0])
-    for c, v in zip(coeffs, vecs):
-        if c:
-            for k, x in enumerate(v):
-                acc[k] += c * x
-    return tuple(acc)
+    return tuple(Fraction(num, den) for num, den in _entry_sums(coeffs, vecs))
+
+
+def _combination_sign(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> int:
+    """lex_sign of the combination, from its numerators up to the first non-zero."""
+    return lex_sign(num for num, _ in _entry_sums(coeffs, vecs))
 
 
 def element_value(element: GroupElement) -> LexVec:
@@ -154,8 +169,8 @@ def element_compare(e1: GroupElement, e2: GroupElement) -> int:
     """-1, 0 or 1 as e1 is below, equal to, or above e2 in the group order."""
     if e1.basis != e2.basis:
         raise ValidationError("elements must be expressed in the same basis")
-    return lex_sign(tuple(a - b for a, b in zip(element_value(e1),
-                                                element_value(e2))))
+    return _combination_sign([a - b for a, b in zip(e1.coords, e2.coords)],
+                             e1.basis.images)
 
 
 def _lex_minimal(basis: GroupBasis, J: frozenset[int]) -> int:
@@ -193,14 +208,14 @@ def _perron_run_length(images: Sequence[LexVec], J: frozenset[int], j: int,
     """
     j_img = images[j - 1]
     p = next(pos for pos, x in enumerate(j_img) if x)
+    b_num, b_den = j_img[p].numerator, j_img[p].denominator
     K = limit
     for i in J:
         img = images[i - 1]
         if i == j or any(img[:p]):
             continue
-        q = img[p] / j_img[p]
-        m = math.floor(q)
-        if m == q and lex_sign(tuple(x - m * y for x, y in zip(img, j_img))) <= 0:
+        m, r = divmod(img[p].numerator * b_den, img[p].denominator * b_num)
+        if not r and lex_sign(tuple(x - m * y for x, y in zip(img, j_img))) <= 0:
             m -= 1
         K = min(K, m)
     return K
@@ -263,13 +278,19 @@ def positivize(basis: GroupBasis, element: GroupElement,
     """
     if element.basis != basis:
         raise ValidationError("element is not expressed in the given basis")
-    if lex_sign(element_value(element)) < 0:
+    if _combination_sign(element.coords, basis.images) < 0:
         raise ValidationError(
             "element is negative; only positive elements join the cone")
-    if all(c >= 0 for c in element.coords):
-        return PositivizeResult(basis, element.coords, Trace())
-    plus = tuple(max(c, 0) for c in element.coords)
-    minus = tuple(max(-c, 0) for c in element.coords)
+    return _positivize(basis, element.coords, step_limit)
+
+
+def _positivize(basis: GroupBasis, coords: Vec,
+                step_limit: Optional[int]) -> PositivizeResult:
+    """positivize for coordinates already checked to be a positive element."""
+    if all(c >= 0 for c in coords):
+        return PositivizeResult(basis, coords, Trace())
+    plus = tuple(max(c, 0) for c in coords)
+    minus = tuple(max(-c, 0) for c in coords)
     chooser = _PerronChooser(basis)
     trace = run_pair(plus, minus, chooser, step_limit=step_limit)
     chooser.settle(trace.rounds + 1)
@@ -299,16 +320,14 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
         if e.basis != basis:
             raise ValidationError(
                 f"element {k + 1} is not expressed in the given basis")
-        if lex_sign(element_value(e)) < 0:
+        if _combination_sign(e.coords, basis.images) < 0:
             raise ValidationError(f"element {k + 1} is negative")
         coords_list.append(e.coords)
-    current = basis
-    steps = Trace()
+    current, steps = basis, Trace()
     for k in range(len(coords_list)):
         left = None if step_limit is None else step_limit - len(steps)
         try:
-            result = positivize(current, GroupElement(current, coords_list[k]),
-                                step_limit=left)
+            result = _positivize(current, coords_list[k], left)
         except StepLimitExceeded as exc:
             for block, m in exc.steps.runs:
                 steps.add_run(block, m)

@@ -1,13 +1,18 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perron import InternalError, Step, apply_step, compose_trace
+import perron.monomials
+import perron.ordered_group
 from perron.cli import main
 from perron.monomials import monomialize
 
@@ -833,3 +838,97 @@ def test_help_text_is_unchanged(prog, monkeypatch, capsys):
             main(prog.split()[1:] + ["--help"])
         assert exit_.value.code == 0
         assert capsys.readouterr().out == GOLDEN_HELP[prog]
+
+
+# group-layer error documents: exact bytes, validated once ---------------------
+
+GOLDEN_ERRORS = [
+    (['positivize'],
+     '{"generator_images":[["1","0"],["2","0"]],"elements":[[1,0]]}',
+     '{"diagnostics":["images not independent: rank 1 < 2"],"payload":null,"s'
+     'chema_version":1,"status":"error"}\n'),
+    (['positivize'],
+     '{"generator_images":[["1","0"],["0","-1"]],"elements":[[1,0]]}',
+     '{"diagnostics":["image 2 is not lex-positive"],"payload":null,"schema_ve'
+     'rsion":1,"status":"error"}\n'),
+    (['positivize', '--trace'],
+     '{"generator_images":[["1","0"],["1/7","1"]],"elements":[[9,-40],[-1,3]]}',
+     '{"diagnostics":["element 2 is negative"],"payload":null,"schema_version"'
+     ':1,"status":"error"}\n'),
+    (['monomialize', '--trace'],
+     '{"num_vars":3,"num_toric":2,"values":[["1","2"],["1/2","1"],["1","0"]],'
+     '"polynomial":[{"coeff":"1","exponents":[1,0,0]},'
+     '{"coeff":"1","exponents":[0,1,1]}]}',
+     '{"diagnostics":["invalid ring: toric values not independent: rank 1 < 2'
+     '"],"payload":null,"schema_version":1,"status":"error"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, job, stdout", GOLDEN_ERRORS,
+                         ids=["dependent-images", "non-positive-image",
+                              "negative-element", "dependent-toric-values"])
+def test_group_error_documents_are_byte_identical(argv, job, stdout,
+                                                  monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(argv) == 2
+    assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("argv, job", [
+    (["positivize"], GOLDEN_TRACES[2][1]),
+    (["monomialize"], GOLDEN_TRACES[3][1]),
+], ids=["positivize", "monomialize"])
+def test_one_job_checks_its_rank_once(argv, job, monkeypatch, capsys):
+    real = perron.ordered_group._rational_rank
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    # monomials holds its own reference, taken at import
+    monkeypatch.setattr(perron.ordered_group, "_rational_rank", counting)
+    monkeypatch.setattr(perron.monomials, "_rational_rank", counting)
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert calls == [2]
+
+
+# Fraction reads "1e10000000" as a ten-million-digit integer
+EXPONENT_JOBS = {
+    "generator_images": (["positivize"], {
+        "generator_images": [["1e10000000"]], "elements": [[1]]}),
+    "values": (["monomialize"], {
+        "num_vars": 1, "num_toric": 1, "values": [["1E10000000"]],
+        "polynomial": [{"coeff": "1", "exponents": [1]}]}),
+    "coeff": (["monomialize"], {
+        "num_vars": 1, "num_toric": 1, "values": [["1"]],
+        "polynomial": [{"coeff": "1e10000000", "exponents": [1]}]}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(EXPONENT_JOBS))
+def test_rational_with_an_exponent_is_malformed(field):
+    argv, job = EXPONENT_JOBS[field]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "perron", *argv],
+                          input=json.dumps(job), capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=10)
+    assert proc.returncode == 1
+    assert_one_document(1, proc.stdout)
+    assert "is not a rational: '1" in json.loads(proc.stdout)["diagnostics"][0]
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("3", "3"), ("-3/6", "-1/2"), ("+2", "2"), (" 7/14 ", "1/2"),
+    ("1.25", "5/4"), ("-.5", "-1/2"),
+])
+def test_rational_forms_without_an_exponent_still_read(entry, value,
+                                                       monkeypatch, capsys):
+    job = {"num_vars": 1, "num_toric": 1, "values": [["1"]],
+           "polynomial": [{"coeff": entry, "exponents": [0]}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    assert main(["monomialize"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"]["unit"] == [{"coeff": value, "exponents": [0]}]

@@ -1,15 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from perron import (GroupBasis, GroupElement, GroupOrder, Step,
                     StepLimitExceeded, ValidationError, apply_step, determinant, element_compare,
-                    lex_sign, lexvec, positivize, positivize_all, simple_perron,
-                    validate_order)
+                    element_value, lex_sign, lexvec, monomial_value, positivize,
+                    positivize_all, simple_perron, validate_order)
+from perron.ordered_group import _combination, _combination_sign
 
-from conftest import group_orders, positive_element
+from conftest import group_orders, positive_element, valued_rings
 
 
 def standard_basis():
@@ -212,3 +213,50 @@ def test_ill_conditioned_positivize_takes_one_run():
     assert result.basis.images == ((Fraction(1, N), Fraction(-(N - 1))),
                                    (Fraction(1, N), Fraction(1)))
     assert result.basis.coords_in_original == ((1, -(N - 1)), (0, 1))
+
+
+# the group layer sums in integers; the Fraction expansion is the oracle ------
+
+# small numerators over mixed denominators: zero entries and cancellations
+small_rationals = st.builds(Fraction, st.integers(-3, 3),
+                            st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+
+@st.composite
+def combinations(draw, max_vecs=4, max_dim=4):
+    d = draw(st.integers(1, max_dim))
+    vecs = draw(st.lists(st.tuples(*[small_rationals] * d), min_size=1,
+                         max_size=max_vecs))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(vecs),
+                           max_size=len(vecs)))
+    return tuple(coeffs), tuple(vecs)
+
+
+@given(combinations())
+@example(((0, 0), ((Fraction(1, 2), Fraction(-1, 3)),
+                   (Fraction(2, 5), Fraction(0)))))  # zero coefficients
+@example(((2, -1), ((Fraction(1, 3), Fraction(-5, 4)),
+                    (Fraction(2, 3), Fraction(-5, 2)))))  # a zero sum
+@example(((3, -1, 0), ((Fraction(0), Fraction(1, 6)),
+                       (Fraction(0), Fraction(1, 2)),
+                       (Fraction(-7, 3), Fraction(1)))))  # zero, then sign
+def test_integer_sums_match_the_fraction_oracle(case):
+    coeffs, vecs = case
+    total = expansion(coeffs, vecs)
+    assert _combination(coeffs, vecs) == total
+    assert _combination_sign(coeffs, vecs) == lex_sign(total)
+
+
+@given(group_orders(), valued_rings(), st.data())
+def test_element_and_monomial_values_match_the_fraction_oracle(order, ring, data):
+    basis = GroupBasis.initial(order)
+    zero = GroupElement(basis, (0,) * basis.rank)
+    assert element_value(zero) == (0,) * order.order_dim
+    coords = tuple(data.draw(st.integers(-9, 9)) for _ in range(basis.rank))
+    total = expansion(coords, basis.images)
+    assert element_value(GroupElement(basis, coords)) == total
+    assert _combination_sign(coords, basis.images) == lex_sign(total)
+    assert element_compare(GroupElement(basis, coords), zero) == lex_sign(total)
+
+    exponents = tuple(data.draw(st.integers(0, 5)) for _ in range(ring.num_vars))
+    assert monomial_value(ring, exponents) == expansion(exponents, ring.values)
