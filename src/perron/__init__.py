@@ -14,8 +14,8 @@ so `import perron`, like a CLI call, compiles only the layers it runs.
 
 from importlib import import_module
 
-from .engine import (Adversary, EngineTrace, FirstIndex, Interactive, MaxGrowth,
-                     Round, Scripted, SeededRandom, choose_J, run_pair)
+from .engine import (Adversary, EngineTrace, FirstIndex, MaxGrowth, Scripted,
+                     SeededRandom, choose_J, run_pair)
 from .errors import (InteractiveAborted, InternalError, PerronError,
                      StepLimitExceeded, ValidationError)
 from .tau import Comparability, Tau, comparability, reduce_pair, tau
@@ -49,10 +49,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adversary", "Comparability", "EngineTrace", "FirstIndex", "GameOutcome",
-    "GroupBasis", "GroupElement", "GroupOrder", "Interactive",
-    "InteractiveAborted", "InternalError", "LexVec", "Matrix", "MaxGrowth",
-    "MonomializationResult", "PerronError", "Polynomial",
-    "PositivizeAllResult", "PositivizeResult", "Round",
+    "GroupBasis", "GroupElement", "GroupOrder", "InteractiveAborted",
+    "InternalError", "LexVec", "Matrix", "MaxGrowth", "MonomializationResult",
+    "PerronError", "Polynomial", "PositivizeAllResult", "PositivizeResult",
     "Scripted", "SeededRandom", "Step", "StepLimitExceeded", "Substitution",
     "Tau", "Trace", "ValidationError", "ValuedRing", "Vec", "advance_champion",
     "apply_matrix", "apply_step", "apply_substitution", "champion_moves",

@@ -8,10 +8,11 @@ Every run emits one result document with a top-level schema_version of 1:
 
 Rationals travel as strings "p/q" (or "p"); integers as JSON numbers while
 they fit exactly in a double, as decimal strings beyond that.  Exit codes:
-0 ok, 1 malformed input, a usage error or an unwritable --output (the error
-document then goes to stdout), 2 validation failure, 3 step limit exceeded
-(the limit bounds the rounds of the whole job), 4 interactive session
-aborted, 5 internal error (a result that failed its own consistency check).
+0 ok, 1 malformed input, a usage error, an unwritable --output (the error
+document then goes to stdout) or a trace too large to encode, 2 validation
+failure, 3 step limit exceeded (the limit bounds the rounds of the whole
+job), 4 interactive session aborted, 5 internal error (a result that failed
+its own consistency check).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from .engine import (Adversary, FirstIndex, Interactive, MaxGrowth, Scripted,
-                     SeededRandom, run_pair)
+from .engine import (Adversary, FirstIndex, MaxGrowth, Scripted, SeededRandom,
+                     run_pair)
 from .errors import (InteractiveAborted, InternalError, StepLimitExceeded,
                      ValidationError)
 from .transforms import compose_trace, natvec
@@ -129,14 +130,43 @@ def _format_vec(v) -> str:
     return "[" + ",".join(str(x) for x in v) + "]"
 
 
-def _format_set(J) -> str:
-    return "{" + ",".join(str(i) for i in sorted(J)) + "}"
-
-
 # ---------------------------------------------------------------------------
 # adversaries
 
-def _build_adversary(doc, args, *, allow_interactive, infile) -> Adversary:
+class _Prompt(Adversary):
+    """The player picks each j: the round line and a prompt go to stderr, the
+    answer comes from `infile` (sys.stdin when None); re-prompts on invalid
+    input, aborts on end of input.  Both streams are resolved at each prompt,
+    so callers may rebind them.  describe(vectors) is the round line's
+    middle part."""
+
+    def __init__(self, infile, describe):
+        self._infile = infile
+        self._describe = describe
+
+    def choose(self, J, vectors, round_no):
+        infile = self._infile if self._infile is not None else sys.stdin
+        out = sys.stderr
+        label = "{" + ",".join(str(i) for i in sorted(J)) + "}"
+        out.write(f"round {round_no}: {self._describe(vectors)}J={label}\n")
+        while True:
+            out.write(f"choose j in {label}: ")
+            out.flush()
+            line = infile.readline()
+            if line == "":
+                raise InteractiveAborted("end of input during interactive choice")
+            try:
+                j = int(line.strip())
+            except ValueError:
+                j = None
+            if j in J:
+                return j
+            out.write(f"j must be one of {label}\n")
+            out.flush()
+
+
+def _build_adversary(doc, args, infile, describe=None) -> Adversary:
+    """The job's adversary; an interactive one only where a describe is given."""
     descriptor = doc.get("adversary", {"kind": "first"})
     if not isinstance(descriptor, dict):
         raise MalformedInput("adversary must be an object")
@@ -156,10 +186,10 @@ def _build_adversary(doc, args, *, allow_interactive, infile) -> Adversary:
             raise MalformedInput("scripted adversary requires 'choices'")
         return Scripted(_as_int_list(descriptor["choices"], "choices"))
     if kind == "interactive":
-        if not allow_interactive:
+        if describe is None:
             raise ValidationError(
                 "interactive adversary is only permitted for compare and game play")
-        return Interactive(infile=infile)
+        return _Prompt(infile, describe)
     raise MalformedInput(f"unknown adversary kind: {kind!r}")
 
 
@@ -169,58 +199,47 @@ def _build_adversary(doc, args, *, allow_interactive, infile) -> Adversary:
 def _cmd_compare(doc, args, infile):
     alpha = natvec(_as_int_list(_field(doc, "alpha"), "alpha"))
     beta = natvec(_as_int_list(_field(doc, "beta"), "beta"))
-    adversary = _build_adversary(doc, args, allow_interactive=True, infile=infile)
-
-    on_round = None
-    if isinstance(adversary, Interactive):
-        def on_round(event):
-            a, b = (_format_vec(v) for v in event.vectors)
-            sys.stderr.write(
-                f"round {event.number}: alpha={a} beta={b} J={_format_set(event.J)}\n")
-
-    trace = run_pair(alpha, beta, adversary, step_limit=args.step_limit,
-                     on_round=on_round)
+    adversary = _build_adversary(
+        doc, args, infile,
+        lambda vs: "alpha={} beta={} ".format(*map(_format_vec, vs)))
+    trace = run_pair(alpha, beta, adversary, step_limit=args.step_limit)
     payload = {
         "relation": trace.outcome.value,  # "le", "ge" or "eq"
         "final_alpha": _encode_vec(trace.final_alpha),
         "final_beta": _encode_vec(trace.final_beta),
         "matrix": _encode_matrix(compose_trace(trace.steps, len(alpha))),
-        "rounds": trace.rounds,
+        "rounds": _encode_int(trace.rounds),
     }
     return payload, trace.steps
 
 
 def _cmd_game(doc, args, infile, mode):
-    from .game import solve
+    from .game import advance_champion, solve
     raw = _as_list(_field(doc, "vectors"), "vectors")
     if not raw:
         raise ValidationError("vector list must be non-empty")
     vectors = [natvec(_as_int_list(v, "vector")) for v in raw]
     if mode == "play":
-        adversary = Interactive(infile=infile)
+        champ = 0  # tracked as solve tracks it
+
+        def describe(vs):
+            nonlocal champ
+            champ = advance_champion(vs, champ)[0]
+            return (f"vectors {' '.join(map(_format_vec, vs))}; "
+                    f"champion #{champ} {_format_vec(vs[champ])}; ")
+        adversary = _Prompt(infile, describe)
     else:
-        adversary = _build_adversary(doc, args, allow_interactive=False,
-                                     infile=infile)
+        adversary = _build_adversary(doc, args, infile)
 
-    on_round = None
-    if isinstance(adversary, Interactive):
-        def on_round(event):
-            vecs = " ".join(_format_vec(v) for v in event.vectors)
-            champ = event.pair[0]
-            sys.stderr.write(
-                f"round {event.number}: vectors {vecs}; champion #{champ} "
-                f"{_format_vec(event.vectors[champ])}; J={_format_set(event.J)}\n")
-
-    outcome = solve(vectors, adversary, step_limit=args.step_limit,
-                    on_round=on_round)
-    if isinstance(adversary, Interactive):
+    outcome = solve(vectors, adversary, step_limit=args.step_limit)
+    if mode == "play":
         sys.stderr.write(
             f"won after {outcome.rounds} round(s): winner #{outcome.winner_index} "
             f"{_format_vec(outcome.final_vectors[outcome.winner_index])}\n")
     payload = {
         "winner_index": outcome.winner_index,
         "final_vectors": [_encode_vec(v) for v in outcome.final_vectors],
-        "rounds": outcome.rounds,
+        "rounds": _encode_int(outcome.rounds),
     }
     return payload, outcome.trace
 
@@ -380,10 +399,26 @@ def _read_job(args):
     return doc, infile
 
 
-def _write_document(args, doc, code) -> int:
-    """Write the document and return its exit code.  When --output cannot
-    be written, an error document goes to stdout instead, with exit 1."""
-    data = _ENCODER.encode(doc) + "\n"
+def _write_document(args, doc, code, steps=None) -> int:
+    """Write the document, with the trace of `steps` when given, and return
+    its exit code.  A trace too large to encode is left out: an error keeps
+    its code and says so, a success becomes an error with exit 1.  When
+    --output cannot be written, an error document goes to stdout instead,
+    with exit 1."""
+    try:
+        data = _ENCODER.encode(doc if steps is None else
+                               dict(doc, trace=_encode_trace(steps))) + "\n"
+    except MemoryError:
+        if steps is None:
+            raise
+        data = None  # handled outside, once the partial trace is freed
+    if data is None:
+        why = f"the trace of {len(steps)} rounds is too large to encode"
+        if doc["status"] == "ok":
+            return _emit_error(args, f"cannot write the result: {why}",
+                               EXIT_MALFORMED)
+        doc["diagnostics"].append(f"{why}; it is left out")
+        return _write_document(args, doc, code)
     if args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -438,9 +473,7 @@ def _run(argv) -> int:
         "payload": payload,
         "diagnostics": [],
     }
-    if args.trace:
-        out["trace"] = _encode_trace(steps)
-    return _write_document(args, out, EXIT_OK)
+    return _write_document(args, out, EXIT_OK, steps if args.trace else None)
 
 
 def _emit_error(args, message, code, steps=None) -> int:
@@ -450,6 +483,4 @@ def _emit_error(args, message, code, steps=None) -> int:
         "payload": None,
         "diagnostics": [message],
     }
-    if steps is not None:
-        out["trace"] = _encode_trace(steps)
-    return _write_document(args, out, code)
+    return _write_document(args, out, code, steps)

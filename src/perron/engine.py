@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import sys
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, comparability, tau
@@ -98,37 +98,6 @@ class Scripted(Adversary):
         return next(self._script, min(J))
 
 
-class Interactive(Adversary):
-    """Prompts for j on a stream pair; re-prompts on invalid input, aborts on EOF.
-
-    Streams default to sys.stdin / sys.stderr, resolved at prompt time so
-    callers may rebind them.
-    """
-
-    def __init__(self, infile=None, outfile=None):
-        self._infile = infile
-        self._outfile = outfile
-
-    def choose(self, J, vectors, round_no):
-        infile = self._infile if self._infile is not None else sys.stdin
-        out = self._outfile if self._outfile is not None else sys.stderr
-        label = "{" + ",".join(str(i) for i in sorted(J)) + "}"
-        while True:
-            out.write(f"choose j in {label}: ")
-            out.flush()
-            line = infile.readline()
-            if line == "":
-                raise InteractiveAborted("end of input during interactive choice")
-            try:
-                j = int(line.strip())
-            except ValueError:
-                j = None
-            if j in J:
-                return j
-            out.write(f"j must be one of {label}\n")
-            out.flush()
-
-
 def _J_rule(d: Sequence[int]):
     """(J, swapped, order) for a pair with difference d = alpha - beta, or
     None when the pair is comparable.
@@ -177,16 +146,6 @@ def choose_J(alpha: Vec, beta: Vec) -> frozenset[int]:
     if rule is None:
         raise ValidationError("pair is already comparable; no J to choose")
     return rule[0]
-
-
-class Round(NamedTuple):
-    """A round about to be played: its number (from 1), the tracked vectors,
-    the indices of the pair being descended and the proposed J."""
-
-    number: int
-    vectors: tuple[Vec, ...]
-    pair: tuple[int, int]
-    J: frozenset[int]
 
 
 class _EngineTraceFields(NamedTuple):
@@ -276,17 +235,15 @@ def _period(played, rule) -> int:
 
 
 def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
-            steps: Trace, step_limit: Optional[int] = None,
-            on_round: Optional[Callable[[Round], None]] = None) -> None:
+            steps: Trace, step_limit: Optional[int] = None) -> None:
     """Descend the pair vectors[p], vectors[q] to comparability, carrying
     every tracked vector along, in runs of identical steps.
 
     `vectors` is updated in place and each driver iteration adds one run to
     `steps`, whose length is the number of rounds played so far.  Returns
     once the pair is comparable, or with it still incomparable once round
-    step_limit has been played.  With on_round set, it gets a Round before
-    every round and every run is one round long.  An InteractiveAborted
-    from the adversary leaves with `steps` attached as the partial trace.
+    step_limit has been played.  An InteractiveAborted from the adversary
+    leaves with `steps` attached as the partial trace.
 
     A run of k equal steps (J, j) adds k times the sum of the other
     J-entries to entry j.  For an adversary that answers by J alone, a
@@ -303,16 +260,13 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
         J = rule[0]
         left = UNBOUNDED if step_limit is None else step_limit - round_no + 1
         period = m = 0
-        if on_round is None and adversary.by_J:
+        if adversary.by_J:
             period = _period(played, rule)
         if period:  # the block played twice now starts again
             rounds = played[-period:]
             shift = [x - y for x, y in zip(d, rounds[0][0])]
             m = _repeat_count([r[0] for r in rounds], shift, left // period)
         if not m:
-            if on_round is not None:
-                on_round(Round(round_no, tuple(vectors), (p, q), J))
-                left = 1
             try:
                 j, k = adversary.choose_run(J, tuple(vectors), round_no, left)
             except InteractiveAborted as exc:
@@ -340,8 +294,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
 
 
 def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
-             step_limit: Optional[int] = None,
-             on_round: Optional[Callable[[Round], None]] = None) -> EngineTrace:
+             step_limit: Optional[int] = None) -> EngineTrace:
     """Descend the pair against the adversary until it is comparable.
 
     Terminates for every adversary; step_limit is a safety valve only and
@@ -353,7 +306,7 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
         raise ValidationError(f"dimension mismatch: {len(a)} vs {len(b)}")
     vectors = [a, b]
     steps = Trace()
-    descend(vectors, 0, 1, adversary, steps, step_limit, on_round)
+    descend(vectors, 0, 1, adversary, steps, step_limit)
     rel = comparability(*vectors)
     if rel is Comparability.INCOMPARABLE:
         raise StepLimitExceeded(

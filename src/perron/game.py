@@ -10,9 +10,9 @@ so settled points stay settled.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .engine import Adversary, Round, choose_J, descend
+from .engine import Adversary, choose_J, descend
 from .errors import StepLimitExceeded, ValidationError
 from .tau import Comparability, comparability
 from .transforms import Step, Trace, Vec, apply_step, natvec
@@ -82,8 +82,7 @@ def champion_moves(vectors: Sequence[Vec], champion_index: int = 0
 
 
 def solve(vectors, adversary: Adversary,
-          step_limit: Optional[int] = None,
-          on_round: Optional[Callable[[Round], None]] = None) -> GameOutcome:
+          step_limit: Optional[int] = None) -> GameOutcome:
     """Play the champion strategy to a won position, against any adversary.
 
     Each phase descends the champion and the first point it cannot be
@@ -102,7 +101,7 @@ def solve(vectors, adversary: Adversary,
         if step_limit is not None and len(steps) >= step_limit:
             raise StepLimitExceeded(
                 f"game not won within {step_limit} rounds", steps)
-        descend(vs, champ, target, adversary, steps, step_limit, on_round)
+        descend(vs, champ, target, adversary, steps, step_limit)
 
 
 def prune_dominated(vectors) -> tuple[Vec, ...]:

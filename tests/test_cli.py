@@ -388,6 +388,70 @@ def test_interactive_round_lines(tmp_path, monkeypatch, capsys):
         "choose j in {1,2}: won after 1 round(s): winner #2 [2,0]\n")
 
 
+def test_champion_moves_during_play(monkeypatch, capsys):
+    job = '{"vectors":[[0,2],[1,1],[3,0]]}\n1\n1\n'
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(["game", "play", "--trace"]) == 0
+    out, err = capsys.readouterr()
+    assert out == (
+        '{"diagnostics":[],"payload":{"final_vectors":[[4,2],[3,1],[3,0]],"rou'
+        'nds":2,"winner_index":2},"schema_version":1,"status":"ok","trace":[{"'
+        'J":[1,2],"j":1},{"J":[1,2],"j":1}]}\n')
+    assert err == (
+        "round 1: vectors [0,2] [1,1] [3,0]; champion #0 [0,2]; J={1,2}\n"
+        "choose j in {1,2}: "
+        "round 2: vectors [2,2] [2,1] [3,0]; champion #1 [2,1]; J={1,2}\n"
+        "choose j in {1,2}: won after 2 round(s): winner #2 [3,0]\n")
+
+
+@pytest.mark.parametrize("argv, job", [
+    (["compare"], {"alpha": [10 ** 17, 1, 0], "beta": [0, 0, 1]}),
+    (["game", "solve"], {"vectors": [[10 ** 17, 1, 0], [0, 0, 1]]}),
+])
+def test_rounds_beyond_a_double_are_a_decimal_string(argv, job, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    assert main(argv + ["--step-limit", str(10 ** 18)]) == 0
+    out = capsys.readouterr().out
+    assert '"rounds":"100000000000000001"' in out
+    assert json.loads(out)["payload"]["rounds"] == str(10 ** 17 + 1)
+
+
+# a trace of billions of rounds cannot be expanded in 1 GiB; main runs in a
+# child process of its own under that address-space limit
+MEMORY_CAPPED_MAIN = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from perron.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+BILLIONS = '{"alpha":[299857033,11,3],"beta":[7218397668,1132981884,1]}'
+
+
+@pytest.mark.parametrize("extra, code, diagnostics", [
+    (["--step-limit", "4000000000"], 3,
+     ["pair not comparable within 4000000000 steps",
+      "the trace of 4000000000 rounds is too large to encode; it is left out"]),
+    (["--step-limit", "5000000000", "--trace"], 1,
+     ["cannot write the result: the trace of 4025761255 rounds is too large "
+      "to encode"]),
+])
+def test_trace_too_large_to_encode_is_left_out(extra, code, diagnostics):
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CAPPED_MAIN, "compare", *extra],
+        input=BILLIONS, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert_one_document(code, proc.stdout)
+    doc = json.loads(proc.stdout)
+    assert doc["diagnostics"] == diagnostics
+    assert "trace" not in doc and doc["payload"] is None
+
+
 def assert_malformed(argv, tmp_path, fragment):
     out = tmp_path / "result.json"
     assert main(argv + ["--output", str(out)]) == 1

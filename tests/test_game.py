@@ -119,6 +119,16 @@ def test_trace_consistency(vectors, kind, seed):
                for v in outcome.final_vectors)
 
 
+def positions(vectors, trace):
+    """Every position of a game: the start, then the one after each round,
+    replayed from the trace step by step."""
+    vs = tuple(vectors)
+    yield vs
+    for step in trace:
+        vs = tuple(apply_step(step, v) for v in vs)
+        yield vs
+
+
 @given(vector_lists(), adversary_kinds, st.integers(0, 2 ** 32 - 1))
 def test_comparability_persists_round_by_round(vectors, kind, seed):
     comparable_at_start = [
@@ -126,13 +136,8 @@ def test_comparability_persists_round_by_round(vectors, kind, seed):
         if all(x <= y for x, y in zip(vectors[i], vectors[k]))
         or all(x >= y for x, y in zip(vectors[i], vectors[k]))]
 
-    seen = [tuple(vectors)]
-
-    def on_round(event):
-        seen.append(event.vectors)
-
-    solve(vectors, build_adversary(kind, seed), on_round=on_round)
-    for vs in seen:
+    outcome = solve(vectors, build_adversary(kind, seed))
+    for vs in positions(vectors, outcome.trace):
         for i, k in comparable_at_start:
             assert (all(x <= y for x, y in zip(vs[i], vs[k]))
                     or all(x >= y for x, y in zip(vs[i], vs[k])))
@@ -162,15 +167,19 @@ def test_strategy_sound_for_every_adversary_sequence(vectors):
 
 @given(vector_lists(), adversary_kinds, st.integers(0, 2 ** 32 - 1))
 def test_champion_stays_below_settled_prefix(vectors, kind, seed):
-    def on_round(event):
-        champ, target = advance_champion(event.vectors, event.pair[0])
-        assert (champ, target) == event.pair
-        prefix_end = len(event.vectors) if target is None else target
-        champion = event.vectors[champ]
-        for v in event.vectors[:prefix_end]:
-            assert all(x <= y for x, y in zip(champion, v))
-
-    solve(vectors, build_adversary(kind, seed), on_round=on_round)
+    outcome = solve(vectors, build_adversary(kind, seed))
+    champ = 0
+    steps = list(outcome.trace) + [None]  # no round after the last position
+    for vs, step in zip(positions(vectors, outcome.trace), steps):
+        champ, target = advance_champion(vs, champ)
+        # the round played here descends the champion and the target
+        assert (target is None) == (step is None)
+        if step is not None:
+            assert step.J == choose_J(vs[champ], vs[target])
+        prefix_end = len(vs) if target is None else target
+        for v in vs[:prefix_end]:
+            assert all(x <= y for x, y in zip(vs[champ], v))
+    assert champ == outcome.winner_index
 
 
 # is_won against the pairwise scan it replaced ------------------------------
