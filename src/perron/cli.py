@@ -17,12 +17,12 @@ its own consistency check).
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
+import re
 import sys
-from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 from .engine import (Adversary, FirstIndex, MaxGrowth, Scripted, SeededRandom,
                      run_pair)
@@ -80,6 +80,7 @@ def _as_int_list(value, what) -> list[int]:
 
 
 def _as_rational(value, what) -> Fraction:
+    from fractions import Fraction  # only group jobs read rationals
     if isinstance(value, bool) or isinstance(value, float):
         raise MalformedInput(f"{what} must be an integer or a 'p/q' string")
     if isinstance(value, int):
@@ -305,16 +306,8 @@ def _cmd_monomialize(doc, args, infile):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and the main entry point
-
-class _Parser(argparse.ArgumentParser):
-    """Turns a usage error into a MalformedInput, so it ends in one error
-    document like any other malformed job; the usage line goes to stderr."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise MalformedInput(f"{self.prog}: {message}")
-
+# argument parsing: two tables give the grammar, the help text and the usage
+# errors
 
 def _step_limit(text: str) -> int:
     try:
@@ -322,50 +315,197 @@ def _step_limit(text: str) -> int:
     except ValueError:
         limit = -1
     if limit < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+        raise MalformedInput(f"not a non-negative integer: {text!r}")
     return limit
 
 
-def _add_subcommand(sub, name, help_text, handler):
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("--input", default="-", metavar="PATH",
-                   help="job document path, or - for stdin (default)")
-    p.add_argument("--output", default="-", metavar="PATH",
-                   help="result document path, or - for stdout (default)")
-    p.add_argument("--trace", action="store_true",
-                   help="include the step trace in the result document")
-    p.add_argument("--seed", type=int, default=None, metavar="U64",
-                   help="override the random adversary's seed")
-    p.add_argument("--step-limit", type=_step_limit, default=1_000_000,
-                   dest="step_limit", metavar="N",
-                   help="safety valve on the number of rounds (default 10^6)")
-    p.set_defaults(handler=handler)
+# command path: a job's handler, or for a group the name of its subcommand;
+# and its help line (the root's is the program description, at 80 columns)
+_COMMANDS = {
+    "": ("command", "Exact unimodular descent transforms: pair comparability, "
+                    "the polyhedra game,\npositive cones, monomialization."),
+    "compare": (_cmd_compare, "make a pair of vectors comparable"),
+    "game": ("game_mode", "the polyhedra game"),
+    "game solve": (partial(_cmd_game, mode="solve"),
+                   "play out the winning strategy"),
+    "game play": (partial(_cmd_game, mode="play"),
+                  "interactive: you pick each j"),
+    "positivize": (_cmd_positivize,
+                   "give group elements non-negative coordinates"),
+    "monomialize": (_cmd_monomialize,
+                    "factor a polynomial as monomial times unit"),
+}
+# a job's options: metavar (None for a flag), default, converter, help line
+_OPTIONS = {
+    "--input": ("PATH", "-", str,
+                "job document path, or - for stdin (default)"),
+    "--output": ("PATH", "-", str,
+                 "result document path, or - for stdout (default)"),
+    "--trace": (None, False, None,
+                "include the step trace in the result document"),
+    "--seed": ("U64", None, int, "override the random adversary's seed"),
+    "--step-limit": ("N", 1_000_000, _step_limit,
+                     "safety valve on the number of rounds (default 10^6)"),
+}
+_HELP = {"-h": "-h/--help", "--help": "-h/--help"}  # option string: name
+_JOB = {**_HELP, **{name: name for name in _OPTIONS}}
+_DEFAULTS = {name[2:].replace("-", "_"): spec[1]
+             for name, spec in _OPTIONS.items()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="perron",
-        description="Exact unimodular descent transforms: pair comparability, "
-                    "the polyhedra game, positive cones, monomialization.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_subcommand(sub, "compare", "make a pair of vectors comparable",
-                    _cmd_compare)
-    game = sub.add_parser("game", help="the polyhedra game")
-    game_sub = game.add_subparsers(dest="game_mode", required=True)
-    _add_subcommand(game_sub, "solve", "play out the winning strategy",
-                    partial(_cmd_game, mode="solve"))
-    _add_subcommand(game_sub, "play", "interactive: you pick each j",
-                    partial(_cmd_game, mode="play"))
-    _add_subcommand(sub, "positivize",
-                    "give group elements non-negative coordinates",
-                    _cmd_positivize)
-    _add_subcommand(sub, "monomialize",
-                    "factor a polynomial as monomial times unit",
-                    _cmd_monomialize)
-    return parser
+def _prog(path):
+    return f"perron {path}".rstrip()
 
 
-_PARSER = _build_parser()  # built once per process; each parse is fresh
+def _subcommands(path):
+    return [p.rpartition(" ")[2] for p in _COMMANDS
+            if p and p.rpartition(" ")[0] == path]
+
+
+def _invocation(name):
+    return f"{name} {_OPTIONS[name][0]}" if _OPTIONS[name][0] else name
+
+
+def _usage(path):
+    """The usage line, wrapped at 80 columns."""
+    if isinstance(_COMMANDS[path][0], str):
+        parts = ["{" + ",".join(_subcommands(path)) + "}", "..."]
+    else:
+        parts = [f"[{_invocation(name)}]" for name in _OPTIONS]
+    lines = ["usage: " + _prog(path)]
+    indent = " " * len(lines[0])
+    for part in ["[-h]", *parts]:
+        if len(lines[-1]) + 1 + len(part) > 78:  # a right margin of 2
+            lines.append(indent)
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
+
+
+def _help(path):
+    """The --help text: usage, the root's description, then the subcommands
+    and options, their help lines aligned at column 24 or less."""
+    rows = [("options", 2, "-h, --help", "show this help message and exit")]
+    if isinstance(_COMMANDS[path][0], str):
+        words = _subcommands(path)
+        rows[:0] = [("positional arguments", 2, "{" + ",".join(words) + "}",
+                     "")] + [("", 4, word, _COMMANDS[f"{path} {word}".strip()][1])
+                             for word in words]
+    else:
+        rows += [("", 2, _invocation(name), _OPTIONS[name][3])
+                 for name in _OPTIONS]
+    column = min(24, 2 + max(indent + len(name) for _, indent, name, _ in rows))
+    text = _usage(path) + ("" if path else "\n" + _COMMANDS[""][1] + "\n")
+    for title, indent, name, line in rows:
+        text += f"\n{title}:\n" if title else ""
+        text += " " * indent + (name.ljust(column - indent) + line if line
+                                else name) + "\n"
+    return text
+
+
+def _fail(path, message):
+    """A usage error: the usage line goes to stderr, the message into the
+    one error document."""
+    try:  # a closed stderr does not stop the document
+        sys.stderr.write(_usage(path))
+    except (AttributeError, OSError):
+        pass
+    raise MalformedInput(f"{_prog(path)}: {message}")
+
+
+def _classify(path, names, token):
+    """How a token before any "--" reads: None for a positional, else
+    (option name, None when unknown; option string; explicit value or None).
+    A long option matches by unique prefix; a negative number or a token
+    with a space is a positional."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return names[token], token, None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        return names[head], head, value
+    if token[1] == "-":
+        found = [(s, value if eq else None) for s in names
+                 if s.startswith(head)]
+    else:  # a short option takes the rest of the token as its value
+        found = [(token[:2], token[2:])] if token[:2] in names else []
+    if len(found) > 1:
+        _fail(path, f"ambiguous option: {token} could match "
+                    + ", ".join(s for s, _ in found))
+    if found:
+        return names[found[0][0]], *found[0]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, token, None
+
+
+def _parse_level(path, tokens, args):
+    """Parse tokens at command `path` into args, left to right; a group
+    hands what follows its subcommand to that level.  Returns the tokens
+    left unrecognized."""
+    target = _COMMANDS[path][0]
+    group = isinstance(target, str)
+    kinds = []  # how each token before the first "--" reads
+    for token in tokens:
+        if token == "--":
+            break
+        kinds.append(_classify(path, _HELP if group else _JOB, token))
+    extras, i = [], 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i] if i < len(kinds) else None
+        i += 1
+        # the first positional names the subcommand; a final "--" names none
+        if group and kind is None and (i - 1 != len(kinds) or i < len(tokens)):
+            child = f"{path} {token}" if path else token
+            if not token or " " in token or child not in _COMMANDS:
+                _fail(path, f"argument {target}: invalid choice: {token!r} "
+                            "(choose from "
+                            + ", ".join(map(repr, _subcommands(path))) + ")")
+            return extras + _parse_level(child, tokens[i:], args)
+        if kind is None or kind[0] is None:  # a positional, "--" or unknown
+            extras.append(token)
+            continue
+        name, option, value = kind
+        spec = _OPTIONS.get(name)
+        if spec is None or spec[0] is None:  # -h/--help or a flag
+            if option == "-h" and value:  # -hh reads as -h -h
+                value = value.lstrip("h") or None
+            if value is not None:
+                _fail(path, f"argument {name}: ignored explicit argument "
+                            f"{value!r}")
+            if spec is None:
+                sys.stdout.write(_help(path))
+                raise SystemExit(0)
+            setattr(args, name[2:].replace("-", "_"), True)
+            continue
+        if value is None:
+            if i >= len(kinds) or kinds[i] is not None:
+                _fail(path, f"argument {name}: expected one argument")
+            value, i = tokens[i], i + 1
+        try:
+            value = spec[2](value)
+        except MalformedInput as exc:
+            _fail(path, f"argument {name}: {exc}")
+        except ValueError:
+            _fail(path, f"argument {name}: invalid {spec[2].__name__} value: "
+                        f"{value!r}")
+        setattr(args, name[2:].replace("-", "_"), value)
+    if group:
+        _fail(path, f"the following arguments are required: {target}")
+    args.handler = target
+    return extras
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """Read argv: long options by unique prefix, --opt=value, "-" and
+    negative numbers as values, the last repeat winning, -h/--help at each
+    level.  A usage error writes the usage line to stderr and raises
+    MalformedInput.  The result has a field per option, and the handler."""
+    args = SimpleNamespace(**_DEFAULTS, handler=None)
+    extras = _parse_level("", list(argv), args)
+    if extras:
+        _fail("", "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _read_job(args):
@@ -408,12 +548,12 @@ def _write_document(args, doc, code, steps=None) -> int:
     try:
         data = _ENCODER.encode(doc if steps is None else
                                dict(doc, trace=_encode_trace(steps))) + "\n"
-    except MemoryError:
+    except (MemoryError, OverflowError):  # [...] * m with m past sys.maxsize
         if steps is None:
             raise
         data = None  # handled outside, once the partial trace is freed
     if data is None:
-        why = f"the trace of {len(steps)} rounds is too large to encode"
+        why = f"the trace of {steps.rounds} rounds is too large to encode"
         if doc["status"] == "ok":
             return _emit_error(args, f"cannot write the result: {why}",
                                EXIT_MALFORMED)
@@ -447,9 +587,9 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except MalformedInput as exc:
-        return _emit_error(argparse.Namespace(output="-"), str(exc),
+        return _emit_error(SimpleNamespace(output="-"), str(exc),
                            EXIT_MALFORMED)
     steps = None
     try:

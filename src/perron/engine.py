@@ -12,7 +12,6 @@ run_pair, the game's solve and positivize all drive this one core.
 from __future__ import annotations
 
 import random
-import sys
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -20,9 +19,6 @@ from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, comparability, tau
 from .transforms import (Step, Trace, Vec, apply_run, apply_step, commute,
                          natvec)
-
-UNBOUNDED = sys.maxsize  # run limit offered when no step limit applies
-
 
 class Adversary:
     """Picks j from a proposed J, seeing the tracked vectors and round number."""
@@ -163,7 +159,7 @@ class EngineTrace(_EngineTraceFields):
 
     @property
     def rounds(self) -> int:
-        return len(self.steps)
+        return self.steps.rounds
 
     @cached_property
     def tau_history(self) -> tuple[Tau, ...]:
@@ -197,8 +193,10 @@ def _repeat_count(states: list[list[int]], shift: list[int], limit: int) -> int:
     every repetition shifts each of them by `shift`.  Counts the repetitions
     t = 1, 2, ... in which every round decides like its counterpart in
     repetition 0: same _J_rule triple, hence same signs and prefix cut.
-    Each decision compares quantities linear in t, so the repetitions that
-    do form an interval: gallop to its end, then bisect.
+    Each decision is the sign of a + t*b for integers a and b, |a| at most
+    twice the norm of a state, so the repetitions that decide alike form an
+    interval, which ends within 2*|state|_1 + 1 of them: gallop to its end,
+    then bisect.
     """
     firsts = [_J_rule(d) for d in states]
 
@@ -240,7 +238,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
     every tracked vector along, in runs of identical steps.
 
     `vectors` is updated in place and each driver iteration adds one run to
-    `steps`, whose length is the number of rounds played so far.  Returns
+    `steps`, whose `rounds` counts the rounds played so far.  Returns
     once the pair is comparable, or with it still incomparable once round
     step_limit has been played.  An InteractiveAborted from the adversary
     leaves with `steps` attached as the partial trace.
@@ -252,13 +250,14 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
     n = len(vectors[p])
     played = []  # (d, rule, step) of the single rounds just played
     while True:
-        round_no = len(steps) + 1
+        round_no = steps.rounds + 1
         d = [x - y for x, y in zip(vectors[p], vectors[q])]
         rule = _J_rule(d)
         if rule is None or (step_limit is not None and round_no > step_limit):
             return
         J = rule[0]
-        left = UNBOUNDED if step_limit is None else step_limit - round_no + 1
+        left = (step_limit - round_no + 1 if step_limit is not None
+                else sum(map(abs, d)) + 1 << 64)  # past any run: _repeat_count
         period = m = 0
         if adversary.by_J:
             period = _period(played, rule)

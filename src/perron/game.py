@@ -97,8 +97,8 @@ def solve(vectors, adversary: Adversary,
     while True:
         champ, target = advance_champion(vs, champ)
         if target is None:
-            return GameOutcome(tuple(vs), champ, steps, len(steps))
-        if step_limit is not None and len(steps) >= step_limit:
+            return GameOutcome(tuple(vs), champ, steps, steps.rounds)
+        if step_limit is not None and steps.rounds >= step_limit:
             raise StepLimitExceeded(
                 f"game not won within {step_limit} rounds", steps)
         descend(vs, champ, target, adversary, steps, step_limit)

@@ -325,7 +325,7 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
         coords_list.append(e.coords)
     current, steps = basis, Trace()
     for k in range(len(coords_list)):
-        left = None if step_limit is None else step_limit - len(steps)
+        left = None if step_limit is None else step_limit - steps.rounds
         try:
             result = _positivize(current, coords_list[k], left)
         except StepLimitExceeded as exc:

@@ -143,12 +143,13 @@ class Trace(Sequence):
 
     As a sequence it is the flat tuple of steps, one per round: len is the
     round count, and iteration, indexing and == (with any sequence) expand
-    the runs on demand.
+    the runs on demand.  `rounds` is the round count as an int, exact past
+    sys.maxsize, where len() raises OverflowError.
     """
 
     def __init__(self, runs: Iterable[tuple[Sequence[Step], int]] = ()):
         self.runs: list[tuple[tuple[Step, ...], int]] = []
-        self._rounds = 0
+        self.rounds = 0
         for block, m in runs:
             self.add_run(block, m)
 
@@ -159,13 +160,13 @@ class Trace(Sequence):
         if not block or not commute(block) or m < 1:
             raise ValidationError(
                 "a run is a non-empty block of commuting steps played m >= 1 times")
-        self._rounds += len(block) * m
+        self.rounds += len(block) * m
         if self.runs and self.runs[-1][0] == block:
             m += self.runs.pop()[1]
         self.runs.append((block, m))
 
     def __len__(self) -> int:
-        return self._rounds
+        return self.rounds
 
     def __iter__(self):
         return chain.from_iterable(chain.from_iterable(
@@ -173,10 +174,10 @@ class Trace(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            start, stop, stride = i.indices(self._rounds)
+            start, stop, stride = i.indices(self.rounds)
             return tuple(islice(self, start, stop, stride) if stride > 0 else
                          tuple(self)[i])
-        k = range(self._rounds)[i]  # a negative i counts from the end
+        k = range(self.rounds)[i]  # a negative i counts from the end
         for block, m in self.runs:
             if k < len(block) * m:
                 return block[k % len(block)]
@@ -187,7 +188,8 @@ class Trace(Sequence):
             return True
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        rounds = other.rounds if isinstance(other, Trace) else len(other)
+        return self.rounds == rounds and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
         return f"Trace({self.runs!r})"

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perron import InternalError, Step, apply_step, compose_trace
+import perron.cli
 import perron.monomials
 import perron.ordered_group
-from perron.cli import main
+from perron.cli import MalformedInput, main
 from perron.monomials import monomialize
 
 
@@ -417,6 +420,31 @@ def test_rounds_beyond_a_double_are_a_decimal_string(argv, job, monkeypatch,
     assert json.loads(out)["payload"]["rounds"] == str(10 ** 17 + 1)
 
 
+# 572,584,197,702,814,508,129 rounds (about 2^69) in two runs
+PAST_A_WORD = ('{"alpha":[3435507337509639330305,0,2151282967170019],'
+               '"beta":[12266223833,6,2481112314]}')
+
+
+@pytest.mark.parametrize("extra, code, key, value", [
+    ([], 0, "payload", {
+        "final_alpha": ["3435507337509639330305", 2151282967170019,
+                        2151282967170019],
+        "final_beta": ["3435505186229153272601", 2481112320, 2481112314],
+        "matrix": [[1, "572584197702814508128", 0], [0, 1, 1], [0, 0, 1]],
+        "relation": "ge", "rounds": "572584197702814508129"}),
+    (["--trace"], 1, "diagnostics", [
+        "cannot write the result: the trace of 572584197702814508129 rounds "
+        "is too large to encode"]),
+], ids=["rounds", "trace"])
+def test_rounds_past_a_machine_word(extra, code, key, value, monkeypatch,
+                                    capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(PAST_A_WORD))
+    assert main(["compare", "--step-limit", str(10 ** 23), *extra]) == code
+    out = capsys.readouterr().out
+    assert_one_document(code, out)
+    assert json.loads(out)[key] == value
+
+
 # a trace of billions of rounds cannot be expanded in 1 GiB; main runs in a
 # child process of its own under that address-space limit
 MEMORY_CAPPED_MAIN = """
@@ -805,6 +833,201 @@ def test_usage_error_is_one_error_document(argv, fragment, monkeypatch, capsys):
     assert doc["payload"] is None and "trace" not in doc
     assert fragment in doc["diagnostics"][0]
     assert captured.err.startswith("usage: perron")
+
+
+# the argv parser against the argparse parser it replaced ---------------------
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
+def _oracle_step_limit(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return limit
+
+
+def _add_subcommand(sub, name, help_text, handler):
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--input", default="-", metavar="PATH",
+                   help="job document path, or - for stdin (default)")
+    p.add_argument("--output", default="-", metavar="PATH",
+                   help="result document path, or - for stdout (default)")
+    p.add_argument("--trace", action="store_true",
+                   help="include the step trace in the result document")
+    p.add_argument("--seed", type=int, default=None, metavar="U64",
+                   help="override the random adversary's seed")
+    p.add_argument("--step-limit", type=_oracle_step_limit, default=1_000_000,
+                   dest="step_limit", metavar="N",
+                   help="safety valve on the number of rounds (default 10^6)")
+    p.set_defaults(handler=handler)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser before it was table-driven: the oracle of its grammar,
+    help text and usage errors."""
+    cli = perron.cli
+    parser = _OracleParser(
+        prog="perron",
+        description="Exact unimodular descent transforms: pair comparability, "
+                    "the polyhedra game, positive cones, monomialization.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    _add_subcommand(sub, "compare", "make a pair of vectors comparable",
+                    cli._cmd_compare)
+    game = sub.add_parser("game", help="the polyhedra game")
+    game_sub = game.add_subparsers(dest="game_mode", required=True)
+    _add_subcommand(game_sub, "solve", "play out the winning strategy",
+                    partial(cli._cmd_game, mode="solve"))
+    _add_subcommand(game_sub, "play", "interactive: you pick each j",
+                    partial(cli._cmd_game, mode="play"))
+    _add_subcommand(sub, "positivize",
+                    "give group elements non-negative coordinates",
+                    cli._cmd_positivize)
+    _add_subcommand(sub, "monomialize",
+                    "factor a polynomial as monomial times unit",
+                    cli._cmd_monomialize)
+    return parser
+
+
+ORACLE = _build_parser()
+FIELDS = ("input", "output", "trace", "seed", "step_limit", "handler")
+
+
+def parsed(parse, argv):
+    """(outcome, stdout, stderr) of one parse at 80 columns; the outcome is
+    the fields, the usage error's message or the exit code."""
+    def field(args, name):
+        value = getattr(args, name)
+        if isinstance(value, partial):  # equal partials are distinct objects
+            return value.func, value.args, value.keywords
+        return value
+
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(list(argv))
+        outcome = ("ok", [field(args, name) for name in FIELDS])
+    except MalformedInput as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return outcome, out.getvalue(), err.getvalue()
+
+
+OPTION_NAMES = ["--input", "--output", "--trace", "--seed", "--step-limit"]
+VALUES = ["-", "--", "-5", "-1.5", "-.5", "-5.", "5", "0", "+4", " 7 ",
+          "1_000", "0x10", "\u0663", "-5\n", str(10 ** 23), "abc", "", "x y",
+          "a=b", "-x", "-h"]
+options = st.sampled_from(OPTION_NAMES).flatmap(
+    lambda name: st.integers(3, len(name)).map(lambda k: name[:k]))
+numbers = st.sampled_from(["0", "5", "-5", "12", " 7 ", "1_000", "\u0663"])
+values = numbers | st.sampled_from(VALUES) | st.text(max_size=4)
+# "--opt=--" is left out: argparse stored [] for it, which crashed the job
+joined = st.tuples(options, st.sampled_from(VALUES[:1] + VALUES[2:])).map(
+    "=".join)
+junk = st.sampled_from(
+    ["compare", "game", "solve", "play", "Compare", "gam", "--", "-h",
+     "--help", "--he", "-hh", "-hx", "-h=h", "-h=", "--bogus", "---", "--=x",
+     "-=x", "-i"]) | st.text(max_size=4)
+items = st.one_of(st.tuples(options, numbers).map(list),
+                  st.tuples(options, values).map(list),
+                  options.map(lambda o: [o]), joined.map(lambda t: [t]),
+                  junk.map(lambda t: [t]))
+# a command path, with a junk token before it at times, then options
+argvs = st.tuples(
+    st.lists(junk, max_size=1),
+    st.sampled_from([[], ["compare"], ["game"], ["game", "solve"],
+                     ["game", "play"], ["positivize"], ["monomialize"]]),
+    st.lists(items, max_size=4)).map(
+        lambda t: t[0] + t[1] + [token for item in t[2] for token in item])
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse 3.13 reads -h with trailing characters "
+                           "(-hx, -h=h) otherwise; the CLI keeps the grammar "
+                           "it had on 3.10-3.12")
+@settings(max_examples=400, deadline=None)
+@given(argvs)
+def test_argv_parser_matches_argparse(argv):
+    expected = parsed(ORACLE.parse_args, argv)
+    assert parsed(perron.cli._parse_args, argv) == expected
+    if expected[0][0] == "error":
+        code, out, err = run_main(argv)
+        assert code == 1
+        assert_one_document(1, out)
+        assert json.loads(out)["diagnostics"] == [expected[0][1]]
+        assert err.startswith("usage: perron")
+
+
+def run_main(argv):
+    """main on argv with no job: (code, stdout, stderr)."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(), io.StringIO(), io.StringIO()
+    try:
+        code = main(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--bogus"], ["compare", "--step-limit", "abc"], [], ["game"],
+    ["positivize", "--step-limit", "-5"], ["comparee"], ["compare", "--seed"],
+    ["game", "solve", "--s", "5"],
+], ids=["unknown-flag", "step-limit-abc", "no-subcommand", "game-no-mode",
+        "negative-step-limit", "invalid-subcommand", "missing-value",
+        "ambiguous-prefix"])
+def test_usage_error_diagnostics_match_argparse(argv):
+    outcome, out, err = parsed(ORACLE.parse_args, argv)
+    assert outcome[0] == "error"
+    assert parsed(perron.cli._parse_args, argv) == (outcome, out, err)
+    code, out, err_main = run_main(argv)
+    assert code == 1 and json.loads(out)["diagnostics"] == [outcome[1]]
+    assert err_main == err
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["compare", "--step", "5"], {"step_limit": 5}),
+    (["game", "solve", "--st=7", "--inp=-", "--tr"],
+     {"step_limit": 7, "input": "-", "trace": True}),
+    (["positivize", "--seed", "-5", "--seed", "3", "--out", "-x y"],
+     {"seed": 3, "output": "-x y"}),
+    (["monomialize", "--input", "-5", "--output", "-"],
+     {"input": "-5", "output": "-"}),
+], ids=["abbreviation", "equals-forms", "last-repeat-wins", "dash-values"])
+def test_argv_grammar(argv, fields):
+    args = perron.cli._parse_args(argv)
+    assert {name: getattr(args, name) for name in fields} == fields
+    assert parsed(perron.cli._parse_args, argv) == parsed(ORACLE.parse_args, argv)
+
+
+@pytest.mark.parametrize("flag, fragment", [
+    ("--step-limit=--", "argument --step-limit: not a non-negative integer: '--'"),
+    ("--seed=--", "argument --seed: invalid int value: '--'"),
+    ("--input=--", "cannot read input"),
+])
+def test_double_dash_after_equals_is_a_plain_value(flag, fragment, tmp_path,
+                                                   monkeypatch, capsys):
+    # argparse stored [] here, and the job then died in a traceback
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(SEEDED_JOB))
+    assert main(["compare", flag]) == 1
+    out = capsys.readouterr().out
+    assert_one_document(1, out)
+    assert fragment in json.loads(out)["diagnostics"][0]
 
 
 # --step-limit bounds the whole job ------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 UPPER = {"perron.game", "perron.ordered_group", "perron.monomials"}
-HEAVY = {"dataclasses", "inspect"}
+HEAVY = {"dataclasses", "inspect", "argparse", "gettext"}
+RATIONALS = {"fractions", "decimal"}  # only the group jobs read rationals
 
 
 def python(*args, stdin=None):
@@ -41,8 +42,9 @@ JOBS = {
                    '{"coeff":"1","exponents":[0,1]}]}',
 }
 NOT_LOADED = {
-    "compare": HEAVY | UPPER,
-    "game solve": HEAVY | {"perron.ordered_group", "perron.monomials"},
+    "compare": HEAVY | RATIONALS | UPPER,
+    "game solve": HEAVY | RATIONALS | {"perron.ordered_group",
+                                       "perron.monomials"},
     "positivize": HEAVY | {"perron.game", "perron.monomials"},
     "monomialize": HEAVY | {"perron.game"},
 }

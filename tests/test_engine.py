@@ -13,7 +13,8 @@ from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     SeededRandom, Step, StepLimitExceeded, Tau, ValidationError,
                     apply_matrix, apply_step, champion_moves, choose_J,
                     comparability, compose_trace, element_value, lex_sign,
-                    positivize, run_pair, simple_perron, solve, tau)
+                    positivize, positivize_all, run_pair, simple_perron, solve,
+                    tau)
 from perron.engine import _J_rule
 
 from conftest import adversary_kinds, build_adversary, vec_pairs
@@ -399,3 +400,59 @@ def test_run_length_outside_limit_rejected():
 
     with pytest.raises(ValidationError):
         run_pair((30, 0), (0, 1), Overrun(), step_limit=10)
+
+
+# rounds past 2^63: a trace counts them in an int, len() would overflow ------
+
+BIG_PAIR = ((3435507337509639330305, 0, 2151282967170019),
+            (12266223833, 6, 2481112314))
+BIG_ROUNDS = 572584197702814508129  # about 2^69
+
+
+def test_round_counts_past_a_machine_word():
+    trace = run_pair(*BIG_PAIR, FirstIndex())
+    assert trace.rounds == trace.steps.rounds == BIG_ROUNDS > sys.maxsize
+    assert len(trace.steps.runs) == 2
+    assert trace.outcome is Comparability.GREATER_EQ
+    matrix = compose_trace(trace.steps, 3)
+    assert apply_matrix(matrix, trace.alpha) == trace.final_alpha
+    assert apply_matrix(matrix, trace.beta) == trace.final_beta
+    assert trace.steps[-1] == Step({2, 3}, 2, 3)
+    outcome = solve(BIG_PAIR, FirstIndex())
+    assert outcome.rounds == outcome.trace.rounds == BIG_ROUNDS
+    with pytest.raises(StepLimitExceeded) as err:
+        run_pair(*BIG_PAIR, FirstIndex(), step_limit=BIG_ROUNDS - 1)
+    assert err.value.steps.rounds == BIG_ROUNDS - 1
+
+
+def test_positivize_past_a_machine_word():
+    basis = GroupBasis.initial(GroupOrder(((Fraction(1), Fraction(0)),
+                                           (Fraction(0), Fraction(1)))))
+    element = GroupElement(basis, (1, -2 ** 70))
+    result = positivize(basis, element)
+    assert result.steps.rounds == 2 ** 70
+    assert result.coords == (1, 0)
+    assert element_value(GroupElement(result.basis, result.coords)) == \
+        element_value(element)
+    combined = positivize_all(basis, [element], step_limit=10 ** 30)
+    assert combined.steps.rounds == 2 ** 70 and combined.coords == ((1, 0),)
+
+
+mixed_entries = st.integers(0, 256).flatmap(lambda b: st.integers(0, 2 ** b - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.lists(mixed_entries, min_size=n, max_size=n),
+    st.lists(mixed_entries, min_size=n, max_size=n))))
+def test_mixed_magnitude_pairs_compose_to_their_finals(pair):
+    """Entries up to 2^256 of mixed bit lengths: round counts pass 2^63, and
+    compose_trace multiplies runs of huge m."""
+    alpha, beta = pair
+    trace = run_pair(alpha, beta, FirstIndex())
+    assert trace.rounds == sum(len(block) * m for block, m in trace.steps.runs)
+    matrix = compose_trace(trace.steps, len(alpha))
+    assert apply_matrix(matrix, tuple(alpha)) == trace.final_alpha
+    assert apply_matrix(matrix, tuple(beta)) == trace.final_beta
+    assert comparability(trace.final_alpha, trace.final_beta) \
+        is not Comparability.INCOMPARABLE
