@@ -6,7 +6,7 @@ descend iterates this against an adversary until the pair is comparable;
 termination follows from the well-ordering of the measure.  It plays runs of
 identical steps in one go (the division form of the descent, as in
 multiplicative Euclid or Brun), so lopsided pairs need few iterations.
-run_pair, the game's solve and positivize all drive this one core.
+run_pair, solve and positivize are phase rules over drive, which plays a job.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, comparability, tau
-from .transforms import (Step, Trace, Vec, apply_run, apply_step, commute,
-                         natvec)
+from .transforms import Step, Trace, Vec, apply_run, commute, natvec
 
 class Adversary:
     """Picks j from a proposed J, seeing the tracked vectors and round number."""
@@ -74,12 +73,11 @@ class SeededRandom(Adversary):
 
 class MaxGrowth(Adversary):
     """Greedy: maximize the total entry sum over all tracked vectors after the
-    step; ties broken by the smallest index."""
+    step; ties broken by the smallest index.  (J, j) adds the J-entries but
+    entry j to each total, so the j with the smallest column sum wins."""
 
     def choose(self, J, vectors, round_no):
-        steps = [Step(J, j, len(vectors[0])) for j in sorted(J)]
-        return max(steps, key=lambda step: sum(  # max keeps the first of equals
-            sum(apply_step(step, v)) for v in vectors)).j
+        return min(sorted(J), key=lambda j: sum(v[j - 1] for v in vectors))
 
 
 class Scripted(Adversary):
@@ -237,10 +235,9 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
     """Descend the pair vectors[p], vectors[q] to comparability, carrying
     every tracked vector along, in runs of identical steps.
 
-    `vectors` is updated in place and each driver iteration adds one run to
-    `steps`, whose `rounds` counts the rounds played so far.  Returns
-    once the pair is comparable, or with it still incomparable once round
-    step_limit has been played.  An InteractiveAborted from the adversary
+    `vectors` changes in place, and each iteration adds one run to `steps`.
+    Returns once the pair is comparable, or still incomparable once round
+    step_limit has been played; an InteractiveAborted from the adversary
     leaves with `steps` attached as the partial trace.
 
     A run of k equal steps (J, j) adds k times the sum of the other
@@ -292,6 +289,22 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             played.clear()
 
 
+def drive(rows: list[Vec], phase, adversary: Adversary,
+          step_limit: Optional[int], failure: str) -> Trace:
+    """Descend each pair phase(rows) names (it may edit rows) until it names
+    None; one due past round step_limit raises StepLimitExceeded(failure)."""
+    steps = Trace()
+    while (pair := phase(rows)) is not None:
+        if step_limit is not None and steps.rounds >= step_limit:
+            raise StepLimitExceeded(failure, steps)
+        descend(rows, *pair, adversary, steps, step_limit)
+    return steps
+
+
+def _pair_phase(rows):  # run_pair's phase rule: the pair, while incomparable
+    return (0, 1) if comparability(*rows) is Comparability.INCOMPARABLE else None
+
+
 def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
              step_limit: Optional[int] = None) -> EngineTrace:
     """Descend the pair against the adversary until it is comparable.
@@ -299,15 +312,8 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
     Terminates for every adversary; step_limit is a safety valve only and
     raises StepLimitExceeded (with the partial trace) when hit.
     """
-    a = natvec(alpha)
-    b = natvec(beta)
-    if len(a) != len(b):
-        raise ValidationError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    vectors = [a, b]
-    steps = Trace()
-    descend(vectors, 0, 1, adversary, steps, step_limit)
-    rel = comparability(*vectors)
-    if rel is Comparability.INCOMPARABLE:
-        raise StepLimitExceeded(
-            f"pair not comparable within {step_limit} steps", steps)
-    return EngineTrace(steps, rel, *vectors, a, b)
+    a, b = natvec(alpha), natvec(beta)
+    vectors = [a, b]  # the phase rule's comparability checks the dimensions
+    steps = drive(vectors, _pair_phase, adversary, step_limit,
+                  f"pair not comparable within {step_limit} steps")
+    return EngineTrace(steps, comparability(*vectors), *vectors, a, b)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .engine import Adversary, choose_J, descend
-from .errors import StepLimitExceeded, ValidationError
+from .engine import Adversary, choose_J, drive
+from .errors import ValidationError
 from .tau import Comparability, comparability
 from .transforms import Step, Trace, Vec, apply_step, natvec
 
@@ -92,16 +92,16 @@ def solve(vectors, adversary: Adversary,
     point, so no earlier point equals it and it is is_won's answer.
     """
     vs = list(_validated_vectors(vectors))
-    steps = Trace()
     champ = 0
-    while True:
-        champ, target = advance_champion(vs, champ)
-        if target is None:
-            return GameOutcome(tuple(vs), champ, steps, steps.rounds)
-        if step_limit is not None and steps.rounds >= step_limit:
-            raise StepLimitExceeded(
-                f"game not won within {step_limit} rounds", steps)
-        descend(vs, champ, target, adversary, steps, step_limit)
+
+    def phase(rows):
+        nonlocal champ
+        champ, target = advance_champion(rows, champ)
+        return None if target is None else (champ, target)
+
+    steps = drive(vs, phase, adversary, step_limit,
+                  f"game not won within {step_limit} rounds")
+    return GameOutcome(tuple(vs), champ, steps, steps.rounds)
 
 
 def prune_dominated(vectors) -> tuple[Vec, ...]:

@@ -15,10 +15,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .engine import Adversary, run_pair
-from .errors import InternalError, StepLimitExceeded, ValidationError
-from .transforms import (Matrix, Step, Trace, Vec, apply_run, identity_matrix,
-                         intvec)
+from .engine import Adversary, drive
+from .errors import InternalError, ValidationError
+from .tau import Comparability, comparability
+from .transforms import Matrix, Step, Trace, Vec, identity_matrix, intvec
 
 LexVec = tuple[Fraction, ...]
 
@@ -269,35 +269,14 @@ class PositivizeResult(NamedTuple):
 
 def positivize(basis: GroupBasis, element: GroupElement,
                step_limit: Optional[int] = None) -> PositivizeResult:
-    """Transform the basis until the element has all-non-negative coordinates.
-
-    Splits the coordinates into positive and negative parts and descends that
-    pair to comparability with the J-minimal-image chooser, so every step is a
-    basis transform.  Positivity of the element forces the final relation to
-    come out the right way; the result expands back to the element exactly.
-    """
+    """Transform the basis until the element has non-negative coordinates."""
     if element.basis != basis:
         raise ValidationError("element is not expressed in the given basis")
     if _combination_sign(element.coords, basis.images) < 0:
         raise ValidationError(
             "element is negative; only positive elements join the cone")
-    return _positivize(basis, element.coords, step_limit)
-
-
-def _positivize(basis: GroupBasis, coords: Vec,
-                step_limit: Optional[int]) -> PositivizeResult:
-    """positivize for coordinates already checked to be a positive element."""
-    if all(c >= 0 for c in coords):
-        return PositivizeResult(basis, coords, Trace())
-    plus = tuple(max(c, 0) for c in coords)
-    minus = tuple(max(-c, 0) for c in coords)
-    chooser = _PerronChooser(basis)
-    trace = run_pair(plus, minus, chooser, step_limit=step_limit)
-    chooser.settle(trace.rounds + 1)
-    coords = tuple(p - m for p, m in zip(trace.final_alpha, trace.final_beta))
-    if any(c < 0 for c in coords):
-        raise InternalError("positive element ended with a negative coordinate")
-    return PositivizeResult(chooser.basis, coords, trace.steps)
+    basis, (coords,), steps = _into_cone(basis, [element.coords], step_limit)
+    return PositivizeResult(basis, coords, steps)
 
 
 class PositivizeAllResult(NamedTuple):
@@ -310,33 +289,44 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
                    step_limit: Optional[int] = None) -> PositivizeAllResult:
     """Positivize the elements one after another in one final basis.
 
-    The cone only grows along the way, so elements already settled keep
-    non-negative coordinates while later ones are worked on.  step_limit
-    bounds the rounds of the whole job: each element gets what is left of
-    it, and StepLimitExceeded carries every round played so far.
+    Phase by phase, the first element with a negative coordinate splits into
+    plus and minus rows that descend with the J-minimal-image chooser, so
+    every step is a basis transform.  Steps are linear: the element's row
+    ends as plus - minus, non-negative as the element is positive, and stays
+    so as the cone grows.  step_limit bounds the rounds of the whole job.
     """
-    coords_list: list[Vec] = []
-    for k, e in enumerate(elements):
+    rows = []
+    for k, e in enumerate(elements, start=1):
         if e.basis != basis:
-            raise ValidationError(
-                f"element {k + 1} is not expressed in the given basis")
+            raise ValidationError(f"element {k} is not expressed in the given basis")
         if _combination_sign(e.coords, basis.images) < 0:
-            raise ValidationError(f"element {k + 1} is negative")
-        coords_list.append(e.coords)
-    current, steps = basis, Trace()
-    for k in range(len(coords_list)):
-        left = None if step_limit is None else step_limit - steps.rounds
-        try:
-            result = _positivize(current, coords_list[k], left)
-        except StepLimitExceeded as exc:
-            for block, m in exc.steps.runs:
-                steps.add_run(block, m)
-            message = f"pair not comparable within {step_limit} steps"
-            raise StepLimitExceeded(message, steps) from None
-        for block, m in result.steps.runs:
-            steps.add_run(block, m)
-            for step in block:
-                coords_list = [apply_run(step, m, c) for c in coords_list]
-        coords_list[k] = result.coords
-        current = result.basis
-    return PositivizeAllResult(current, tuple(coords_list), steps)
+            raise ValidationError(f"element {k} is negative")
+        rows.append(e.coords)
+    return _into_cone(basis, rows, step_limit)
+
+
+def _into_cone(basis: GroupBasis, rows: list[Vec],
+               step_limit: Optional[int]) -> PositivizeAllResult:
+    """positivize_all for rows already checked to be positive elements."""
+    count = len(rows)
+
+    def phase(rows):
+        if len(rows) > count:  # a split element is descending
+            rel = comparability(*rows[count:])
+            if rel is Comparability.INCOMPARABLE:
+                return count, count + 1
+            if rel is Comparability.LESS_EQ:  # plus - minus <= 0, not 0
+                raise InternalError(
+                    "positive element ended with a negative coordinate")
+            del rows[count:]
+        row = next((row for row in rows if min(row) < 0), None)
+        if row is None:
+            return None
+        rows += [tuple(max(c, 0) for c in row), tuple(max(-c, 0) for c in row)]
+        return count, count + 1
+
+    chooser = _PerronChooser(basis)
+    steps = drive(rows, phase, chooser, step_limit,
+                  f"pair not comparable within {step_limit} steps")
+    chooser.settle(steps.rounds + 1)
+    return PositivizeAllResult(chooser.basis, tuple(rows), steps)

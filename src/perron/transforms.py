@@ -9,8 +9,9 @@ Coordinate indices are 1-based throughout, matching the usual convention.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterable
 
 from .errors import ValidationError
@@ -168,20 +169,23 @@ class Trace(Sequence):
     def __len__(self) -> int:
         return self.rounds
 
-    def __iter__(self):
+    def __iter__(self):  # repeat takes at most sys.maxsize: split longer runs
         return chain.from_iterable(chain.from_iterable(
-            repeat(block, m) for block, m in self.runs))
+            repeat(block, min(m - k, sys.maxsize))
+            for block, m in self.runs for k in range(0, m, sys.maxsize)))
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, stride = i.indices(self.rounds)
-            return tuple(islice(self, start, stop, stride) if stride > 0 else
-                         tuple(self)[i])
-        k = range(self.rounds)[i]  # a negative i counts from the end
-        for block, m in self.runs:
-            if k < len(block) * m:
-                return block[k % len(block)]
-            k -= len(block) * m
+        r = range(self.rounds)[i]  # a negative index counts from the end
+        if not isinstance(r, range):
+            return self[r:r + 1][0]
+        f = r if r.step > 0 else r[::-1]  # the same rounds, forwards
+        out, runs, start, end = [], iter(self.runs), 0, 0
+        for k in f:  # each run is passed once, whatever its length
+            while k >= end:  # the run [start, end) holds round k
+                block, m = next(runs)
+                start, end = end, end + len(block) * m
+            out.append(block[(k - start) % len(block)])
+        return tuple(out if f is r else reversed(out))
 
     def __eq__(self, other):
         if isinstance(other, Trace) and self.runs == other.runs:

@@ -132,6 +132,21 @@ def test_max_growth_picks_largest_total_then_smallest_index():
     assert trace.steps[0].j == 1
 
 
+def max_growth_by_steps(J, vectors):
+    """Oracle: MaxGrowth's definition, each candidate step applied in turn."""
+    steps = [Step(J, j, len(vectors[0])) for j in sorted(J)]
+    return max(steps, key=lambda step: sum(  # max keeps the first of equals
+        sum(apply_step(step, v)) for v in vectors)).j
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.frozensets(st.integers(1, n), min_size=1),
+    st.lists(st.tuples(*[st.integers(-9, 9)] * n), min_size=1, max_size=4))))
+def test_max_growth_closed_form_matches_applying_each_step(case):
+    J, vectors = case
+    assert MaxGrowth().choose(J, vectors, 1) == max_growth_by_steps(J, vectors)
+
+
 def test_seeded_random_is_reproducible():
     a, b = (9, 2, 0), (1, 3, 4)
     t1 = run_pair(a, b, SeededRandom(42))

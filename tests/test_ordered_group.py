@@ -4,11 +4,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from perron import (GroupBasis, GroupElement, GroupOrder, Step,
-                    StepLimitExceeded, ValidationError, apply_step, determinant, element_compare,
+from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
+                    StepLimitExceeded, Trace, ValidationError, apply_step, determinant, element_compare,
                     element_value, lex_sign, lexvec, monomial_value, positivize,
-                    positivize_all, simple_perron, validate_order)
-from perron.ordered_group import _combination, _combination_sign
+                    positivize_all, run_pair, simple_perron, validate_order)
+from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
+                                  _PerronChooser, _combination,
+                                  _combination_sign)
+from perron.transforms import apply_run
 
 from conftest import group_orders, positive_element, valued_rings
 
@@ -143,6 +146,84 @@ def test_positivize_all_step_limit_bounds_the_whole_job(order, data):
     else:
         assert len(full) <= limit
         assert result.steps == full
+
+
+# sequential oracle: one run_pair per element, its runs replayed on the others
+
+def oracle_positivize(basis, element, step_limit=None):
+    if element.basis != basis:
+        raise ValidationError("element is not expressed in the given basis")
+    if _combination_sign(element.coords, basis.images) < 0:
+        raise ValidationError(
+            "element is negative; only positive elements join the cone")
+    return _oracle_positivize(basis, element.coords, step_limit)
+
+
+def _oracle_positivize(basis, coords, step_limit):
+    if all(c >= 0 for c in coords):
+        return PositivizeResult(basis, coords, Trace())
+    plus = tuple(max(c, 0) for c in coords)
+    minus = tuple(max(-c, 0) for c in coords)
+    chooser = _PerronChooser(basis)
+    trace = run_pair(plus, minus, chooser, step_limit=step_limit)
+    chooser.settle(trace.rounds + 1)
+    coords = tuple(p - m for p, m in zip(trace.final_alpha, trace.final_beta))
+    if any(c < 0 for c in coords):
+        raise InternalError("positive element ended with a negative coordinate")
+    return PositivizeResult(chooser.basis, coords, trace.steps)
+
+
+def oracle_positivize_all(basis, elements, step_limit=None):
+    coords_list = []
+    for k, e in enumerate(elements):
+        if e.basis != basis:
+            raise ValidationError(
+                f"element {k + 1} is not expressed in the given basis")
+        if _combination_sign(e.coords, basis.images) < 0:
+            raise ValidationError(f"element {k + 1} is negative")
+        coords_list.append(e.coords)
+    current, steps = basis, Trace()
+    for k in range(len(coords_list)):
+        left = None if step_limit is None else step_limit - steps.rounds
+        try:
+            result = _oracle_positivize(current, coords_list[k], left)
+        except StepLimitExceeded as exc:
+            for block, m in exc.steps.runs:
+                steps.add_run(block, m)
+            message = f"pair not comparable within {step_limit} steps"
+            raise StepLimitExceeded(message, steps) from None
+        for block, m in result.steps.runs:
+            steps.add_run(block, m)
+            for step in block:
+                coords_list = [apply_run(step, m, c) for c in coords_list]
+        coords_list[k] = result.coords
+        current = result.basis
+    return PositivizeAllResult(current, tuple(coords_list), steps)
+
+
+def positivize_outcome(call):
+    """(basis, coords, runs) of a result, or the message and partial runs."""
+    try:
+        result = call()
+    except StepLimitExceeded as exc:
+        return str(exc), exc.steps.runs
+    return result.basis, result.coords, result.steps.runs
+
+
+@given(group_orders(), st.data(),
+       st.one_of(st.none(), st.just(0), st.integers(1, 50)))
+def test_positivize_matches_the_sequential_oracle(order, data, step_limit):
+    basis = GroupBasis.initial(order)
+    elements = [positive_element(data.draw, basis)
+                for _ in range(data.draw(st.integers(1, 4)))]
+    assert positivize_outcome(
+        lambda: positivize_all(basis, elements, step_limit)) == \
+        positivize_outcome(
+            lambda: oracle_positivize_all(basis, elements, step_limit))
+    assert positivize_outcome(
+        lambda: positivize(basis, elements[0], step_limit)) == \
+        positivize_outcome(
+            lambda: oracle_positivize(basis, elements[0], step_limit))
 
 
 @given(group_orders(), st.data())

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -188,6 +189,46 @@ def test_trace_behaves_as_its_expansion(case, start, stop, stride):
     if flat:
         assert trace != flat[:-1] and trace != flat + flat[:1]
     assert compose_trace(trace, n) == compose_trace(list(trace), n)
+
+
+huge = st.sampled_from([1, 10 ** 6, sys.maxsize, 2 ** 64, 10 ** 30])
+
+
+def round_of(trace, k):
+    """Oracle: the step of round k (0-based), found by walking the runs."""
+    for block, m in trace.runs:
+        if k < len(block) * m:
+            return block[k % len(block)]
+        k -= len(block) * m
+
+
+@given(trace_runs(), st.data())
+def test_trace_slices_and_iterates_past_a_machine_word(case, data):
+    """Runs of up to 10^30 rounds: a slice skips the runs outside it, and
+    iteration splits runs longer than sys.maxsize."""
+    a, b = Step({1, 2}, 1, 2), Step({1, 2}, 2, 2)
+    big = Trace([((a,), 10 ** 30), ((b,), 2 ** 64), ((a,), 1)])
+    assert big[10 ** 30 - 1:10 ** 30 + 2] == (a, b, b)
+    assert big[2 ** 64:2 ** 64 + 2] == big[0:2] == (a, a)
+    assert big[::-10 ** 30] == (a, a)
+    assert big[10 ** 30 + 1:10 ** 30 - 2:-2] == (b, a)
+    assert big[-2:] == (b, a) and next(iter(big)) == a
+
+    _, runs = case
+    trace = Trace((block, m * data.draw(huge)) for block, m in runs)
+    rounds = trace.rounds
+    start = data.draw(st.integers(-rounds - 3, rounds + 3))
+    stride = data.draw(st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+                       .filter(bool))
+    stop = start + stride * data.draw(st.integers(0, 4))
+    for key in (slice(start, stop, stride), slice(None, 4), slice(-3, None),
+                slice(start, start + 3)):
+        assert trace[key] == tuple(round_of(trace, k) for k in range(rounds)[key])
+    for k in (start, stop):
+        if -rounds <= k < rounds:
+            assert trace[k] == round_of(trace, k % rounds)
+    assert list(itertools.islice(trace, 5)) == \
+        [round_of(trace, k) for k in range(min(5, rounds))]
 
 
 def test_trace_merges_repeated_blocks_and_checks_its_runs():
