@@ -9,17 +9,8 @@ played against each adversary.
 import argparse
 import random
 import statistics
-from dataclasses import dataclass
 
 from perron import FirstIndex, MaxGrowth, SeededRandom, run_pair
-
-
-@dataclass(frozen=True)
-class Config:
-    samples: int
-    dims: tuple[int, ...]
-    max_entry: int
-    seed: int
 
 
 ADVERSARIES = {
@@ -29,13 +20,13 @@ ADVERSARIES = {
 }
 
 
-def run(config: Config):
-    rng = random.Random(config.seed)
+def run(args):
+    rng = random.Random(args.seed)
     print(f"{'n':>3} {'adversary':>11} {'mean':>8} {'p95':>6} {'max':>6}")
-    for n in config.dims:
-        pairs = [(tuple(rng.randint(0, config.max_entry) for _ in range(n)),
-                  tuple(rng.randint(0, config.max_entry) for _ in range(n)))
-                 for _ in range(config.samples)]
+    for n in args.dims:
+        pairs = [(tuple(rng.randint(0, args.max_entry) for _ in range(n)),
+                  tuple(rng.randint(0, args.max_entry) for _ in range(n)))
+                 for _ in range(args.samples)]
         for name, factory in ADVERSARIES.items():
             lengths = [run_pair(a, b, factory(k)).rounds
                        for k, (a, b) in enumerate(pairs)]
@@ -51,8 +42,7 @@ def main():
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 6, 8])
     parser.add_argument("--max-entry", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    run(Config(args.samples, tuple(args.dims), args.max_entry, args.seed))
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -24,8 +24,7 @@ from .transforms import (Matrix, Step, Trace, Vec, apply_matrix, apply_step,
                          mat_mul, natvec, step_matrix)
 
 _LAZY = {name: module for module, names in (
-    ("game", "GameOutcome advance_champion champion_moves is_won "
-             "prune_dominated solve"),
+    ("game", "GameOutcome advance_champion game_tree is_won solve"),
     ("monomials", "MonomializationResult Polynomial Substitution ValuedRing "
                   "apply_substitution divisibility_transform monomial_value "
                   "monomialize polynomial substitute_exponents validate_ring"),
@@ -54,12 +53,11 @@ __all__ = [
     "PerronError", "Polynomial", "PositivizeAllResult", "PositivizeResult",
     "Scripted", "SeededRandom", "Step", "StepLimitExceeded", "Substitution",
     "Tau", "Trace", "ValidationError", "ValuedRing", "Vec", "advance_champion",
-    "apply_matrix", "apply_step", "apply_substitution", "champion_moves",
-    "choose_J", "comparability", "compose_trace", "determinant",
-    "divisibility_transform", "element_compare", "element_value",
-    "identity_matrix", "intvec", "is_won", "lex_sign", "lexvec", "mat_mul",
-    "monomial_value", "monomialize", "natvec", "polynomial", "positivize",
-    "positivize_all", "prune_dominated", "reduce_pair", "run_pair",
-    "simple_perron", "solve", "step_matrix", "substitute_exponents", "tau",
-    "validate_order", "validate_ring",
+    "apply_matrix", "apply_step", "apply_substitution", "choose_J",
+    "comparability", "compose_trace", "determinant", "divisibility_transform",
+    "element_compare", "element_value", "game_tree", "identity_matrix",
+    "intvec", "is_won", "lex_sign", "lexvec", "mat_mul", "monomial_value",
+    "monomialize", "natvec", "polynomial", "positivize", "positivize_all",
+    "reduce_pair", "run_pair", "simple_perron", "solve", "step_matrix",
+    "substitute_exponents", "tau", "validate_order", "validate_ring",
 ]

@@ -66,19 +66,24 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
     return champ, None
 
 
-def champion_moves(vectors: Sequence[Vec], champion_index: int = 0
-                   ) -> tuple[int, list[tuple[Step, tuple[Vec, ...]]]]:
-    """The champion strategy's moves from a position: the updated champion
-    index, and one (step, child) per j in sorted J, child being the vectors
-    after the step.  There are no moves once the position is won; the
-    champion is then a componentwise minimum.  A pair is a two-point game.
+def game_tree(vectors, champion_index: int = 0):
+    """Walk the champion strategy's adversary tree depth first, yielding one
+    (path, vectors, champion, moves) per node.  path is the tuple of steps
+    from the root; champion is the updated champion index, which every child
+    inherits; moves is one (step, child) per j in sorted J, walked in that
+    order, and is empty exactly when the position is won, the champion then
+    being a componentwise minimum.  The start set is validated once, as solve
+    validates it.  A pair is a two-point game.
     """
-    champ, target = advance_champion(vectors, champion_index)
-    if target is None:
-        return champ, []
-    J = choose_J(vectors[champ], vectors[target])
-    steps = [Step(J, j, len(vectors[0])) for j in sorted(J)]
-    return champ, [(s, tuple(apply_step(s, v) for v in vectors)) for s in steps]
+    stack = [((), _validated_vectors(vectors), champion_index)]
+    while stack:
+        path, vs, champ = stack.pop()
+        champ, target = advance_champion(vs, champ)
+        J = () if target is None else choose_J(vs[champ], vs[target])
+        steps = [Step(J, j, len(vs[0])) for j in sorted(J)]
+        moves = [(s, tuple([apply_step(s, v) for v in vs])) for s in steps]
+        yield path, vs, champ, moves
+        stack += [(path + (s,), child, champ) for s, child in reversed(moves)]
 
 
 def solve(vectors, adversary: Adversary,
@@ -103,14 +108,3 @@ def solve(vectors, adversary: Adversary,
                   f"game not won within {step_limit} rounds")
     return GameOutcome(tuple(vs), champ, steps, steps.rounds)
 
-
-def prune_dominated(vectors) -> tuple[Vec, ...]:
-    """Keep exactly the componentwise-minimal vectors, deduplicated, in input
-    order.  The positive hull of the set is unchanged."""
-    vs = _validated_vectors(vectors)
-    kept: list[Vec] = []
-    for v in vs:
-        dominated = any(w != v and all(x <= y for x, y in zip(w, v)) for w in vs)
-        if not dominated and v not in kept:
-            kept.append(v)
-    return tuple(kept)

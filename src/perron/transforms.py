@@ -143,9 +143,10 @@ class Trace(Sequence):
     is one step, or one period of commuting steps, played m times over.
 
     As a sequence it is the flat tuple of steps, one per round: len is the
-    round count, and iteration, indexing and == (with any sequence) expand
-    the runs on demand.  `rounds` is the round count as an int, exact past
-    sys.maxsize, where len() raises OverflowError.
+    round count, iteration, indexing and == with any other sequence expand
+    the runs on demand, and == between traces walks the runs.  `rounds` is
+    the round count as an int, exact past sys.maxsize, where len() raises
+    OverflowError.
     """
 
     def __init__(self, runs: Iterable[tuple[Sequence[Step], int]] = ()):
@@ -188,12 +189,28 @@ class Trace(Sequence):
         return tuple(out if f is r else reversed(out))
 
     def __eq__(self, other):
-        if isinstance(other, Trace) and self.runs == other.runs:
-            return True
         if not isinstance(other, Sequence):
             return NotImplemented
-        rounds = other.rounds if isinstance(other, Trace) else len(other)
-        return self.rounds == rounds and all(map(operator.eq, self, other))
+        if not isinstance(other, Trace):
+            return self.rounds == len(other) and all(map(operator.eq, self, other))
+        if self.rounds != other.rounds:
+            return False
+        # Walk the runs together, i and j rounds into xs[x] and ys[y].  Runs of
+        # blocks A and B are periodic: by Fine and Wilf, agreeing on |A| + |B|
+        # rounds they agree to the end of the shorter run, whatever m.
+        xs, ys, x, y, i, j = self.runs, other.runs, 0, 0, 0, 0
+        while x < len(xs):  # equal round counts: ys ends with xs
+            (a, m), (b, n) = xs[x], ys[y]
+            k = min(len(a) * m - i, len(b) * n - j)
+            if any(a[(i + t) % len(a)] != b[(j + t) % len(b)]
+                   for t in range(min(k, len(a) + len(b)))):
+                return False
+            i, j = i + k, j + k
+            if i == len(a) * m:
+                x, i = x + 1, 0
+            if j == len(b) * n:
+                y, j = y + 1, 0
+        return True
 
     def __repr__(self) -> str:
         return f"Trace({self.runs!r})"

@@ -17,8 +17,8 @@ from fractions import Fraction
 from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder,
                     MaxGrowth, Scripted, SeededRandom, Step, ValuedRing,
                     apply_matrix, apply_step, apply_substitution,
-                    champion_moves, choose_J, comparability, compose_trace,
-                    determinant, divisibility_transform, element_value,
+                    choose_J, comparability, compose_trace, determinant,
+                    divisibility_transform, element_value, game_tree,
                     identity_matrix, is_won, lex_sign, mat_mul, monomial_value,
                     monomialize, polynomial, positivize, positivize_all,
                     run_pair, simple_perron, solve, step_matrix,
@@ -69,23 +69,20 @@ def test_criterion_2_adversary_universality():
             ident = identity_matrix(n)
             for alpha in vectors:
                 for beta in vectors:
-                    start = tau(alpha, beta)
-                    if start.first == 0:
+                    if tau(alpha, beta).first == 0:
                         continue
-                    stack = [((alpha, beta), start, ident)]
-                    while stack:
-                        pair, t, matrix = stack.pop()
-                        moves = champion_moves(pair)[1]
+                    for path, pair, _, moves in game_tree((alpha, beta)):
+                        t = tau(*pair)
                         if not moves:
                             _C2_COUNTS["leaves"] += 1
                             assert t.first == 0
+                            matrix = ident
+                            for step in path:
+                                matrix = mat_mul(step_matrix(step), matrix)
                             assert determinant(matrix) == 1
                             _C2_COUNTS["verified"] += 1
                         for step, child in moves:
-                            t2 = tau(*child)
-                            assert t2 < t
-                            stack.append(
-                                (child, t2, mat_mul(step_matrix(step), matrix)))
+                            assert tau(*child) < t
         assert _C2_COUNTS["leaves"] == _C2_COUNTS["verified"] > 0
 
 
@@ -98,16 +95,12 @@ def test_criterion_4_game_soundness():
             for size in (1, 2, 3):
                 for combo in itertools.combinations(vectors, size):
                     total_sets += 1
-                    stack = [(combo, 0)]
-                    while stack:
-                        vs, champ = stack.pop()
-                        champ, moves = champion_moves(vs, champ)
+                    for _, vs, _, moves in game_tree(combo):
                         if not moves:
                             winner = is_won(vs)
                             assert winner is not None
                             assert all(all(x <= y for x, y in zip(vs[winner], v))
                                        for v in vs)
-                        stack += [(child, champ) for _, child in moves]
                     # spot-check that solve itself agrees with the walker
                     if spot_rng.random() < 0.001:
                         outcome = solve(list(combo), SeededRandom(total_sets))
@@ -366,7 +359,7 @@ def _worked_examples_tau_and_engine():
 
 def _worked_examples_game():
     vectors = ((1, 0), (0, 1))
-    moves = champion_moves(vectors)[1]
+    moves = next(game_tree(vectors))[3]
     for j, expected in ((1, ((1, 0), (1, 1))), (2, ((1, 1), (0, 1)))):
         step = Step(frozenset({1, 2}), j, 2)
         assert tuple(apply_step(step, v) for v in vectors) == expected
@@ -376,7 +369,7 @@ def _worked_examples_game():
     for vectors, expected in ((((1, 0), (0, 1)), {1, 2}),
                               (((3, 1), (1, 2), (9, 9)), {1, 2}),
                               (((2, 0, 0), (0, 1, 1)), {1, 2, 3})):
-        Js = {step.J for step, _ in champion_moves(vectors)[1]}
+        Js = {step.J for step, _ in next(game_tree(vectors))[3]}
         assert Js == {frozenset(expected)}
     assert choose_J((3, 1), (1, 2)) == {1, 2}
 
@@ -388,13 +381,9 @@ def _worked_examples_game():
 
     # exhaustive adversary tree for the three-point example
     start = ((2, 0), (0, 3), (1, 1))
-    stack = [(start, 0)]
-    while stack:
-        vs, champ = stack.pop()
-        champ, moves = champion_moves(vs, champ)
+    for _, vs, _, moves in game_tree(start):
         if not moves:
             assert is_won(vs) is not None
-        stack += [(child, champ) for _, child in moves]
 
 
 def _worked_examples_groups():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     GroupOrder, MaxGrowth, PositivizeResult, Scripted,
                     SeededRandom, Step, StepLimitExceeded, Tau, ValidationError,
-                    apply_matrix, apply_step, champion_moves, choose_J,
-                    comparability, compose_trace, element_value, lex_sign,
+                    apply_matrix, apply_step, choose_J, comparability,
+                    compose_trace, element_value, game_tree, lex_sign,
                     positivize, positivize_all, run_pair, simple_perron, solve,
                     tau)
 from perron.engine import _J_rule
@@ -178,13 +178,10 @@ def test_composed_trace_reproduces_final_pair(pair, kind, seed):
 @given(vec_pairs(max_dim=3, max_entry=8))
 def test_every_adversary_sequence_terminates(pair):
     """Exhaustive game tree over all j choices for one starting pair."""
-    stack = [(pair, tau(*pair))]
-    while stack:
-        vs, t = stack.pop()
-        for _, child in champion_moves(vs)[1]:
-            t2 = tau(*child)
-            assert t2 < t
-            stack.append((child, t2))
+    for _, vs, _, moves in game_tree(pair):
+        t = tau(*vs)
+        for _, child in moves:
+            assert tau(*child) < t
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perron import (FirstIndex, Scripted, Step, ValidationError,
-                    advance_champion, apply_matrix, apply_step, champion_moves,
-                    choose_J, compose_trace, is_won, prune_dominated, solve,
-                    step_matrix)
+                    advance_champion, apply_matrix, apply_step, choose_J,
+                    compose_trace, game_tree, is_won, solve, step_matrix)
 
 from conftest import adversary_kinds, build_adversary
 
@@ -42,7 +41,7 @@ def test_apply_round_examples():
         ((1, 0), (1, 1))
     assert play_round(vectors, {1, 2}, 1) == ((1, 0), (1, 1))
     assert play_round(vectors, {1, 2}, 2) == ((1, 1), (0, 1))
-    assert champion_moves(vectors)[1] == [
+    assert next(game_tree(vectors))[3] == [
         (Step(frozenset({1, 2}), 1, 2), ((1, 0), (1, 1))),
         (Step(frozenset({1, 2}), 2, 2), ((1, 1), (0, 1)))]
     assert play_round(((4, 4),), {2}, 2) == ((4, 4),)
@@ -52,7 +51,7 @@ def test_apply_round_examples():
 
 def proposed_J(vectors):
     """The J of the champion strategy's moves: one move per j in J."""
-    _, moves = champion_moves(vectors)
+    moves = next(game_tree(vectors))[3]
     (J,) = {step.J for step, _ in moves}
     assert [step.j for step, _ in moves] == sorted(J)
     return J
@@ -65,7 +64,7 @@ def test_propose_J_examples():
     assert proposed_J(((3, 1), (1, 2), (9, 9))) == choose_J((3, 1), (1, 2))
     assert proposed_J(((2, 0, 0), (0, 1, 1))) == {1, 2, 3}
     # a won position has no moves
-    assert champion_moves(((1, 0), (1, 1))) == (0, [])
+    assert next(game_tree(((1, 0), (1, 1))))[2:] == (0, [])
 
 
 def test_solve_examples():
@@ -85,28 +84,18 @@ def test_solve_examples():
 def exhaustive_game_tree_is_won(vectors, depth_limit=200):
     """Walk every adversary choice sequence of the champion strategy."""
     leaves = 0
-    stack = [(tuple(vectors), 0, 0)]
-    while stack:
-        vs, champ, depth = stack.pop()
-        assert depth <= depth_limit
-        champ, moves = champion_moves(vs, champ)
+    for path, vs, _, moves in game_tree(vectors):
+        assert len(path) <= depth_limit
         if not moves:
             winner = is_won(vs)
             assert winner is not None
             assert all(all(x <= y for x, y in zip(vs[winner], v)) for v in vs)
             leaves += 1
-        stack += [(child, champ, depth + 1) for _, child in moves]
     return leaves
 
 
 def test_solve_exhaustive_example():
     assert exhaustive_game_tree_is_won([(2, 0), (0, 3), (1, 1)]) >= 1
-
-
-def test_prune_dominated_examples():
-    assert prune_dominated([(1, 0), (1, 1), (0, 1)]) == ((1, 0), (0, 1))
-    assert prune_dominated([(2, 2)]) == ((2, 2),)
-    assert prune_dominated([(1, 2), (1, 2), (3, 0)]) == ((1, 2), (3, 0))
 
 
 @given(vector_lists(), adversary_kinds, st.integers(0, 2 ** 32 - 1))
@@ -143,22 +132,6 @@ def test_comparability_persists_round_by_round(vectors, kind, seed):
                     or all(x >= y for x, y in zip(vs[i], vs[k])))
 
 
-@given(vector_lists())
-def test_prune_commutes_with_rounds_up_to_domination(vectors):
-    n = len(vectors[0])
-    J = frozenset(range(1, n + 1))
-    for j in sorted(J):
-        after_full = play_round(vectors, J, j)
-        after_pruned = play_round(prune_dominated(vectors), J, j)
-        assert set(prune_dominated(after_full)) == set(prune_dominated(after_pruned))
-
-
-@given(vector_lists())
-def test_prune_preserves_win_status(vectors):
-    pruned = prune_dominated(vectors)
-    assert (is_won(vectors) is not None) == (is_won(pruned) is not None)
-
-
 @settings(max_examples=30)
 @given(vector_lists(max_count=3, max_dim=3, max_entry=3))
 def test_strategy_sound_for_every_adversary_sequence(vectors):
@@ -180,6 +153,53 @@ def test_champion_stays_below_settled_prefix(vectors, kind, seed):
         for v in vs[:prefix_end]:
             assert all(x <= y for x, y in zip(vs[champ], v))
     assert champ == outcome.winner_index
+
+
+# game_tree against the per-node moves function it replaced -----------------
+
+def champion_moves(vectors, champion_index=0):
+    """The oracle: the strategy's moves from one position, as the library
+    gave them before game_tree.  The updated champion index, and one
+    (step, child) per j in sorted J; no moves once the position is won."""
+    champ, target = advance_champion(vectors, champion_index)
+    if target is None:
+        return champ, []
+    J = choose_J(vectors[champ], vectors[target])
+    steps = [Step(J, j, len(vectors[0])) for j in sorted(J)]
+    return champ, [(s, tuple(apply_step(s, v) for v in vectors)) for s in steps]
+
+
+def walk_with_champion_moves(vectors, champion_index, steps_taken=()):
+    """Preorder over the moves, each child inheriting the updated champion."""
+    champ, moves = champion_moves(vectors, champion_index)
+    yield steps_taken, vectors, champ, moves
+    for step, child in moves:
+        yield from walk_with_champion_moves(child, champ, steps_taken + (step,))
+
+
+@settings(max_examples=60)
+@given(vector_lists(max_count=4, max_dim=4, max_entry=6), st.data())
+def test_game_tree_matches_the_champion_moves_walk(vectors, data):
+    champ = data.draw(st.integers(0, len(vectors) - 1))
+    assert list(game_tree(vectors, champ)) == \
+        list(walk_with_champion_moves(tuple(vectors), champ))
+
+
+@given(vector_lists(max_count=4, max_dim=4, max_entry=6), st.data())
+def test_root_moves_commute_with_translation(vectors, data):
+    """The strategy reads only differences of points and steps are linear:
+    from V + c it plays the champion and steps it plays from V, each child
+    shifted by the step applied to c, and it wins on the same sets."""
+    c = tuple(data.draw(st.integers(min_value=0)) for _ in vectors[0])
+    champ = data.draw(st.integers(0, len(vectors) - 1))
+
+    def shift(vs, d):
+        return tuple(tuple(x + y for x, y in zip(v, d)) for v in vs)
+
+    _, _, champion, moves = next(game_tree(vectors, champ))
+    assert next(game_tree(shift(vectors, c), champ))[2:] == (champion, [
+        (step, shift(child, apply_step(step, c))) for step, child in moves])
+    assert is_won(shift(vectors, c)) == is_won(vectors)
 
 
 # is_won against the pairwise scan it replaced ------------------------------

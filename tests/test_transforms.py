@@ -245,6 +245,45 @@ def test_trace_merges_repeated_blocks_and_checks_its_runs():
             Trace([(block, m)])
 
 
+@st.composite
+def recut_traces(draw):
+    """A trace drawn as runs of three commuting steps, and its expansion cut
+    at random into runs of each piece's shortest period; now and then one
+    round of the second differs."""
+    steps = st.sampled_from((Step({1, 3}, 1, 3), Step({2, 3}, 2, 3),
+                             Step({1}, 1, 3)))
+    first = Trace(draw(st.lists(st.tuples(
+        st.lists(steps, min_size=1, max_size=3), st.integers(1, 4)), max_size=5)))
+    flat = list(first)
+    if flat and draw(st.booleans()):
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(steps)
+    cuts = sorted(draw(st.sets(st.integers(0, len(flat)))) | {0, len(flat)})
+    second = Trace()
+    for piece in (flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])):
+        p = next(p for p in range(1, len(piece) + 1)
+                 if piece == piece[:p] * (len(piece) // p))
+        second.add_run(piece[:p], len(piece) // p)
+    return first, second
+
+
+@given(recut_traces())
+def test_trace_equality_walks_the_runs_together(case):
+    """Traces compare run against run, so 10^30 rounds cut differently take
+    a few comparisons; on small traces == agrees with the expansions."""
+    a, b = Step({1, 3}, 1, 3), Step({2, 3}, 2, 3)
+    long = Trace([((a, b), 10 ** 30)])
+    recut = Trace([((a,), 1), ((b, a), 10 ** 30 - 1), ((b,), 1)])
+    last_differs = Trace([((a,), 1), ((b, a), 10 ** 30 - 1), ((a,), 1)])
+    assert long == recut and recut == long and not long != recut
+    assert long != last_differs and last_differs != long
+    # periods 2 and 3 agree on 3 rounds, not on |A| + |B| = 5
+    assert long != Trace([((a, b, a), 2), ((a, b), 10 ** 30 - 3)])
+    first, second = case
+    assert (first == second) == (second == first) == \
+        (tuple(first) == tuple(second))
+    assert first == tuple(first) and tuple(second) == second
+
+
 # validation ---------------------------------------------------------------
 
 def test_step_validation():
