@@ -10,11 +10,12 @@ so settled points stay settled.
 
 from __future__ import annotations
 
+from operator import ge, le
 from typing import NamedTuple, Optional, Sequence
 
 from .engine import Adversary, choose_J, drive
 from .errors import ValidationError
-from .tau import Comparability, comparability
+from .tau import comparability
 from .transforms import Step, Trace, Vec, apply_step, natvec
 
 
@@ -25,7 +26,29 @@ class GameOutcome(NamedTuple):
     rounds: int
 
 
+def _plain(vs: tuple) -> bool:
+    """Whether vs is a non-empty tuple of plain tuples of non-negative ints,
+    all of one non-zero length: one pass over the entries."""
+    n = len(vs[0]) if vs and type(vs[0]) is tuple else 0
+    for v in vs:
+        if type(v) is not tuple or len(v) != n:
+            return False
+        for x in v:
+            if type(x) is not int or x < 0:
+                return False
+    return n > 0
+
+
 def _validated_vectors(vectors) -> tuple[Vec, ...]:
+    """The start set as a tuple of natvecs sharing one dimension.
+
+    A tuple or list of plain tuples of non-negative ints, all of one non-zero
+    length, is taken as it is; anything else goes through natvec vector by
+    vector, which raises the first error in input order.
+    """
+    vs = tuple(vectors) if type(vectors) is list else vectors
+    if type(vs) is tuple and _plain(vs):
+        return vs
     vs = tuple([natvec(v) for v in vectors])
     if not vs:
         raise ValidationError("vector list must be non-empty")
@@ -43,7 +66,7 @@ def is_won(vectors: Sequence[Vec]) -> Optional[int]:
     minimum of the set, that is when v equals it; one pass finds it.
     """
     vs = _validated_vectors(vectors)
-    low = tuple(map(min, zip(*vs)))
+    low = tuple(map(min, *vs)) if len(vs) > 1 else vs[0]
     return vs.index(low) if low in vs else None
 
 
@@ -55,14 +78,17 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
     Strict inequalities survive steps, so the sweep is stable across rounds.
     """
     champ = champion_index
+    c = vectors[champ] if vectors else None
     for i, v in enumerate(vectors):
         if i == champ:
             continue
-        rel = comparability(vectors[champ], v)
-        if rel is Comparability.INCOMPARABLE:
+        if len(c) != len(v):
+            comparability(c, v)  # raises its dimension mismatch error
+        if all(map(le, c, v)):
+            continue
+        if not all(map(ge, c, v)):
             return champ, i
-        if rel is Comparability.GREATER_EQ:
-            champ = i
+        champ, c = i, v
     return champ, None
 
 

@@ -3,16 +3,22 @@
 Run with `pytest tests/test_acceptance.py -v -s` to stream one pass/fail line
 per criterion.  Criterion 3 audits every trace produced by criteria 1, 2, 5,
 6 and 7, so it is defined after them and expects a whole-module run; invoked
-on its own it audits a self-generated batch instead.
+on its own it audits a self-generated batch instead.  Criterion 4 walks its
+grid by translation classes; `pytest -m full_walk tests/test_acceptance.py`
+also walks every start set's whole tree, which takes minutes and which a
+plain run deselects (see pyproject.toml).
 """
 
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+
+import pytest
 
 from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder,
                     MaxGrowth, Scripted, SeededRandom, Step, ValuedRing,
@@ -28,7 +34,7 @@ from perron.cli import main as cli_main
 # traces produced by criteria 1, 5, 6, 7 as (steps, dim); criterion 2 checks
 # its (much more numerous) leaf traces inline and records the counts here.
 _TRACES = []
-_C2_COUNTS = {"leaves": 0, "verified": 0}
+_C2_COUNTS = {"nodes": 0, "leaves": 0, "verified": 0}
 
 
 @contextmanager
@@ -72,6 +78,7 @@ def test_criterion_2_adversary_universality():
                     if tau(alpha, beta).first == 0:
                         continue
                     for path, pair, _, moves in game_tree((alpha, beta)):
+                        _C2_COUNTS["nodes"] += 1
                         t = tau(*pair)
                         if not moves:
                             _C2_COUNTS["leaves"] += 1
@@ -80,34 +87,104 @@ def test_criterion_2_adversary_universality():
                             for step in path:
                                 matrix = mat_mul(step_matrix(step), matrix)
                             assert determinant(matrix) == 1
+                            # the path is the walk: it maps the root to the leaf
+                            assert (apply_matrix(matrix, alpha),
+                                    apply_matrix(matrix, beta)) == pair
                             _C2_COUNTS["verified"] += 1
                         for step, child in moves:
                             assert tau(*child) < t
-        assert _C2_COUNTS["leaves"] == _C2_COUNTS["verified"] > 0
+        assert _C2_COUNTS == {"nodes": 94706, "leaves": 53204,
+                              "verified": 53204}
+
+
+def _start_sets():
+    """Criterion 4's grid, in order: every set of one to three distinct
+    points of {0..4}^n, n = 1, 2, 3."""
+    for n in (1, 2, 3):
+        vectors = list(itertools.product(range(5), repeat=n))
+        for size in (1, 2, 3):
+            yield from itertools.combinations(vectors, size)
+
+
+_GRID_SETS = sum(math.comb(5 ** n, k) for n in (1, 2, 3) for k in (1, 2, 3))
+
+
+def _assert_won(vs):
+    winner = is_won(vs)
+    assert winner is not None
+    assert all(all(x <= y for x, y in zip(vs[winner], v)) for v in vs)
+
+
+def _spot_check_solve():
+    """solve itself agrees with the walker on about one set in a thousand."""
+    spot_rng = random.Random(4)
+    for total_sets, combo in enumerate(_start_sets(), start=1):
+        if spot_rng.random() < 0.001:
+            outcome = solve(list(combo), SeededRandom(total_sets))
+            assert is_won(outcome.final_vectors) == outcome.winner_index
+
+
+def _shifted(vs, c):
+    return tuple(tuple(x + y for x, y in zip(v, c)) for v in vs)
 
 
 def test_criterion_4_game_soundness():
-    with criterion(4, "exhaustive game: every adversary sequence gets won"):
-        spot_rng = random.Random(4)
-        total_sets = 0
-        for n in (1, 2, 3):
-            vectors = list(itertools.product(range(5), repeat=n))
-            for size in (1, 2, 3):
-                for combo in itertools.combinations(vectors, size):
-                    total_sets += 1
-                    for _, vs, _, moves in game_tree(combo):
-                        if not moves:
-                            winner = is_won(vs)
-                            assert winner is not None
-                            assert all(all(x <= y for x, y in zip(vs[winner], v))
-                                       for v in vs)
-                    # spot-check that solve itself agrees with the walker
-                    if spot_rng.random() < 0.001:
-                        outcome = solve(list(combo), SeededRandom(total_sets))
-                        assert is_won(outcome.final_vectors) == outcome.winner_index
-        assert total_sets == sum(
-            len(list(itertools.combinations(range(5 ** n), k)))
-            for n in (1, 2, 3) for k in (1, 2, 3))
+    """The grid by translation classes.  The strategy reads only differences
+    of points and steps are linear, so the tree of V + c is the tree of V
+    with each node shifted (tests/test_game.py checks this lemma at random
+    roots).  Each class is walked once from its representative, the set
+    whose coordinatewise minimum is 0; every other set's root node is
+    checked against its representative's, shifted by the set's minimum.
+    test_criterion_4_full_walk walks every set's whole tree."""
+    with criterion(4, "exhaustive game by translation classes: every "
+                      "adversary sequence gets won"):
+        total_sets = classes = nodes = 0
+        for rep in _start_sets():
+            if any(map(min, zip(*rep))):
+                continue  # a translate, checked with its representative
+            classes += 1
+            for path, vs, champion, moves in game_tree(rep):
+                nodes += 1
+                if not path:
+                    root = (champion, moves)
+                if not moves:
+                    _assert_won(vs)
+            # every c >= 0 that keeps the set inside the grid
+            for c in itertools.product(*(range(5 - max(col))
+                                         for col in zip(*rep))):
+                total_sets += 1
+                if not any(c):
+                    continue
+                vs = _shifted(rep, c)
+                _, _, champion, moves = next(game_tree(vs))
+                assert (champion, moves) == (root[0], [
+                    (step, _shifted(child, apply_step(step, c)))
+                    for step, child in root[1]])
+                if not moves:
+                    _assert_won(vs)
+        _spot_check_solve()
+        assert (classes, nodes) == (38463, 803821)
+        assert total_sets == _GRID_SETS == 328275
+
+
+@pytest.mark.full_walk
+def test_criterion_4_full_walk():
+    """Criterion 4 without the translation lemma: every start set's whole
+    tree.  It takes minutes, so a plain run deselects it (pyproject.toml);
+    select it with `pytest -m full_walk`."""
+    with criterion(4, "exhaustive game, every start set walked: every "
+                      "adversary sequence gets won"):
+        total_sets = nodes = leaves = 0
+        for combo in _start_sets():
+            total_sets += 1
+            for _, vs, _, moves in game_tree(combo):
+                nodes += 1
+                if not moves:
+                    leaves += 1
+                    _assert_won(vs)
+        _spot_check_solve()
+        assert (nodes, leaves) == (4859026, 2648969)
+        assert total_sets == _GRID_SETS == 328275
 
 
 def _random_order(rng, max_rank, max_order_dim):

@@ -15,7 +15,7 @@ from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     compose_trace, element_value, game_tree, lex_sign,
                     positivize, positivize_all, run_pair, simple_perron, solve,
                     tau)
-from perron.engine import _J_rule
+from perron.engine import _J_rule, _repeat_count
 
 from conftest import adversary_kinds, build_adversary, vec_pairs
 
@@ -468,3 +468,41 @@ def test_mixed_magnitude_pairs_compose_to_their_finals(pair):
     assert apply_matrix(matrix, tuple(beta)) == trace.final_beta
     assert comparability(trace.final_alpha, trace.final_beta) \
         is not Comparability.INCOMPARABLE
+
+
+def scanned_repeat_count(states, shift, limit):
+    """The oracle: the largest t <= limit such that repetitions 1..t decide
+    like repetition 0 (same _J_rule triple for every state), by a direct
+    scan over t."""
+    firsts = [_J_rule(d) for d in states]
+    t = 0
+    while t < limit and all(
+            _J_rule([x + (t + 1) * y for x, y in zip(d, shift)]) == first
+            for d, first in zip(states, firsts)):
+        t += 1
+    return t
+
+
+@st.composite
+def repeating_blocks(draw):
+    """A block's states (alpha - beta at each of its rounds), one shift per
+    repetition, and a limit.  Every state is incomparable, as in descend,
+    which passes the states of rounds it played."""
+    n = draw(st.integers(2, 4))
+    state = st.lists(st.integers(-20, 20), min_size=n, max_size=n).filter(
+        lambda d: min(d) < 0 < max(d))
+    states = draw(st.lists(state, min_size=1, max_size=3))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return states, shift, draw(st.integers(0, 60))
+
+
+@settings(max_examples=300)
+@given(repeating_blocks())
+def test_repeat_count_matches_a_direct_scan(case):
+    """The gallop and bisection find the end of the repetitions that decide
+    alike because, from an incomparable state, they form an interval.  From
+    a comparable one they need not: d = (1, 3) with shift (-1, -1) is
+    comparable at t = 0, 1 and 3 but not at 2."""
+    states, shift, limit = case
+    assert _repeat_count(states, shift, limit) == \
+        scanned_repeat_count(states, shift, limit)

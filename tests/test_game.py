@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perron import (FirstIndex, Scripted, Step, ValidationError,
-                    advance_champion, apply_matrix, apply_step, choose_J,
-                    compose_trace, game_tree, is_won, solve, step_matrix)
+from perron import (Comparability, FirstIndex, Scripted, Step,
+                    ValidationError, advance_champion, apply_matrix,
+                    apply_step, choose_J, comparability, compose_trace,
+                    game_tree, is_won, natvec, solve, step_matrix)
+from perron.game import _validated_vectors
 
 from conftest import adversary_kinds, build_adversary
 
@@ -243,3 +245,154 @@ def test_is_won_oracle_edge_cases():
         is_won([(1, 2), (1,)])
     with pytest.raises(ValidationError, match="entry 2 is negative: -1"):
         is_won([[0, -1]])
+
+
+# advance_champion against the comparability sweep it replaced ---------------
+
+def oracle_advance_champion(vectors, champion_index):
+    """The oracle: the sweep as the library ran it before, one comparability
+    call and one Comparability dispatch per point."""
+    champ = champion_index
+    for i, v in enumerate(vectors):
+        if i == champ:
+            continue
+        rel = comparability(vectors[champ], v)
+        if rel is Comparability.INCOMPARABLE:
+            return champ, i
+        if rel is Comparability.GREATER_EQ:
+            champ = i
+    return champ, None
+
+
+def outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return "ok", f(*args)
+    except Exception as e:
+        return "raised", type(e), str(e)
+
+
+@st.composite
+def sweeps(draw):
+    """Point sets with repeats and chains, sometimes ragged, and a champion."""
+    n = draw(st.integers(1, 3))
+    points = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    if draw(st.integers(0, 4)) == 0:
+        points = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
+    vectors = draw(st.lists(points, min_size=1, max_size=6))
+    return vectors, draw(st.integers(0, len(vectors) - 1))
+
+
+@given(sweeps())
+def test_advance_champion_matches_comparability_sweep(case):
+    vectors, champ = case
+    assert outcome(advance_champion, vectors, champ) == \
+        outcome(oracle_advance_champion, vectors, champ)
+
+
+def test_advance_champion_ragged_sets():
+    for vectors, champ, message in (([(1, 2), (3,)], 0, "2 vs 1"),
+                                    ([(3,), (1, 2)], 0, "1 vs 2"),
+                                    ([(2, 2), (1, 1), (0,)], 0, "2 vs 1"),
+                                    ([(1, 2), (0, 0), (5,)], 1, "2 vs 1")):
+        with pytest.raises(ValidationError, match=f"^dimension mismatch: {message}$"):
+            advance_champion(vectors, champ)
+        assert outcome(advance_champion, vectors, champ) == \
+            outcome(oracle_advance_champion, vectors, champ)
+    # the sweep stops at the first incomparable point, before a ragged one
+    assert advance_champion([(1, 0), (0, 1), (5,)], 0) == (0, 1)
+    assert advance_champion([], 3) == oracle_advance_champion([], 3) == (3, None)
+
+
+# set validation against the per-vector natvec path it short-cuts -------------
+
+def oracle_validated_vectors(vectors):
+    """The oracle: the start-set check as the library ran it before, natvec
+    on every vector, then the set checks."""
+    vs = tuple([natvec(v) for v in vectors])
+    if not vs:
+        raise ValidationError("vector list must be non-empty")
+    n = len(vs[0])
+    for v in vs:
+        if len(v) != n:
+            raise ValidationError("all vectors must share one dimension")
+    return vs
+
+
+class Nat(int):
+    """An int subclass: natvec accepts it and keeps it."""
+
+
+def typed(value):
+    """A validated set with the type of every point and entry, or an error."""
+    if value[0] != "ok":
+        return value
+    return "ok", value[1], [(type(v), [type(x) for x in v]) for v in value[1]]
+
+
+@st.composite
+def start_sets(draw):
+    """Mostly good start sets in every accepted form, with a few flaws."""
+    n = draw(st.integers(0, 3) if draw(st.integers(0, 5)) == 0 else st.integers(1, 3))
+    entry = st.integers(0, 4)
+    if draw(st.integers(0, 2)) == 0:
+        entry = st.one_of(entry, st.integers(-2, -1), st.booleans(),
+                          st.builds(Nat, st.integers(0, 4)), st.just(1.0))
+    vectors = []
+    for _ in range(draw(st.integers(0 if draw(st.integers(0, 5)) == 0 else 1, 4))):
+        k = n if draw(st.integers(0, 5)) else draw(st.integers(0, 3))
+        v = [draw(entry) for _ in range(k)]
+        vectors.append(draw(st.sampled_from([tuple, list]))(v))
+    return draw(st.sampled_from(["tuple", "list", "generator"])), vectors
+
+
+def fresh(case):
+    container, vectors = case
+    if container == "generator":
+        return (v for v in vectors)
+    return tuple(vectors) if container == "tuple" else list(vectors)
+
+
+@given(start_sets())
+def test_validated_vectors_match_the_natvec_path(case):
+    assert typed(outcome(_validated_vectors, fresh(case))) == \
+        typed(outcome(oracle_validated_vectors, fresh(case)))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: [[1, 0], [0, 1]], None),
+    (lambda: [[2, 3], (2, 3), [5, 3]], None),
+    (lambda: [(Nat(1), 0), (0, Nat(1))], None),
+    (lambda: (v for v in [(1, 0), (0, 1)]), None),
+    (lambda: [[0, -1]], "entry 2 is negative: -1"),
+    (lambda: [(1, 2), (0, -3)], "entry 2 is negative: -3"),
+    (lambda: [(True, 0)], "vector entries must be integers, got True"),
+    (lambda: [(1, 0), (0, 1.0)], "vector entries must be integers, got 1.0"),
+    (lambda: [(1, 2), (1,)], "all vectors must share one dimension"),
+    (lambda: [], "vector list must be non-empty"),
+    (lambda: (), "vector list must be non-empty"),
+    (lambda: [()], "vector must have dimension >= 1"),
+    (lambda: [(1, 2), ()], "vector must have dimension >= 1"),
+    # per-vector errors come first, in input order, before the set checks
+    (lambda: [(1, 2, 3), (-1,), (True,)], "entry 1 is negative: -1"),
+    (lambda: [(1,), (2, 2), (True,)], "vector entries must be integers, got True"),
+    (lambda: (v for v in [(1, 0), (0, -1)]), "entry 2 is negative: -1"),
+    (lambda: (v for v in [(1, 0), (0,)]), "all vectors must share one dimension"),
+], ids=["lists", "mixed", "int-subclass", "generator", "list-negative",
+        "negative", "bool", "float", "ragged", "empty-list", "empty-tuple",
+        "zero-length", "zero-length-later", "negative-first", "bool-first",
+        "generator-negative", "generator-ragged"])
+def test_start_set_errors_are_the_natvec_path_errors(make, error):
+    plain = None if error else tuple(tuple(map(int, v)) for v in make())
+    calls = {"is_won": is_won,
+             "solve": lambda vs: solve(vs, FirstIndex()),
+             "game_tree": lambda vs: list(game_tree(vs))}
+    for name, call in calls.items():
+        if error:
+            with pytest.raises(ValidationError) as raised:
+                call(make())
+            assert str(raised.value) == error, name
+        else:
+            assert call(make()) == call(plain), name
+    assert typed(outcome(_validated_vectors, make())) == \
+        typed(outcome(oracle_validated_vectors, make()))
