@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, comparability, tau
-from .transforms import Step, Trace, Vec, apply_run, commute, natvec
+from .transforms import Step, Trace, Vec, _is_int, apply_run, commute, natvec
 
 class Adversary:
     """Picks j from a proposed J, seeing the tracked vectors and round number."""
@@ -293,6 +293,8 @@ def drive(rows: list[Vec], phase, adversary: Adversary,
           step_limit: Optional[int], failure: str) -> Trace:
     """Descend each pair phase(rows) names (it may edit rows) until it names
     None; one due past round step_limit raises StepLimitExceeded(failure)."""
+    if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
+        raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
     steps = Trace()
     while (pair := phase(rows)) is not None:
         if step_limit is not None and steps.rounds >= step_limit:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, ValidationError
-from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec,
-                            lex_sign, positivize, positivize_all,
-                            _combination, _initial_basis, _rational_rank)
+from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec, lex_sign,
+                            positivize, _combination, _dot, _initial_basis,
+                            _into_cone, _rational_rank, _scaled)
 from .transforms import Matrix, Trace, Vec, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
@@ -186,17 +186,17 @@ def monomialize(ring: ValuedRing, f: Polynomial,
             raise ValidationError(
                 f"term has {len(e)} exponents, ring has {m} variables")
 
-    toric_parts = sorted({e[:n] for e in f})
+    toric_parts = [natvec(t) for t in sorted({e[:n] for e in f})]
     zero_tail = (0,) * (m - n)
-    valued = [(monomial_value(ring, t + zero_tail), t) for t in toric_parts]
-    min_value, min_part = min(valued, key=lambda pair: pair[0])
-    if sum(1 for v, _ in valued if v == min_value) > 1:
+    rows = _scaled(ring.values[:n])[1]  # each part's value, times one L > 0
+    (low, min_part), *rest = sorted((tuple(_dot(t, rows)), t) for t in toric_parts)
+    if rest and rest[0][0] == low:
         raise InternalError("two distinct toric monomials share a value")
 
     basis = _initial_basis(GroupOrder(ring.values[:n]))
-    deltas = [GroupElement(basis, tuple(a - b for a, b in zip(t, min_part)))
+    deltas = [tuple(a - b for a, b in zip(t, min_part))  # positive: min_part is least
               for t in toric_parts if t != min_part]
-    combined = positivize_all(basis, deltas, step_limit=step_limit)
+    combined = _into_cone(basis, deltas, step_limit)
     substitution, new_ring = _substitution_from(ring, combined.basis,
                                                 combined.steps)
 

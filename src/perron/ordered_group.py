@@ -7,6 +7,10 @@ order total.  Bases evolve by transforms that subtract the smallest selected
 basis element from the others; every such transform keeps all basis images
 positive and enlarges the cone of non-negative integer combinations, which is
 what lets any positive element eventually acquire non-negative coordinates.
+
+Ranks, signs, sums and the descent run on one integer scale: _scaled clears
+a set of vectors by one L > 0, which keeps lex order, signs and rank, and a
+value returns to Fraction once, divided by L.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .engine import Adversary, drive
 from .errors import InternalError, ValidationError
 from .tau import Comparability, comparability
-from .transforms import Matrix, Step, Trace, Vec, identity_matrix, intvec
+from .transforms import Matrix, Step, Trace, Vec, _is_int, identity_matrix, intvec
 
 LexVec = tuple[Fraction, ...]
 
@@ -39,28 +43,34 @@ def lex_sign(v: LexVec) -> int:
     return 0
 
 
+def _scaled(vecs: Sequence[LexVec]) -> tuple[int, tuple[Vec, ...]]:
+    """(L, rows): L the lcm of every entry's denominator, row k L * vecs[k]."""
+    L = 1
+    for v in vecs:
+        for x in v:
+            L = math.lcm(L, x.denominator)  # pairwise: no list of all entries
+    return L, tuple(tuple(x.numerator * (L // x.denominator) for x in v) for v in vecs)
+
+
+def _dot(coeffs: Sequence[int], rows: Sequence[Vec]):
+    """Entry by entry, and lazily, the integer combination of integer rows."""
+    return (sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(len(rows[0])))
+
+
 def _rational_rank(rows: Sequence[LexVec]) -> int:
-    """Rank over Q, computed on denominator-cleared integer rows."""
-    work = []
-    for row in rows:
-        den = math.lcm(*(c.denominator for c in row))
-        work.append([c.numerator * (den // c.denominator) for c in row])
-    ncols = len(work[0]) if work else 0
+    """Rank over Q, computed on the integer rows of _scaled."""
+    work = list(_scaled(rows)[1])
     rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
+    for col in range(len(work[0])):
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         lead = work[rank][col]
         for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            if f:
+            if f := work[i][col]:
                 work[i] = [lead * x - f * y for x, y in zip(work[i], work[rank])]
         rank += 1
-        col += 1
     return rank
 
 
@@ -137,27 +147,15 @@ class GroupElement(_GroupElementFields):
         return super().__new__(cls, basis, coords)
 
 
-def _entry_sums(coeffs: Sequence[int], vecs: Sequence[LexVec]):
-    """Entry by entry, the integer combination of lex vectors as (num, den):
-    den is the lcm of the entry's denominators q, num the sum of c*p*(den/q)."""
-    terms = [(c, v) for c, v in zip(coeffs, vecs) if c]
-    for k in range(len(vecs[0])):
-        num, den = 0, 1
-        for c, v in terms:
-            p, q = v[k].numerator, v[k].denominator
-            lcm = math.lcm(den, q)
-            num, den = num * (lcm // den) + c * p * (lcm // q), lcm
-        yield num, den
-
-
 def _combination(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> LexVec:
     """The integer combination of lex vectors with the given coefficients."""
-    return tuple(Fraction(num, den) for num, den in _entry_sums(coeffs, vecs))
+    L, rows = _scaled(vecs)
+    return tuple(Fraction(s, L) for s in _dot(coeffs, rows))
 
 
 def _combination_sign(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> int:
-    """lex_sign of the combination, from its numerators up to the first non-zero."""
-    return lex_sign(num for num, _ in _entry_sums(coeffs, vecs))
+    """lex_sign of the combination, from integer sums up to the first non-zero."""
+    return lex_sign(_dot(coeffs, _scaled(vecs)[1]))
 
 
 def element_value(element: GroupElement) -> LexVec:
@@ -189,9 +187,8 @@ def _perron_transform(basis: GroupBasis, J: frozenset[int], j: int,
                      if i in J and i != j else v for i, v in enumerate(vecs, start=1))
 
     images, rows = subtract(basis.images), subtract(basis.coords_in_original)
-    for i in J:
-        if i != j and lex_sign(images[i - 1]) <= 0:
-            raise InternalError("transformed basis image is not lex-positive")
+    if any(lex_sign(images[i - 1]) <= 0 for i in J if i != j):
+        raise InternalError("transformed basis image is not lex-positive")
     return GroupBasis(basis.order, rows, images)
 
 
@@ -208,13 +205,12 @@ def _perron_run_length(images: Sequence[LexVec], J: frozenset[int], j: int,
     """
     j_img = images[j - 1]
     p = next(pos for pos, x in enumerate(j_img) if x)
-    b_num, b_den = j_img[p].numerator, j_img[p].denominator
     K = limit
     for i in J:
         img = images[i - 1]
         if i == j or any(img[:p]):
             continue
-        m, r = divmod(img[p].numerator * b_den, img[p].denominator * b_num)
+        m, r = divmod(img[p], j_img[p])
         if not r and lex_sign(tuple(x - m * y for x, y in zip(img, j_img))) <= 0:
             m -= 1
         K = min(K, m)
@@ -231,7 +227,7 @@ def simple_perron(basis: GroupBasis, J) -> tuple[GroupBasis, Step]:
     """
     n = basis.rank
     Jset = frozenset(J)
-    if not Jset or not all(1 <= i <= n for i in Jset):
+    if not Jset or not all(_is_int(i) and 1 <= i <= n for i in Jset):
         raise ValidationError(f"J must be a non-empty subset of 1..{n}")
     j = _lex_minimal(basis, Jset)
     return _perron_transform(basis, Jset, j, 1), Step(Jset, j, n)
@@ -325,8 +321,10 @@ def _into_cone(basis: GroupBasis, rows: list[Vec],
         rows += [tuple(max(c, 0) for c in row), tuple(max(-c, 0) for c in row)]
         return count, count + 1
 
-    chooser = _PerronChooser(basis)
+    L, images = _scaled(basis.images)
+    chooser = _PerronChooser(basis._replace(images=images))  # images times L: ints
     steps = drive(rows, phase, chooser, step_limit,
                   f"pair not comparable within {step_limit} steps")
     chooser.settle(steps.rounds + 1)
-    return PositivizeAllResult(chooser.basis, tuple(rows), steps)
+    images = tuple(tuple(Fraction(x, L) for x in v) for v in chooser.basis.images)
+    return PositivizeAllResult(chooser.basis._replace(images=images), tuple(rows), steps)

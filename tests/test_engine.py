@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     GroupOrder, MaxGrowth, PositivizeResult, Scripted,
                     SeededRandom, Step, StepLimitExceeded, Tau, ValidationError,
-                    apply_matrix, apply_step, choose_J, comparability,
+                    ValuedRing, apply_matrix, apply_step, choose_J, comparability,
                     compose_trace, element_value, game_tree, lex_sign,
-                    positivize, positivize_all, run_pair, simple_perron, solve,
-                    tau)
+                    monomialize, polynomial, positivize, positivize_all,
+                    run_pair, simple_perron, solve, tau)
 from perron.engine import _J_rule, _repeat_count
 
 from conftest import adversary_kinds, build_adversary, vec_pairs
@@ -366,6 +366,35 @@ def test_run_stops_at_the_step_limit():
     with pytest.raises(StepLimitExceeded) as err:
         run_pair((10 ** 6, 0), (0, 1), FirstIndex(), step_limit=12345)
     assert len(err.value.steps) == 12345
+
+
+def _limited_jobs():
+    """One job per driver entry point, each needing at least one round."""
+    basis = GroupBasis.initial(GroupOrder(((Fraction(1), Fraction(0)),
+                                           (Fraction(0), Fraction(1)))))
+    element = GroupElement(basis, (2, -1))
+    ring = ValuedRing(2, 2, basis.images)
+    f = polynomial([((1, 0), 1), ((0, 1), 1)])
+    return {
+        "run_pair": lambda limit: run_pair((3, 1), (1, 2), FirstIndex(), limit),
+        "solve": lambda limit: solve([(3, 1), (1, 2)], FirstIndex(), limit),
+        "positivize": lambda limit: positivize(basis, element, limit),
+        "positivize_all": lambda limit: positivize_all(basis, [element], limit),
+        "monomialize": lambda limit: monomialize(ring, f, limit),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_limited_jobs()))
+@pytest.mark.parametrize("limit, error", [
+    (-1, ValidationError), (True, ValidationError), (2.5, ValidationError),
+    ("3", ValidationError), (0, StepLimitExceeded),
+], ids=["negative", "bool", "float", "str", "zero"])
+def test_step_limit_is_none_or_a_non_negative_int(entry, limit, error):
+    """engine.drive checks every entry point's limit; 0 is a valid limit."""
+    with pytest.raises(error) as err:
+        _limited_jobs()[entry](limit)
+    if error is ValidationError:
+        assert str(err.value) == f"step_limit must be None or an int >= 0: {limit!r}"
 
 
 MEMORY_GUARD = """

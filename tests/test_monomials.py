@@ -129,6 +129,19 @@ def test_monomialize_preconditions():
         monomialize(dependent, polynomial([((1, 0), Fraction(1))]))
 
 
+@pytest.mark.parametrize("toric, message", [
+    ((-1, 0), "entry 1 is negative: -1"),
+    ((1.0, 0), "vector entries must be integers, got 1.0"),
+    ((True, 0), "vector entries must be integers, got True"),
+])
+def test_monomialize_checks_the_toric_exponents_of_a_raw_polynomial(toric, message):
+    """A dict not made by polynomial() still gets natvec's errors."""
+    ring = ValuedRing(3, 2, standard_ring().values + (lexvec(["1", "1"]),))
+    with pytest.raises(ValidationError) as err:
+        monomialize(ring, {toric + (0,): Fraction(1), (0, 1, 0): Fraction(1)})
+    assert str(err.value) == message
+
+
 @given(valued_rings(), st.data())
 def test_divisibility_invariants(ring, data):
     n, m = ring.num_toric, ring.num_vars

@@ -1,16 +1,24 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import perron.ordered_group
 from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
-                    StepLimitExceeded, Trace, ValidationError, apply_step, determinant, element_compare,
-                    element_value, lex_sign, lexvec, monomial_value, positivize,
-                    positivize_all, run_pair, simple_perron, validate_order)
+                    StepLimitExceeded, Trace, ValidationError, ValuedRing,
+                    apply_step, determinant, element_compare, element_value,
+                    lex_sign, lexvec, monomial_value, monomialize, positivize,
+                    positivize_all, run_pair, simple_perron,
+                    substitute_exponents, validate_order)
+from perron.engine import Adversary
+from perron.monomials import _substitution_from
 from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
                                   _PerronChooser, _combination,
-                                  _combination_sign)
+                                  _combination_sign, _lex_minimal,
+                                  _perron_run_length, _scaled)
 from perron.transforms import apply_run
 
 from conftest import group_orders, positive_element, valued_rings
@@ -78,6 +86,13 @@ def test_simple_perron_examples():
     unchanged, singleton = simple_perron(basis, {1})
     assert singleton.j == 1
     assert unchanged.images == basis.images
+
+
+@pytest.mark.parametrize("J", [["1"], [1.0, 2], [Fraction(1)], [True], [0, 1], [3], []])
+def test_simple_perron_rejects_a_J_outside_1_to_n(J):
+    with pytest.raises(ValidationError) as err:
+        simple_perron(standard_basis(), J)
+    assert str(err.value) == "J must be a non-empty subset of 1..2"
 
 
 def test_positivize_examples():
@@ -148,12 +163,89 @@ def test_positivize_all_step_limit_bounds_the_whole_job(order, data):
         assert result.steps == full
 
 
-# sequential oracle: one run_pair per element, its runs replayed on the others
+# The Fraction path the group layer ran before it moved to one integer scale,
+# kept as the oracle: per-entry lcm sums, and a chooser whose basis holds
+# Fraction images.
+
+def oracle_entry_sums(coeffs, vecs):
+    """Entry by entry, the integer combination of lex vectors as (num, den):
+    den is the lcm of the entry's denominators q, num the sum of c*p*(den/q)."""
+    terms = [(c, v) for c, v in zip(coeffs, vecs) if c]
+    for k in range(len(vecs[0])):
+        num, den = 0, 1
+        for c, v in terms:
+            p, q = v[k].numerator, v[k].denominator
+            lcm = math.lcm(den, q)
+            num, den = num * (lcm // den) + c * p * (lcm // q), lcm
+        yield num, den
+
+
+def oracle_combination_sign(coeffs, vecs):
+    return lex_sign(num for num, _ in oracle_entry_sums(coeffs, vecs))
+
+
+def oracle_perron_transform(basis, J, j, k):
+    def subtract(vecs):
+        return tuple(tuple(x - k * y for x, y in zip(v, vecs[j - 1]))
+                     if i in J and i != j else v for i, v in enumerate(vecs, start=1))
+
+    images, rows = subtract(basis.images), subtract(basis.coords_in_original)
+    for i in J:
+        if i != j and lex_sign(images[i - 1]) <= 0:
+            raise InternalError("transformed basis image is not lex-positive")
+    return GroupBasis(basis.order, rows, images)
+
+
+def oracle_perron_run_length(images, J, j, limit):
+    j_img = images[j - 1]
+    p = next(pos for pos, x in enumerate(j_img) if x)
+    b_num, b_den = j_img[p].numerator, j_img[p].denominator
+    K = limit
+    for i in J:
+        img = images[i - 1]
+        if i == j or any(img[:p]):
+            continue
+        m, r = divmod(img[p].numerator * b_den, img[p].denominator * b_num)
+        if not r and lex_sign(tuple(x - m * y for x, y in zip(img, j_img))) <= 0:
+            m -= 1
+        K = min(K, m)
+    return K
+
+
+class OraclePerronChooser(Adversary):
+    def __init__(self, basis):
+        self.basis = basis
+        self._run = None
+
+    def settle(self, round_no):
+        if self._run is not None:
+            J, j, start = self._run
+            self.basis = oracle_perron_transform(self.basis, J, j, round_no - start)
+            self._run = None
+
+    def choose_run(self, J, vectors, round_no, limit):
+        self.settle(round_no)
+        j = _lex_minimal(self.basis, J)
+        self._run = (J, j, round_no)
+        return j, oracle_perron_run_length(self.basis.images, J, j, limit)
+
+
+@pytest.mark.parametrize("lead, run", [(Fraction(1, 7), 6), (Fraction(2, 7), 3)])
+def test_perron_run_length_at_and_off_an_exact_quotient(lead, run):
+    """(1, 0) - K*(lead, 1) stays lex-positive for K up to run; at lead 1/7 the
+    quotient 7 is exact and (1, 0) - 7*(1/7, 1) = (0, -7) is not positive."""
+    images = ((Fraction(1), Fraction(0)), (lead, Fraction(1)))
+    assert _perron_run_length(_scaled(images)[1], frozenset({1, 2}), 2, 100) == run
+    assert oracle_perron_run_length(images, frozenset({1, 2}), 2, 100) == run
+
+
+# sequential oracle: one run_pair per element, its runs replayed on the others,
+# on the Fraction path above
 
 def oracle_positivize(basis, element, step_limit=None):
     if element.basis != basis:
         raise ValidationError("element is not expressed in the given basis")
-    if _combination_sign(element.coords, basis.images) < 0:
+    if oracle_combination_sign(element.coords, basis.images) < 0:
         raise ValidationError(
             "element is negative; only positive elements join the cone")
     return _oracle_positivize(basis, element.coords, step_limit)
@@ -164,7 +256,7 @@ def _oracle_positivize(basis, coords, step_limit):
         return PositivizeResult(basis, coords, Trace())
     plus = tuple(max(c, 0) for c in coords)
     minus = tuple(max(-c, 0) for c in coords)
-    chooser = _PerronChooser(basis)
+    chooser = OraclePerronChooser(basis)
     trace = run_pair(plus, minus, chooser, step_limit=step_limit)
     chooser.settle(trace.rounds + 1)
     coords = tuple(p - m for p, m in zip(trace.final_alpha, trace.final_beta))
@@ -179,7 +271,7 @@ def oracle_positivize_all(basis, elements, step_limit=None):
         if e.basis != basis:
             raise ValidationError(
                 f"element {k + 1} is not expressed in the given basis")
-        if _combination_sign(e.coords, basis.images) < 0:
+        if oracle_combination_sign(e.coords, basis.images) < 0:
             raise ValidationError(f"element {k + 1} is negative")
         coords_list.append(e.coords)
     current, steps = basis, Trace()
@@ -224,6 +316,99 @@ def test_positivize_matches_the_sequential_oracle(order, data, step_limit):
         lambda: positivize(basis, elements[0], step_limit)) == \
         positivize_outcome(
             lambda: oracle_positivize(basis, elements[0], step_limit))
+
+
+# wide orders: ranks 1-5, any lex-positive independent images, entries small
+# (zeros and exact quotients) or with denominators up to 10^12
+wide_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 6])),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 12)))
+
+
+@st.composite
+def wide_orders(draw):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(n, 6))
+    rows = [tuple(draw(wide_rationals) for _ in range(d)) for _ in range(n)]
+    order = GroupOrder(tuple(tuple(-x for x in r) if lex_sign(r) < 0 else r
+                             for r in rows))
+    assume(not validate_order(order))
+    return order
+
+
+@st.composite
+def wide_rings(draw):
+    order = draw(wide_orders())
+    tails = []
+    for _ in range(draw(st.integers(0, 2))):
+        tail = tuple(draw(wide_rationals) for _ in range(order.order_dim))
+        sign = lex_sign(tail)
+        tails.append(tuple(sign * x for x in tail) if sign else
+                     (Fraction(1),) + tail[1:])
+    return ValuedRing(order.rank + len(tails), order.rank, order.images + tuple(tails))
+
+
+def oracle_monomialize(ring, f, step_limit):
+    """(substitution matrix, new values, factor exponents) from the sequential
+    Fraction oracle: the value-minimal toric part, then its differences."""
+    n = ring.num_toric
+    parts = sorted({e[:n] for e in f})
+    low = min(parts, key=lambda t: tuple(Fraction(num, den) for num, den
+                                         in oracle_entry_sums(t, ring.values)))
+    basis = GroupBasis.initial(GroupOrder(ring.values[:n]))
+    deltas = [GroupElement(basis, tuple(a - b for a, b in zip(t, low)))
+              for t in parts if t != low]
+    result = oracle_positivize_all(basis, deltas, step_limit)
+    substitution, new_ring = _substitution_from(ring, result.basis, result.steps)
+    factor = substitute_exponents(low + (0,) * (ring.num_vars - n), substitution)
+    return substitution.matrix, new_ring.values, factor[:n], result.steps.runs
+
+
+def monomialize_outcome(ring, f, step_limit):
+    try:
+        result = monomialize(ring, f, step_limit)
+    except StepLimitExceeded as exc:
+        return str(exc), exc.steps.runs
+    return (result.substitution.matrix, result.new_values,
+            result.factor_exponents, result.substitution.steps.runs)
+
+
+def oracle_monomialize_outcome(ring, f, step_limit):
+    try:
+        return oracle_monomialize(ring, f, step_limit)
+    except StepLimitExceeded as exc:
+        return str(exc), exc.steps.runs
+
+
+@given(wide_orders(), wide_rings(), st.data(),
+       st.one_of(st.none(), st.just(0), st.integers(1, 50)))
+def test_integer_scale_matches_the_fraction_path(order, ring, data, step_limit):
+    basis = GroupBasis.initial(order)
+    max_coord = data.draw(st.sampled_from([9, 10 ** 3, 10 ** 6]))
+    elements = [positive_element(data.draw, basis, max_coord)
+                for _ in range(data.draw(st.integers(1, 4)))]
+    f = {tuple(data.draw(st.integers(0, 4)) for _ in range(ring.num_vars)): Fraction(1)
+         for _ in range(data.draw(st.integers(1, 5)))}
+    made = []
+
+    class Recording(_PerronChooser):  # the library's chooser, each one kept
+        def __init__(self, basis):
+            super().__init__(basis)
+            made.append(self)
+
+    with mock.patch.object(perron.ordered_group, "_PerronChooser", Recording):
+        outcome = positivize_outcome(
+            lambda: positivize_all(basis, elements, step_limit))
+        assert outcome == positivize_outcome(
+            lambda: oracle_positivize_all(basis, elements, step_limit))
+        assert monomialize_outcome(ring, f, step_limit) == \
+            oracle_monomialize_outcome(ring, f, step_limit)
+    if len(outcome) == 3:  # Fraction values leave, divided by the scale
+        assert all(type(x) is Fraction for img in outcome[0].images for x in img)
+    # the descent itself held int images only
+    assert len(made) == 2
+    assert all(type(x) is int for chooser in made
+               for img in chooser.basis.images for x in img)
 
 
 @given(group_orders(), st.data())
