@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from functools import partial
+from operator import add
 from types import SimpleNamespace
 
 from .engine import (Adversary, FirstIndex, MaxGrowth, Scripted, SeededRandom,
@@ -76,29 +77,30 @@ def _as_list(value, what) -> list:
 
 
 def _as_int_list(value, what) -> list[int]:
-    return [_as_int(x, what) for x in _as_list(value, what)]
+    return [x if type(x) is int else _as_int(x, what) for x in _as_list(value, what)]
 
 
-def _as_rational(value, what) -> Fraction:
-    from fractions import Fraction  # only group jobs read rationals
-    if isinstance(value, bool) or isinstance(value, float):
-        raise MalformedInput(f"{what} must be an integer or a 'p/q' string")
-    if isinstance(value, int):
-        return Fraction(value)
+def _as_rational(value, what, Fraction) -> Fraction:
+    """value as a Fraction; only group jobs load the class, and pass it in."""
     if isinstance(value, str):
-        try:  # Fraction also reads exponents, and "1e10000000" takes minutes
-            if "e" in value or "E" in value:
+        p, slash, q = value.partition("/")
+        try:  # int() reads these, or rejects them as Fraction(value) would
+            if p.lstrip("-").isdigit() and (not slash or q.isdigit()):
+                return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+            if "e" in value or "E" in value:  # Fraction reads "1e10000000" for minutes
                 raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise MalformedInput(f"{what} is not a rational: {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     raise MalformedInput(f"{what} must be an integer or a 'p/q' string")
 
 
 def _as_lexvecs(value, what, each, entry) -> tuple:
-    from .ordered_group import lexvec
-    return tuple(lexvec([_as_rational(x, entry) for x in _as_list(row, each)])
-                 for row in _as_list(value, what))
+    from .ordered_group import Fraction, lexvec
+    return tuple([lexvec([_as_rational(x, entry, Fraction) for x in _as_list(row, each)])
+                  for row in _as_list(value, what)])
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,7 @@ def _encode_int(x: int):
 
 
 def _encode_vec(v):
-    return [_encode_int(x) for x in v]
+    return [x if -_EXACT_DOUBLE < x < _EXACT_DOUBLE else str(x) for x in v]
 
 
 def _encode_matrix(m):
@@ -136,13 +138,13 @@ def _format_vec(v) -> str:
 
 class _Prompt(Adversary):
     """The player picks each j: the round line and a prompt go to stderr, the
-    answer comes from `infile` (sys.stdin when None); re-prompts on invalid
-    input, aborts on end of input.  Both streams are resolved at each prompt,
-    so callers may rebind them.  describe(vectors) is the round line's
-    middle part."""
+    answer comes from the text `infile` (from sys.stdin when None); re-prompts
+    on invalid input, aborts on end of input.  Both streams are resolved at
+    each prompt, so callers may rebind them.  describe(vectors) is the round
+    line's middle part."""
 
     def __init__(self, infile, describe):
-        self._infile = infile
+        self._infile = None if infile is None else io.StringIO(infile)
         self._describe = describe
 
     def choose(self, J, vectors, round_no):
@@ -270,8 +272,8 @@ def _cmd_positivize(doc, args, infile):
 
 
 def _cmd_monomialize(doc, args, infile):
-    from .monomials import (ValuedRing, apply_substitution, monomialize,
-                            polynomial)
+    from .monomials import (Fraction, ValuedRing, apply_substitution,
+                            monomialize, polynomial)
     m = _as_int(_field(doc, "num_vars"), "num_vars")
     n = _as_int(_field(doc, "num_toric"), "num_toric")
     ring = ValuedRing(m, n, _as_lexvecs(_field(doc, "values"), "values",
@@ -281,7 +283,7 @@ def _cmd_monomialize(doc, args, infile):
     if not isinstance(raw_terms, list):
         raise MalformedInput("polynomial must be a list of terms")
     f = polynomial([(_as_int_list(_field(term, "exponents"), "exponents"),
-                     _as_rational(_field(term, "coeff"), "coeff"))
+                     _as_rational(_field(term, "coeff"), "coeff", Fraction))
                     for term in raw_terms])
     if not f:
         raise ValidationError("zero polynomial")
@@ -289,8 +291,7 @@ def _cmd_monomialize(doc, args, infile):
     result = monomialize(ring, f, step_limit=args.step_limit)
     # Re-verify the exact factorization before emitting anything.
     shift = result.factor_exponents + (0,) * (m - n)
-    product = {tuple(x + y for x, y in zip(e, shift)): c
-               for e, c in result.unit_part.items()}
+    product = {tuple(map(add, e, shift)): c for e, c in result.unit_part.items()}
     if product != apply_substitution(f, result.substitution):
         raise InternalError("factorization identity failed re-verification")
 
@@ -445,9 +446,9 @@ def _parse_level(path, tokens, args):
     left unrecognized."""
     target = _COMMANDS[path][0]
     group = isinstance(target, str)
-    kinds = []  # how each token before the first "--" reads
-    for token in tokens:
-        if token == "--":
+    kinds = []  # how each token before the first "--" reads; in a group, only
+    for token in tokens:  # up to the subcommand, which reads the rest itself
+        if token == "--" or group and kinds and kinds[-1] is None:
             break
         kinds.append(_classify(path, _HELP if group else _JOB, token))
     extras, i = [], 0
@@ -509,9 +510,9 @@ def _parse_args(argv) -> SimpleNamespace:
 
 
 def _read_job(args):
-    """Parse the job document.  When it arrives on stdin, anything after the
-    document becomes the interactive input stream (so piped play is one
-    stream: the JSON followed by the j choices)."""
+    """Parse the job document.  When it arrives on stdin, the text after the
+    document becomes the interactive input (so piped play is one stream: the
+    JSON followed by the j choices)."""
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -525,12 +526,10 @@ def _read_job(args):
     except RecursionError:
         raise MalformedInput("invalid JSON: nested too deeply")
     rest = stripped[end:]
-    if args.input == "-":
-        infile = io.StringIO(rest.lstrip("\n"))
-    else:
-        if rest.strip():
-            raise MalformedInput("trailing data after the JSON document")
-        infile = None  # interactive choices come from the real stdin
+    if args.input != "-" and rest.strip():
+        raise MalformedInput("trailing data after the JSON document")
+    # from a file, interactive choices come from the real stdin
+    infile = rest.lstrip("\n") if args.input == "-" else None
     if not isinstance(doc, dict):
         raise MalformedInput("job document must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)

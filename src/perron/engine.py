@@ -77,7 +77,7 @@ class MaxGrowth(Adversary):
     entry j to each total, so the j with the smallest column sum wins."""
 
     def choose(self, J, vectors, round_no):
-        return min(sorted(J), key=lambda j: sum(v[j - 1] for v in vectors))
+        return min(sorted(J), key=[0, *map(sum, zip(*vectors))].__getitem__)
 
 
 class Scripted(Adversary):
@@ -245,7 +245,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
     repeating block of commuting steps is likewise applied in one go.
     """
     n = len(vectors[p])
-    played = []  # (d, rule, step) of the single rounds just played
+    played = []  # (d, rule, step) of the single rounds just played, when by_J
     while True:
         round_no = steps.rounds + 1
         d = [x - y for x, y in zip(vectors[p], vectors[q])]
@@ -282,7 +282,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
         for step in block:  # the block's steps commute: each one's run in turn
             vectors[:] = [apply_run(step, m, v) for v in vectors]
         steps.add_run(block, m)
-        if len(block) * m == 1:
+        if adversary.by_J and len(block) * m == 1:
             played += rounds
             del played[:-2 * n]
         else:

@@ -11,6 +11,7 @@ Coefficients are exact rationals; identities below hold with zero tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, ValidationError
@@ -45,9 +46,10 @@ def validate_ring(ring: ValuedRing) -> list[str]:
         return [f"expected {ring.num_vars} values, got {len(ring.values)}"]
     if len({len(v) for v in ring.values}) != 1:
         return ["values must share one length"]
+    rows = _scaled(ring.values)[1]
     violations = [f"value of variable {k} is not lex-positive"
-                  for k, v in enumerate(ring.values, start=1) if lex_sign(v) <= 0]
-    rank = _rational_rank(ring.values[:ring.num_toric])
+                  for k, row in enumerate(rows, start=1) if lex_sign(row) <= 0]
+    rank = _rational_rank(rows[:ring.num_toric])
     if rank != ring.num_toric:
         violations.append(
             f"toric values not independent: rank {rank} < {ring.num_toric}")
@@ -65,10 +67,10 @@ def polynomial(terms: Iterable[tuple[Sequence[int], Fraction]]) -> Polynomial:
     out: Polynomial = {}
     for exponents, coeff in terms:
         e = natvec(exponents)
-        c = Fraction(coeff)
-        acc = out.get(e, Fraction(0)) + c
-        if acc:
-            out[e] = acc
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        c = out[e] + c if e in out else c
+        if c:
+            out[e] = c
         elif e in out:
             del out[e]
     return out
@@ -98,9 +100,7 @@ class Substitution(NamedTuple):
 
 
 def substitute_exponents(e: Vec, s: Substitution) -> Vec:
-    n = s.num_toric
-    head = tuple(sum(e[i] * s.matrix[i][j] for i in range(n)) for j in range(n))
-    return head + tuple(e[n:])
+    return tuple(_dot(e, s.matrix)) + tuple(e[s.num_toric:])
 
 
 def apply_substitution(p: Polynomial, s: Substitution) -> Polynomial:
@@ -128,7 +128,7 @@ def _substitution_from(ring: ValuedRing, final_basis: GroupBasis,
     """
     n = ring.num_toric
     composed = compose_trace(steps, n)
-    a = tuple(tuple(composed[j][i] for j in range(n)) for i in range(n))
+    a = tuple(zip(*composed))
     new_values = final_basis.images + ring.values[n:]
     return (Substitution(a, ring.num_vars, steps),
             ValuedRing(ring.num_vars, n, new_values))
@@ -182,21 +182,21 @@ def monomialize(ring: ValuedRing, f: Polynomial,
         raise ValidationError("polynomial must be non-zero")
     n, m = ring.num_toric, ring.num_vars
     for e in f:
-        if len(e) != m:
+        if len(natvec(e)) != m:
             raise ValidationError(
                 f"term has {len(e)} exponents, ring has {m} variables")
 
-    toric_parts = [natvec(t) for t in sorted({e[:n] for e in f})]
+    toric_parts = sorted({e[:n] for e in f})
     zero_tail = (0,) * (m - n)
-    rows = _scaled(ring.values[:n])[1]  # each part's value, times one L > 0
-    (low, min_part), *rest = sorted((tuple(_dot(t, rows)), t) for t in toric_parts)
+    scaled = _scaled(ring.values[:n])  # each part's value, times one L > 0
+    (low, min_part), *rest = sorted((tuple(_dot(t, scaled[1])), t) for t in toric_parts)
     if rest and rest[0][0] == low:
         raise InternalError("two distinct toric monomials share a value")
 
     basis = _initial_basis(GroupOrder(ring.values[:n]))
-    deltas = [tuple(a - b for a, b in zip(t, min_part))  # positive: min_part is least
+    deltas = [tuple(map(sub, t, min_part))  # positive: min_part is least
               for t in toric_parts if t != min_part]
-    combined = _into_cone(basis, deltas, step_limit)
+    combined = _into_cone(basis, scaled, deltas, step_limit)
     substitution, new_ring = _substitution_from(ring, combined.basis,
                                                 combined.steps)
 
@@ -205,10 +205,10 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     shift = factor + zero_tail
     unit: Polynomial = {}
     for e, c in transformed.items():
-        reduced = tuple(x - y for x, y in zip(e, shift))
-        if any(x < 0 for x in reduced):
+        reduced = tuple(map(sub, e, shift))
+        if min(reduced) < 0:
             raise InternalError("factor does not divide the transformed polynomial")
         unit[reduced] = c
-    if not any(all(e[j] == 0 for j in range(n)) for e in unit):
+    if all(any(e[:n]) for e in unit):
         raise InternalError("unit part still lies inside the toric ideal")
     return MonomializationResult(substitution, new_ring.values, factor, unit)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .engine import Adversary, drive
@@ -29,7 +30,7 @@ LexVec = tuple[Fraction, ...]
 
 def lexvec(entries) -> LexVec:
     """Freeze a vector of exact rationals."""
-    v = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+    v = tuple([e if type(e) is Fraction else Fraction(e) for e in entries])
     if not v:
         raise ValidationError("lex vector must have dimension >= 1")
     return v
@@ -45,21 +46,18 @@ def lex_sign(v: LexVec) -> int:
 
 def _scaled(vecs: Sequence[LexVec]) -> tuple[int, tuple[Vec, ...]]:
     """(L, rows): L the lcm of every entry's denominator, row k L * vecs[k]."""
-    L = 1
-    for v in vecs:
-        for x in v:
-            L = math.lcm(L, x.denominator)  # pairwise: no list of all entries
-    return L, tuple(tuple(x.numerator * (L // x.denominator) for x in v) for v in vecs)
+    L = math.lcm(*[x.denominator for v in vecs for x in v])
+    return L, tuple([tuple([x.numerator * (L // x.denominator) for x in v]) for v in vecs])
 
 
 def _dot(coeffs: Sequence[int], rows: Sequence[Vec]):
     """Entry by entry, and lazily, the integer combination of integer rows."""
-    return (sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(len(rows[0])))
+    return (sum(map(mul, coeffs, column)) for column in zip(*rows))
 
 
-def _rational_rank(rows: Sequence[LexVec]) -> int:
-    """Rank over Q, computed on the integer rows of _scaled."""
-    work = list(_scaled(rows)[1])
+def _rational_rank(rows: Sequence[Vec]) -> int:
+    """Rank over Q of integer rows, such as those of _scaled."""
+    work = list(rows)
     rank = 0
     for col in range(len(work[0])):
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
@@ -94,9 +92,10 @@ def validate_order(order: GroupOrder) -> list[str]:
         return ["order must have at least one generator image"]
     if len({len(img) for img in order.images}) != 1:
         return ["generator images must share one length"]
+    rows = _scaled(order.images)[1]
     violations = [f"image {k} is not lex-positive"
-                  for k, img in enumerate(order.images, start=1) if lex_sign(img) <= 0]
-    rank = _rational_rank(order.images)
+                  for k, row in enumerate(rows, start=1) if lex_sign(row) <= 0]
+    rank = _rational_rank(rows)
     if rank != order.rank:
         violations.append(
             f"images not independent: rank {rank} < {order.rank}")
@@ -183,8 +182,8 @@ def _perron_transform(basis: GroupBasis, J: frozenset[int], j: int,
                       k: int) -> GroupBasis:
     """Subtract k times basis element j from every other element of J."""
     def subtract(vecs):
-        return tuple(tuple(x - k * y for x, y in zip(v, vecs[j - 1]))
-                     if i in J and i != j else v for i, v in enumerate(vecs, start=1))
+        return tuple([tuple([x - k * y for x, y in zip(v, vecs[j - 1])])
+                      if i in J and i != j else v for i, v in enumerate(vecs, start=1)])
 
     images, rows = subtract(basis.images), subtract(basis.coords_in_original)
     if any(lex_sign(images[i - 1]) <= 0 for i in J if i != j):
@@ -268,10 +267,10 @@ def positivize(basis: GroupBasis, element: GroupElement,
     """Transform the basis until the element has non-negative coordinates."""
     if element.basis != basis:
         raise ValidationError("element is not expressed in the given basis")
-    if _combination_sign(element.coords, basis.images) < 0:
-        raise ValidationError(
-            "element is negative; only positive elements join the cone")
-    basis, (coords,), steps = _into_cone(basis, [element.coords], step_limit)
+    scaled = _scaled(basis.images)
+    if lex_sign(_dot(element.coords, scaled[1])) < 0:
+        raise ValidationError("element is negative; only positive elements join the cone")
+    basis, (coords,), steps = _into_cone(basis, scaled, [element.coords], step_limit)
     return PositivizeResult(basis, coords, steps)
 
 
@@ -291,19 +290,20 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
     ends as plus - minus, non-negative as the element is positive, and stays
     so as the cone grows.  step_limit bounds the rounds of the whole job.
     """
+    scaled = _scaled(basis.images)
     rows = []
     for k, e in enumerate(elements, start=1):
         if e.basis != basis:
             raise ValidationError(f"element {k} is not expressed in the given basis")
-        if _combination_sign(e.coords, basis.images) < 0:
+        if lex_sign(_dot(e.coords, scaled[1])) < 0:
             raise ValidationError(f"element {k} is negative")
         rows.append(e.coords)
-    return _into_cone(basis, rows, step_limit)
+    return _into_cone(basis, scaled, rows, step_limit)
 
 
-def _into_cone(basis: GroupBasis, rows: list[Vec],
-               step_limit: Optional[int]) -> PositivizeAllResult:
-    """positivize_all for rows already checked to be positive elements."""
+def _into_cone(basis: GroupBasis, scaled: tuple[int, tuple[Vec, ...]],
+               rows: list[Vec], step_limit: Optional[int]) -> PositivizeAllResult:
+    """positivize_all for rows checked to be positive, scaled = _scaled(basis.images)."""
     count = len(rows)
 
     def phase(rows):
@@ -318,13 +318,15 @@ def _into_cone(basis: GroupBasis, rows: list[Vec],
         row = next((row for row in rows if min(row) < 0), None)
         if row is None:
             return None
-        rows += [tuple(max(c, 0) for c in row), tuple(max(-c, 0) for c in row)]
+        rows += [tuple([max(c, 0) for c in row]), tuple([max(-c, 0) for c in row])]
         return count, count + 1
 
-    L, images = _scaled(basis.images)
+    L, images = scaled
     chooser = _PerronChooser(basis._replace(images=images))  # images times L: ints
     steps = drive(rows, phase, chooser, step_limit,
                   f"pair not comparable within {step_limit} steps")
     chooser.settle(steps.rounds + 1)
-    images = tuple(tuple(Fraction(x, L) for x in v) for v in chooser.basis.images)
+    # a row no transform touched is still the very row scaled: keep its image
+    images = tuple([old if new is row else tuple([Fraction(x, L) for x in new])
+                    for old, row, new in zip(basis.images, images, chooser.basis.images)])
     return PositivizeAllResult(chooser.basis._replace(images=images), tuple(rows), steps)

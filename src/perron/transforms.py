@@ -89,7 +89,7 @@ class Step:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if r == s else 0 for s in range(n)) for r in range(n))
+    return tuple([(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n)])
 
 
 def step_matrix(step: Step) -> Matrix:
@@ -125,9 +125,9 @@ def apply_run(step: Step, k: int, v: Sequence[int]) -> Vec:
     if len(v) != step.dim:
         raise ValidationError(
             f"dimension mismatch: step has dim {step.dim}, vector has {len(v)}")
-    j = step.j
+    j = step.j - 1
     out = list(v)
-    out[j - 1] += k * sum(v[i - 1] for i in step.J if i != j)
+    out[j] += k * (sum([v[i - 1] for i in step.J]) - v[j])
     return tuple(out)
 
 
@@ -159,7 +159,7 @@ class Trace(Sequence):
         """Record block played m more times; a repeat of the last run's block
         extends that run."""
         block = tuple(block)
-        if not block or not commute(block) or m < 1:
+        if not block or len(block) > 1 and not commute(block) or m < 1:
             raise ValidationError(
                 "a run is a non-empty block of commuting steps played m >= 1 times")
         self.rounds += len(block) * m
@@ -250,11 +250,10 @@ def compose_trace(steps: Sequence[Step], n: int) -> Matrix:
             if step.dim != n:
                 raise ValidationError(
                     f"trace mixes dimensions: expected {n}, found {step.dim}")
-            others = [rows[i - 1] for i in step.J if i != step.j]
-            if others:
-                rows[step.j - 1] = [x + m * sum(col) for x, col
-                                    in zip(rows[step.j - 1], zip(*others))]
-    return tuple(tuple(row) for row in rows)
+            row = rows[step.j - 1]
+            for other in [rows[i - 1] for i in step.J if i != step.j]:
+                row[:] = [x + m * y for x, y in zip(row, other)]
+    return tuple(map(tuple, rows))
 
 
 def determinant(m: Matrix) -> int:

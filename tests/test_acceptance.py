@@ -3,10 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to stream one pass/fail line
 per criterion.  Criterion 3 audits every trace produced by criteria 1, 2, 5,
 6 and 7, so it is defined after them and expects a whole-module run; invoked
-on its own it audits a self-generated batch instead.  Criterion 4 walks its
-grid by translation classes; `pytest -m full_walk tests/test_acceptance.py`
-also walks every start set's whole tree, which takes minutes and which a
-plain run deselects (see pyproject.toml).
+on its own it audits a self-generated batch instead.  Criterion 4 counts
+every start set's whole tree in one walk memoized by translation classes;
+`pytest -m full_walk tests/test_acceptance.py` also walks every start set's
+tree without that lemma, which takes minutes and which a plain run
+deselects (see pyproject.toml).
 """
 
 import itertools
@@ -128,43 +129,67 @@ def _shifted(vs, c):
     return tuple(tuple(x + y for x, y in zip(v, c)) for v in vs)
 
 
+def _tree_counts(vs, champion, memo):
+    """(nodes, leaves) of the tree below the position vs with the champion
+    index it inherits.  By the translation lemma that tree is the one below
+    vs shifted to coordinatewise minimum 0, so each (shifted position,
+    champion) key is expanded once, by the public walker, and its leaves
+    are checked once."""
+    key = (_shifted(vs, [-x for x in map(min, zip(*vs))]), champion)
+    if key not in memo:
+        _, position, champ, moves = next(game_tree(*key))
+        if not moves:
+            _assert_won(position)
+            memo[key] = (1, 1)
+        else:
+            counts = [_tree_counts(child, champ, memo) for _, child in moves]
+            memo[key] = (1 + sum(c[0] for c in counts),
+                         sum(c[1] for c in counts))
+    return memo[key]
+
+
 def test_criterion_4_game_soundness():
-    """The grid by translation classes.  The strategy reads only differences
-    of points and steps are linear, so the tree of V + c is the tree of V
-    with each node shifted (tests/test_game.py checks this lemma at random
-    roots).  Each class is walked once from its representative, the set
-    whose coordinatewise minimum is 0; every other set's root node is
-    checked against its representative's, shifted by the set's minimum.
-    test_criterion_4_full_walk walks every set's whole tree."""
-    with criterion(4, "exhaustive game by translation classes: every "
-                      "adversary sequence gets won"):
-        total_sets = classes = nodes = 0
+    """The whole grid in one memoized walk.  The strategy reads only
+    differences of points and steps are linear, so the tree of V + c is the
+    tree of V with each node shifted (tests/test_game.py checks this lemma
+    at random roots).  Every position is therefore walked once per
+    (shifted position, champion) key, and the counts of every start set's
+    tree add up to those of test_criterion_4_full_walk, which walks every
+    set's tree without the lemma.  Each class's representative, the set
+    whose coordinatewise minimum is 0, is counted as well, and every other
+    set's root node is checked against its representative's, shifted by
+    the set's minimum."""
+    with criterion(4, "exhaustive game, one memoized walk: every adversary "
+                      "sequence gets won"):
+        memo = {}
+        total_sets = classes = class_nodes = nodes = leaves = 0
         for rep in _start_sets():
             if any(map(min, zip(*rep))):
-                continue  # a translate, checked with its representative
+                continue  # a translate, counted with its representative
             classes += 1
-            for path, vs, champion, moves in game_tree(rep):
-                nodes += 1
-                if not path:
-                    root = (champion, moves)
-                if not moves:
-                    _assert_won(vs)
+            _, _, champion, moves = next(game_tree(rep))
+            counts = _tree_counts(rep, 0, memo)
+            class_nodes += counts[0]
             # every c >= 0 that keeps the set inside the grid
             for c in itertools.product(*(range(5 - max(col))
                                          for col in zip(*rep))):
                 total_sets += 1
+                nodes += counts[0]
+                leaves += counts[1]
                 if not any(c):
                     continue
                 vs = _shifted(rep, c)
-                _, _, champion, moves = next(game_tree(vs))
-                assert (champion, moves) == (root[0], [
+                _, _, shifted_champion, shifted_moves = next(game_tree(vs))
+                assert (shifted_champion, shifted_moves) == (champion, [
                     (step, _shifted(child, apply_step(step, c)))
-                    for step, child in root[1]])
-                if not moves:
+                    for step, child in moves])
+                if not shifted_moves:
                     _assert_won(vs)
         _spot_check_solve()
-        assert (classes, nodes) == (38463, 803821)
+        assert (classes, class_nodes) == (38463, 803821)
+        assert (nodes, leaves) == (4859026, 2648969)
         assert total_sets == _GRID_SETS == 328275
+        assert len(memo) == 186640
 
 
 @pytest.mark.full_walk

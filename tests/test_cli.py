@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -1219,3 +1220,51 @@ def test_rational_forms_without_an_exponent_still_read(entry, value,
     assert main(["monomialize"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["payload"]["unit"] == [{"coeff": value, "exponents": [0]}]
+
+
+# the rational reader against the Fraction(str) reader it replaced ----------
+
+def oracle_as_rational(value, what):
+    if isinstance(value, bool) or isinstance(value, float):
+        raise MalformedInput(f"{what} must be an integer or a 'p/q' string")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            if "e" in value or "E" in value:
+                raise ValueError(value)
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise MalformedInput(f"{what} is not a rational: {value!r}")
+    raise MalformedInput(f"{what} must be an integer or a 'p/q' string")
+
+
+def _read(reader, value):
+    try:
+        out = reader(value)
+    except MalformedInput as exc:
+        return f"MalformedInput: {exc}"
+    return type(out), out
+
+
+_digits = st.text("0123456789", min_size=1, max_size=300)
+# "-?digits" or "-?digits/digits", the shapes read without Fraction(str)
+_plain_rationals = st.builds(
+    lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+    st.sampled_from(["", "-"]), _digits, st.none() | _digits)
+# the shapes around them, which Fraction(str) reads or rejects
+_near_rationals = st.sampled_from([
+    "+2", " 3/4 ", "1.25", ".5", "1_0", "--1", "1/-2", "1/+2", "1/0", "0/0",
+    "1e3", "1E3", "-", "/", "1/", "/2", "-/2", "2/3/4", " -3", "3 ", "٣",
+    "-٣/٤", "²", "１", "1/٣", "", "0x10", "1.5/2"])
+
+
+@settings(max_examples=300)
+@given(st.one_of(_plain_rationals, _near_rationals,
+                 st.text("0123456789-+/ ._eE٣²", max_size=12),
+                 st.integers(), st.booleans(), st.floats(), st.none()))
+def test_rational_reader_matches_fraction_of_the_string(value):
+    """Each input gives the same Fraction, or the same malformed-input
+    message, as the reader that sent every string to Fraction."""
+    assert _read(lambda v: perron.cli._as_rational(v, "entry", Fraction), value) \
+        == _read(lambda v: oracle_as_rational(v, "entry"), value)

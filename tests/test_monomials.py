@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from perron import (Substitution, ValidationError, ValuedRing,
                     apply_substitution, determinant, divisibility_transform,
-                    lex_sign, lexvec, monomial_value, monomialize, polynomial,
-                    substitute_exponents, validate_ring)
+                    lex_sign, lexvec, monomial_value, monomialize, natvec,
+                    polynomial, substitute_exponents, validate_ring)
 
 from conftest import ring_with_polynomial, valued_rings
 
@@ -195,3 +195,65 @@ def test_substitution_preserves_monomial_values(ring, data):
     exponents = tuple(data.draw(st.integers(0, 4)) for _ in range(m))
     assert monomial_value(new_ring, substitute_exponents(exponents, substitution)) \
         == monomial_value(ring, exponents)
+
+
+def test_monomialize_checks_every_exponent_vector():
+    """A raw polynomial's exponents are checked whole, the non-toric tail
+    too, so a negative one is a validation error and not an internal one."""
+    ring = ValuedRing(3, 2, ((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(ValidationError, match=r"^entry 3 is negative: -1$"):
+        monomialize(ring, {(1, 0, -1): 1, (0, 1, 0): 1})
+
+
+# polynomial and substitute_exponents against the forms they replaced -------
+
+def oracle_polynomial(terms):
+    out = {}
+    for exponents, coeff in terms:
+        e = natvec(exponents)
+        c = Fraction(coeff)
+        acc = out.get(e, Fraction(0)) + c
+        if acc:
+            out[e] = acc
+        elif e in out:
+            del out[e]
+    return out
+
+
+def oracle_substitute_exponents(e, s):
+    n = s.num_toric
+    head = tuple(sum(e[i] * s.matrix[i][j] for i in range(n)) for j in range(n))
+    return head + tuple(e[n:])
+
+
+def _outcome(f, *args):
+    try:
+        out = f(*args)
+    except (ValidationError, ValueError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return out, list(out.items()) if isinstance(out, dict) else None
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(max_denominator=5).filter(lambda c: abs(c) < 4),
+    st.sampled_from(["1/2", "-3", "x", 0.5]))
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(st.tuples(
+    st.lists(st.integers(-1, 2), min_size=m, max_size=m), coefficients),
+    max_size=8)))
+def test_polynomial_matches_the_sum_it_replaced(terms):
+    """Same dict, in the same order, and the same error: duplicates merge,
+    zeros drop, and a term summing to zero leaves its place."""
+    assert _outcome(polynomial, terms) == _outcome(oracle_polynomial, terms)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.integers(0, 10 ** 20), min_size=n, max_size=n + 3))))
+def test_substitute_exponents_matches_the_generator_form(case):
+    matrix, e = case
+    s = Substitution(tuple(map(tuple, matrix)), len(e))
+    assert substitute_exponents(tuple(e), s) == \
+        oracle_substitute_exponents(tuple(e), s)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from perron import (Step, Trace, ValidationError, apply_matrix, apply_step,
                     compose_trace, determinant, identity_matrix, intvec,
                     natvec, step_matrix)
+from perron.transforms import commute
 
 from conftest import ordered_pair_with_step, traces, vec_with_step
 
@@ -376,3 +377,65 @@ def test_step_rejects_a_non_integer_j_or_dim():
         assert str(info.value) == message
     step = Step({1, 2}, IntSubclass(2), IntSubclass(2))
     assert (step.j, step.dim) == (2, 2)
+
+
+# identity_matrix and compose_trace against the generator forms they replaced
+
+def oracle_identity_matrix(n):
+    return tuple(tuple(1 if r == s else 0 for s in range(n)) for r in range(n))
+
+
+def oracle_compose_trace(steps, n):
+    runs = steps.runs if isinstance(steps, Trace) else [((s,), 1) for s in steps]
+    rows = [list(row) for row in oracle_identity_matrix(n)]
+    for block, m in runs:
+        for step in block:
+            if step.dim != n:
+                raise ValidationError(
+                    f"trace mixes dimensions: expected {n}, found {step.dim}")
+            others = [rows[i - 1] for i in step.J if i != step.j]
+            if others:
+                rows[step.j - 1] = [x + m * sum(col) for x, col
+                                    in zip(rows[step.j - 1], zip(*others))]
+    return tuple(tuple(row) for row in rows)
+
+
+@given(st.integers(-2, 12))
+def test_identity_matrix_matches_the_generator_form(n):
+    assert identity_matrix(n) == oracle_identity_matrix(n)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@st.composite
+def runs_of_blocks(draw, max_dim=4):
+    """(n, steps): a Trace of runs, each a block of commuting steps played up
+    to 2^70 times, or a plain list of steps; now and then a step of another
+    dimension, which both must reject alike."""
+    n = draw(st.integers(1, max_dim))
+    steps = []
+    for _ in range(draw(st.integers(0, 5))):
+        block = []
+        for _ in range(draw(st.integers(1, 3))):
+            J = draw(st.frozensets(st.integers(1, n), min_size=1))
+            block.append(Step(J, draw(st.sampled_from(sorted(J))), n))
+        if commute(block):
+            steps.append((tuple(block), draw(st.integers(1, 2 ** 70))))
+    if draw(st.booleans()):
+        return n, Trace(steps)
+    flat = [step for block, m in steps for step in block * min(m, 3)]
+    if flat and draw(st.booleans()):
+        flat.insert(draw(st.integers(0, len(flat))), Step({1}, 1, n + 1))
+    return n, flat
+
+
+@given(runs_of_blocks())
+def test_compose_trace_matches_the_generator_form(case):
+    n, steps = case
+    assert _outcome(compose_trace, steps, n) == \
+        _outcome(oracle_compose_trace, steps, n)
