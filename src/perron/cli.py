@@ -248,21 +248,21 @@ def _cmd_game(doc, args, infile, mode):
 
 
 def _cmd_positivize(doc, args, infile):
-    from .ordered_group import (GroupElement, GroupOrder, _initial_basis,
-                                positivize_all, validate_order)
+    from .ordered_group import (GroupElement, GroupOrder, _check_order,
+                                _initial_basis, _positivize_all)
     raw_images = _field(doc, "generator_images")
     if not isinstance(raw_images, list) or not raw_images:
         raise MalformedInput("generator_images must be a non-empty list")
     order = GroupOrder(_as_lexvecs(raw_images, "generator_images",
                                    "each generator image", "image entry"))
-    violations = validate_order(order)
+    violations, scaled = _check_order(order)
     if violations:
         raise ValidationError("; ".join(violations))
     basis = _initial_basis(order)
 
     elements = [GroupElement(basis, _as_int_list(row, "element"))
                 for row in _as_list(_field(doc, "elements"), "elements")]
-    result = positivize_all(basis, elements, step_limit=args.step_limit)
+    result = _positivize_all(basis, scaled, elements, args.step_limit)
     payload = {
         "basis_in_original": _encode_matrix(result.basis.coords_in_original),
         "basis_images": [_encode_lexvec(img) for img in result.basis.images],
@@ -533,7 +533,7 @@ def _read_job(args):
     if not isinstance(doc, dict):
         raise MalformedInput("job document must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 == 1 too
         raise MalformedInput(f"unsupported schema_version: {version!r}")
     return doc, infile
 
@@ -606,20 +606,12 @@ def _run(argv) -> int:
         return _emit_error(args, str(exc), EXIT_ABORTED, exc.steps)
     except InternalError as exc:
         return _emit_error(args, str(exc), EXIT_INTERNAL)
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "status": "ok",
-        "payload": payload,
-        "diagnostics": [],
-    }
+    out = {"schema_version": SCHEMA_VERSION, "status": "ok", "payload": payload,
+           "diagnostics": []}
     return _write_document(args, out, EXIT_OK, steps if args.trace else None)
 
 
 def _emit_error(args, message, code, steps=None) -> int:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "status": "error",
-        "payload": None,
-        "diagnostics": [message],
-    }
+    out = {"schema_version": SCHEMA_VERSION, "status": "error", "payload": None,
+           "diagnostics": [message]}
     return _write_document(args, out, code, steps)

@@ -101,25 +101,25 @@ def _J_rule(d: Sequence[int]):
     the smaller side's support plus the shortest prefix of order whose
     residuals cover that side's norm: that makes tau drop for every j.  The
     triple fixes every sign of d and the prefix length too, so equal triples
-    mean every branch here went alike.
+    mean every branch here went alike.  One pass over d sums both norms and
+    collects each side's (key, index) pairs; only the larger side is sorted.
     """
     na = nb = 0
+    pos, neg, i = [], [], 0  # keys sort by falling residual, then by index
     for x in d:
+        i += 1
         if x > 0:
             na += x
+            pos.append((-x, i))
         elif x < 0:
             nb -= x
+            neg.append((x, i))
     if not na or not nb:
         return None
     swapped = na > nb
-    if swapped:
-        large = sorted([(-x, i) for i, x in enumerate(d, start=1) if x > 0])
-        J = [i for i, x in enumerate(d, start=1) if x < 0]
-        need = nb
-    else:
-        large = sorted([(x, i) for i, x in enumerate(d, start=1) if x < 0])
-        J = [i for i, x in enumerate(d, start=1) if x > 0]
-        need = na
+    large, small, need = (pos, neg, nb) if swapped else (neg, pos, na)
+    large.sort()
+    J = [i for _, i in small]
     acc = 0
     for key, i in large:
         J.append(i)
@@ -184,23 +184,23 @@ class EngineTrace(_EngineTraceFields):
         return tuple(out)
 
 
-def _repeat_count(states: list[list[int]], shift: list[int], limit: int) -> int:
+def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
     """How many more times, at most limit, a block of rounds repeats.
 
-    states[i] is alpha - beta at the start of round i of one repetition, and
-    every repetition shifts each of them by `shift`.  Counts the repetitions
-    t = 1, 2, ... in which every round decides like its counterpart in
-    repetition 0: same _J_rule triple, hence same signs and prefix cut.
-    Each decision is the sign of a + t*b for integers a and b, |a| at most
-    twice the norm of a state, so the repetitions that decide alike form an
-    interval, which ends within 2*|state|_1 + 1 of them: gallop to its end,
-    then bisect.
+    rounds[i] starts with (d, rule): d = alpha - beta at the start of round i
+    of one repetition, incomparable, and rule = _J_rule(d).  Every repetition
+    shifts each d by `shift`.  Counts the repetitions t = 1, 2, ... in which
+    every round decides like its counterpart in repetition 0: same _J_rule
+    triple, hence same signs and prefix cut.  Each decision is the sign of
+    a + t*b for integers a and b, |a| at most twice the norm of a state, so
+    the repetitions that decide alike form an interval, which ends within
+    2*|state|_1 + 1 of them: gallop to its end, then bisect.
     """
-    firsts = [_J_rule(d) for d in states]
-
     def same(t):
-        return all(_J_rule([x + t * y for x, y in zip(d, shift)]) == first
-                   for d, first in zip(states, firsts))
+        for r in rounds:
+            if _J_rule([x + t * y for x, y in zip(r[0], shift)]) != r[1]:
+                return False
+        return True
 
     lo, stride = 0, 1  # repetitions up to lo decide like repetition 0
     while lo + stride <= limit and same(lo + stride):
@@ -261,7 +261,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
         if period:  # the block played twice now starts again
             rounds = played[-period:]
             shift = [x - y for x, y in zip(d, rounds[0][0])]
-            m = _repeat_count([r[0] for r in rounds], shift, left // period)
+            m = _repeat_count(rounds, shift, left // period)
         if not m:
             try:
                 j, k = adversary.choose_run(J, tuple(vectors), round_no, left)
@@ -277,7 +277,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             if k > 1:
                 shift = [0] * n
                 shift[j - 1] = sum(d[i - 1] for i in J if i != j)
-                m += _repeat_count([d], shift, k - 1)
+                m += _repeat_count(rounds, shift, k - 1)
         block = [r[2] for r in rounds]
         for step in block:  # the block's steps commute: each one's run in turn
             vectors[:] = [apply_run(step, m, v) for v in vectors]

@@ -39,27 +39,34 @@ class ValuedRing(NamedTuple):
 
 def validate_ring(ring: ValuedRing) -> list[str]:
     """Return the list of violations (empty when the ring is usable)."""
+    return _check_ring(ring)[0]
+
+
+def _check_ring(ring: ValuedRing):
+    """(violations, _scaled(ring.values)), scaled None when the shape is wrong."""
     if not 1 <= ring.num_toric <= ring.num_vars:
         return [f"need 1 <= num_toric <= num_vars, got {ring.num_toric} and "
-                f"{ring.num_vars}"]
+                f"{ring.num_vars}"], None
     if len(ring.values) != ring.num_vars:
-        return [f"expected {ring.num_vars} values, got {len(ring.values)}"]
+        return [f"expected {ring.num_vars} values, got {len(ring.values)}"], None
     if len({len(v) for v in ring.values}) != 1:
-        return ["values must share one length"]
-    rows = _scaled(ring.values)[1]
+        return ["values must share one length"], None
+    scaled = _scaled(ring.values)
     violations = [f"value of variable {k} is not lex-positive"
-                  for k, row in enumerate(rows, start=1) if lex_sign(row) <= 0]
-    rank = _rational_rank(rows[:ring.num_toric])
+                  for k, row in enumerate(scaled[1], start=1) if lex_sign(row) <= 0]
+    rank = _rational_rank(scaled[1][:ring.num_toric])
     if rank != ring.num_toric:
         violations.append(
             f"toric values not independent: rank {rank} < {ring.num_toric}")
-    return violations
+    return violations, scaled
 
 
 def _require_valid(ring: ValuedRing):
-    violations = validate_ring(ring)
+    """_scaled(ring.values) of a valid ring; ValidationError otherwise."""
+    violations, scaled = _check_ring(ring)
     if violations:
         raise ValidationError("invalid ring: " + "; ".join(violations))
+    return scaled
 
 
 def polynomial(terms: Iterable[tuple[Sequence[int], Fraction]]) -> Polynomial:
@@ -177,7 +184,7 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     positivizes every value difference at once, yielding a single substitution.
     step_limit bounds the rounds of that whole run, as in positivize_all.
     """
-    _require_valid(ring)
+    L, rows = _require_valid(ring)
     if not f:
         raise ValidationError("polynomial must be non-zero")
     n, m = ring.num_toric, ring.num_vars
@@ -188,7 +195,7 @@ def monomialize(ring: ValuedRing, f: Polynomial,
 
     toric_parts = sorted({e[:n] for e in f})
     zero_tail = (0,) * (m - n)
-    scaled = _scaled(ring.values[:n])  # each part's value, times one L > 0
+    scaled = L, rows[:n]  # each toric part's value, times one L > 0
     (low, min_part), *rest = sorted((tuple(_dot(t, scaled[1])), t) for t in toric_parts)
     if rest and rest[0][0] == low:
         raise InternalError("two distinct toric monomials share a value")

@@ -88,18 +88,23 @@ class GroupOrder(NamedTuple):
 
 def validate_order(order: GroupOrder) -> list[str]:
     """Return the list of violations (empty when the order is usable)."""
+    return _check_order(order)[0]
+
+
+def _check_order(order: GroupOrder):
+    """(violations, _scaled(order.images)), scaled None for missing or ragged images."""
     if not order.images:
-        return ["order must have at least one generator image"]
+        return ["order must have at least one generator image"], None
     if len({len(img) for img in order.images}) != 1:
-        return ["generator images must share one length"]
-    rows = _scaled(order.images)[1]
+        return ["generator images must share one length"], None
+    scaled = _scaled(order.images)
     violations = [f"image {k} is not lex-positive"
-                  for k, row in enumerate(rows, start=1) if lex_sign(row) <= 0]
-    rank = _rational_rank(rows)
+                  for k, row in enumerate(scaled[1], start=1) if lex_sign(row) <= 0]
+    rank = _rational_rank(scaled[1])
     if rank != order.rank:
         violations.append(
             f"images not independent: rank {rank} < {order.rank}")
-    return violations
+    return violations, scaled
 
 
 class GroupBasis(NamedTuple):
@@ -290,7 +295,12 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
     ends as plus - minus, non-negative as the element is positive, and stays
     so as the cone grows.  step_limit bounds the rounds of the whole job.
     """
-    scaled = _scaled(basis.images)
+    return _positivize_all(basis, _scaled(basis.images), elements, step_limit)
+
+
+def _positivize_all(basis: GroupBasis, scaled, elements: Sequence[GroupElement],
+                    step_limit: Optional[int]) -> PositivizeAllResult:
+    """positivize_all with scaled = _scaled(basis.images) already taken."""
     rows = []
     for k, e in enumerate(elements, start=1):
         if e.basis != basis:

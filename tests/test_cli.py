@@ -288,10 +288,14 @@ def test_random_without_seed_is_exit_1(tmp_path):
 
 
 def test_bad_schema_version_is_exit_1(tmp_path):
-    code, _, _ = run_cli(
-        tmp_path, ["compare"],
-        {"schema_version": 2, "alpha": [1, 0], "beta": [1, 1]})
-    assert code == 1
+    """Only the integer 1 is schema version 1: not true, 1.0 or "1"."""
+    for version in (2, True, 1.0, "1"):
+        code, doc, _ = run_cli(
+            tmp_path, ["compare"],
+            {"schema_version": version, "alpha": [1, 0], "beta": [1, 1]})
+        assert code == 1
+        assert doc["status"] == "error"
+        assert doc["diagnostics"] == [f"unsupported schema_version: {version!r}"]
 
 
 def test_stdin_document_with_inline_choices(monkeypatch, capsys, tmp_path):
@@ -591,10 +595,11 @@ def test_failed_monomialize_reverification_is_exit_5(tmp_path, monkeypatch, caps
 
 
 def test_internal_error_from_the_library_is_exit_5(tmp_path, monkeypatch, capsys):
-    def broken(basis, elements, step_limit=None):
+    def broken(basis, scaled, elements, step_limit):
         raise InternalError("transformed basis image is not lex-positive")
 
-    monkeypatch.setattr("perron.ordered_group.positivize_all", broken)
+    # the CLI passes its validated, scaled images to positivize_all's body
+    monkeypatch.setattr("perron.ordered_group._positivize_all", broken)
     assert_internal_error(
         tmp_path, capsys, ["positivize"],
         {"generator_images": [["1", "0"], ["0", "1"]], "elements": [[2, -1]]},
@@ -1177,6 +1182,27 @@ def test_one_job_checks_its_rank_once(argv, job, monkeypatch, capsys):
     # monomials holds its own reference, taken at import
     monkeypatch.setattr(perron.ordered_group, "_rational_rank", counting)
     monkeypatch.setattr(perron.monomials, "_rational_rank", counting)
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("argv, job", [
+    (["positivize"], GOLDEN_TRACES[2][1]),
+    (["monomialize"], GOLDEN_TRACES[3][1]),
+], ids=["positivize", "monomialize"])
+def test_one_job_scales_its_images_once(argv, job, monkeypatch, capsys):
+    """Validation and the descent share one scaled copy of the images."""
+    real = perron.ordered_group._scaled
+    calls = []
+
+    def counting(vecs):
+        calls.append(len(vecs))
+        return real(vecs)
+
+    monkeypatch.setattr(perron.ordered_group, "_scaled", counting)
+    monkeypatch.setattr(perron.monomials, "_scaled", counting)
     monkeypatch.setattr("sys.stdin", io.StringIO(job))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"

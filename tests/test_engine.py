@@ -50,6 +50,57 @@ def test_choose_J_examples():
         assert tau(apply_step(step, (1, 0)), apply_step(step, (0, 1))).first == 0
 
 
+def oracle_J_rule(d):
+    """The J rule as it was before the one-pass _J_rule: norms in one pass,
+    then each side's keys, J and order by comprehensions over d."""
+    na = nb = 0
+    for x in d:
+        if x > 0:
+            na += x
+        elif x < 0:
+            nb -= x
+    if not na or not nb:
+        return None
+    swapped = na > nb
+    if swapped:
+        large = sorted([(-x, i) for i, x in enumerate(d, start=1) if x > 0])
+        J = [i for i, x in enumerate(d, start=1) if x < 0]
+        need = nb
+    else:
+        large = sorted([(x, i) for i, x in enumerate(d, start=1) if x < 0])
+        J = [i for i, x in enumerate(d, start=1) if x > 0]
+        need = na
+    acc = 0
+    for key, i in large:
+        J.append(i)
+        acc -= key
+        if acc >= need:
+            break
+    return frozenset(J), swapped, [i for _, i in large]
+
+
+mixed_entries = st.one_of(
+    st.just(0), st.integers(-3, 3),
+    st.integers(1, 256).flatmap(lambda b: st.integers(-2 ** b, 2 ** b)))
+
+
+@st.composite
+def mixed_differences(draw):
+    """d of length 1-8: zeros, small and huge entries of both signs, and
+    values repeated on one side or mirrored across sides (ties)."""
+    pool = draw(st.lists(mixed_entries, min_size=1, max_size=4))
+    pool += [-x for x in pool]
+    return draw(st.lists(st.sampled_from(pool) | mixed_entries,
+                         min_size=1, max_size=8))
+
+
+@settings(max_examples=500)
+@given(mixed_differences())
+def test_J_rule_matches_the_oracle(d):
+    assert _J_rule(d) == oracle_J_rule(d)
+    assert _J_rule(tuple(d)) == oracle_J_rule(d)
+
+
 def test_choose_J_requires_incomparable():
     with pytest.raises(ValidationError):
         choose_J((1, 0), (1, 1))
@@ -503,10 +554,10 @@ def scanned_repeat_count(states, shift, limit):
     """The oracle: the largest t <= limit such that repetitions 1..t decide
     like repetition 0 (same _J_rule triple for every state), by a direct
     scan over t."""
-    firsts = [_J_rule(d) for d in states]
+    firsts = [oracle_J_rule(d) for d in states]
     t = 0
     while t < limit and all(
-            _J_rule([x + (t + 1) * y for x, y in zip(d, shift)]) == first
+            oracle_J_rule([x + (t + 1) * y for x, y in zip(d, shift)]) == first
             for d, first in zip(states, firsts)):
         t += 1
     return t
@@ -533,5 +584,6 @@ def test_repeat_count_matches_a_direct_scan(case):
     a comparable one they need not: d = (1, 3) with shift (-1, -1) is
     comparable at t = 0, 1 and 3 but not at 2."""
     states, shift, limit = case
-    assert _repeat_count(states, shift, limit) == \
+    rounds = [(d, oracle_J_rule(d)) for d in states]
+    assert _repeat_count(rounds, shift, limit) == \
         scanned_repeat_count(states, shift, limit)
