@@ -21,7 +21,7 @@ from .errors import (InteractiveAborted, InternalError, PerronError,
 from .tau import Comparability, Tau, comparability, reduce_pair, tau
 from .transforms import (Matrix, Step, Trace, Vec, apply_matrix, apply_step,
                          compose_trace, determinant, identity_matrix, intvec,
-                         mat_mul, natvec, step_matrix)
+                         natvec, step_matrix)
 
 _LAZY = {name: module for module, names in (
     ("game", "GameOutcome advance_champion game_tree is_won solve"),
@@ -56,8 +56,8 @@ __all__ = [
     "apply_matrix", "apply_step", "apply_substitution", "choose_J",
     "comparability", "compose_trace", "determinant", "divisibility_transform",
     "element_compare", "element_value", "game_tree", "identity_matrix",
-    "intvec", "is_won", "lex_sign", "lexvec", "mat_mul", "monomial_value",
-    "monomialize", "natvec", "polynomial", "positivize", "positivize_all",
-    "reduce_pair", "run_pair", "simple_perron", "solve", "step_matrix",
-    "substitute_exponents", "tau", "validate_order", "validate_ring",
+    "intvec", "is_won", "lex_sign", "lexvec", "monomial_value", "monomialize",
+    "natvec", "polynomial", "positivize", "positivize_all", "reduce_pair",
+    "run_pair", "simple_perron", "solve", "step_matrix", "substitute_exponents",
+    "tau", "validate_order", "validate_ring",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
@@ -136,7 +137,7 @@ def choose_J(alpha: Vec, beta: Vec) -> frozenset[int]:
     """
     if len(alpha) != len(beta):
         raise ValidationError(f"dimension mismatch: {len(alpha)} vs {len(beta)}")
-    rule = _J_rule([x - y for x, y in zip(alpha, beta)])
+    rule = _J_rule(list(map(sub, alpha, beta)))
     if rule is None:
         raise ValidationError("pair is already comparable; no J to choose")
     return rule[0]
@@ -248,7 +249,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
     played = []  # (d, rule, step) of the single rounds just played, when by_J
     while True:
         round_no = steps.rounds + 1
-        d = [x - y for x, y in zip(vectors[p], vectors[q])]
+        d = list(map(sub, vectors[p], vectors[q]))
         rule = _J_rule(d)
         if rule is None or (step_limit is not None and round_no > step_limit):
             return
@@ -260,7 +261,7 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             period = _period(played, rule)
         if period:  # the block played twice now starts again
             rounds = played[-period:]
-            shift = [x - y for x, y in zip(d, rounds[0][0])]
+            shift = list(map(sub, d, rounds[0][0]))
             m = _repeat_count(rounds, shift, left // period)
         if not m:
             try:

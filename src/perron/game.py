@@ -76,9 +76,16 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
     incomparable vector (None if the sweep completes).
 
     Strict inequalities survive steps, so the sweep is stable across rounds.
+    A champion index outside the set raises ValidationError; an empty set
+    returns (champion_index, None).
     """
     champ = champion_index
-    c = vectors[champ] if vectors else None
+    if not 0 <= champ < len(vectors):
+        if not vectors:
+            return champ, None
+        raise ValidationError(
+            f"champion index {champ!r} is outside 0..{len(vectors) - 1}")
+    c = vectors[champ]
     for i, v in enumerate(vectors):
         if i == champ:
             continue

@@ -62,10 +62,9 @@ class Step:
                     f"J must be a subset of 1..{dim}, got {sorted(J)}")
         if j not in J or type(j) is not int and not _is_int(j):
             raise ValidationError(f"j={j} is not a member of J={sorted(J)}")
-        assign = object.__setattr__
-        assign(self, "J", J)
-        assign(self, "j", j)
-        assign(self, "dim", dim)
+        _set_J(self, J)
+        _set_j(self, j)
+        _set_dim(self, dim)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -86,6 +85,10 @@ class Step:
 
     def __reduce__(self):
         return type(self), (self.J, self.j, self.dim)
+
+
+# the slots' own setters, past Step.__setattr__, which forbids assignment
+_set_J, _set_j, _set_dim = Step.J.__set__, Step.j.__set__, Step.dim.__set__
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -110,7 +113,9 @@ def apply_step(step: Step, v: Sequence[int]) -> Vec:
     if len(v) != step.dim:
         raise ValidationError(
             f"dimension mismatch: step has dim {step.dim}, vector has {len(v)}")
-    total = sum([v[i - 1] for i in step.J])
+    total = 0
+    for i in step.J:
+        total += v[i - 1]
     out = list(v)
     out[step.j - 1] = total
     return tuple(out)
@@ -126,8 +131,11 @@ def apply_run(step: Step, k: int, v: Sequence[int]) -> Vec:
         raise ValidationError(
             f"dimension mismatch: step has dim {step.dim}, vector has {len(v)}")
     j = step.j - 1
+    total = 0
+    for i in step.J:
+        total += v[i - 1]
     out = list(v)
-    out[j] += k * (sum([v[i - 1] for i in step.J]) - v[j])
+    out[j] += k * (total - v[j])
     return tuple(out)
 
 
@@ -159,7 +167,8 @@ class Trace(Sequence):
         """Record block played m more times; a repeat of the last run's block
         extends that run."""
         block = tuple(block)
-        if not block or len(block) > 1 and not commute(block) or m < 1:
+        if not block or len(block) > 1 and not commute(block) \
+                or type(m) is not int and not _is_int(m) or m < 1:
             raise ValidationError(
                 "a run is a non-empty block of commuting steps played m >= 1 times")
         self.rounds += len(block) * m
@@ -225,16 +234,6 @@ def apply_matrix(m: Matrix, v: Sequence[int]) -> Vec:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValidationError("dimension mismatch in matrix product")
-    cols = range(len(b[0]))
-    inner = range(len(b))
-    return tuple(
-        tuple(sum(row[k] * b[k][s] for k in inner) for s in cols)
-        for row in a)
-
-
 def compose_trace(steps: Sequence[Step], n: int) -> Matrix:
     """Product of the step matrices, last step leftmost; empty gives identity.
 
@@ -250,9 +249,11 @@ def compose_trace(steps: Sequence[Step], n: int) -> Matrix:
             if step.dim != n:
                 raise ValidationError(
                     f"trace mixes dimensions: expected {n}, found {step.dim}")
-            row = rows[step.j - 1]
-            for other in [rows[i - 1] for i in step.J if i != step.j]:
-                row[:] = [x + m * y for x, y in zip(row, other)]
+            j = step.j
+            row = rows[j - 1]
+            for i in step.J:
+                if i != j:
+                    row[:] = [x + m * y for x, y in zip(row, rows[i - 1])]
     return tuple(map(tuple, rows))
 
 

@@ -26,7 +26,7 @@ from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder,
                     apply_matrix, apply_step, apply_substitution,
                     choose_J, comparability, compose_trace, determinant,
                     divisibility_transform, element_value, game_tree,
-                    identity_matrix, is_won, lex_sign, mat_mul, monomial_value,
+                    identity_matrix, is_won, lex_sign, monomial_value,
                     monomialize, polynomial, positivize, positivize_all,
                     run_pair, simple_perron, solve, step_matrix,
                     substitute_exponents, tau, validate_order)
@@ -36,6 +36,14 @@ from perron.cli import main as cli_main
 # its (much more numerous) leaf traces inline and records the counts here.
 _TRACES = []
 _C2_COUNTS = {"nodes": 0, "leaves": 0, "verified": 0}
+
+
+def mat_mul(a, b):
+    """Exact matrix product, row by column: criterion 2 multiplies a leaf's
+    step matrices with it, independently of compose_trace's row updates."""
+    assert len(a[0]) == len(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
 
 
 @contextmanager

@@ -304,6 +304,18 @@ def test_advance_champion_ragged_sets():
     assert advance_champion([], 3) == oracle_advance_champion([], 3) == (3, None)
 
 
+def test_advance_champion_rejects_an_index_outside_the_set():
+    vs = ((1, 2), (2, 1))
+    for champ in (-1, -3, 2, 5):
+        with pytest.raises(ValidationError,
+                           match=rf"^champion index {champ} is outside 0\.\.1$"):
+            advance_champion(vs, champ)
+    with pytest.raises(ValidationError, match="outside 0..1"):
+        next(game_tree(vs, 7))
+    assert advance_champion([], -1) == (-1, None)
+    assert advance_champion(vs, 1) == (1, 0)
+
+
 # set validation against the per-vector natvec path it short-cuts -------------
 
 def oracle_validated_vectors(vectors):

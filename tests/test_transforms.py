@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from perron import (Step, Trace, ValidationError, apply_matrix, apply_step,
                     compose_trace, determinant, identity_matrix, intvec,
                     natvec, step_matrix)
-from perron.transforms import commute
+from perron.transforms import apply_run, commute
 
 from conftest import ordered_pair_with_step, traces, vec_with_step
 
@@ -117,8 +117,13 @@ def test_determinant_against_leibniz():
 @given(vec_with_step(signed=True))
 def test_apply_step_matches_matrix_action(case):
     v, step = case
-    assert apply_step(step, v) == naive_matvec(step_matrix(step), v)
-    assert apply_step(step, list(v)) == naive_matvec(step_matrix(step), v)
+    m = step_matrix(step)
+    assert apply_step(step, v) == naive_matvec(m, v)
+    assert apply_step(step, list(v)) == naive_matvec(m, v)
+    w = v  # the matrix applied k times: apply_run's closed form must agree
+    for k in range(6):
+        assert apply_run(step, k, v) == apply_run(step, k, list(v)) == w
+        w = naive_matvec(m, w)
 
 
 @given(traces())
@@ -241,8 +246,9 @@ def test_trace_merges_repeated_blocks_and_checks_its_runs():
     assert Trace([((a,), 2)]) != (a, b) and (b, a) != Trace([((a, b), 1)])
     assert compose_trace(trace, 3) == compose_trace(list(trace), 3)
     for block, m in (((), 1), ((a,), 0), ((Step({1, 2}, 1, 2),
-                                          Step({1, 2}, 2, 2)), 1)):
-        with pytest.raises(ValidationError):
+                                          Step({1, 2}, 2, 2)), 1),
+                     ((a,), 2.5), ((a,), True)):
+        with pytest.raises(ValidationError, match="^a run is a non-empty block"):
             Trace([(block, m)])
 
 
