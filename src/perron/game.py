@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 from .engine import Adversary, choose_J, drive
 from .errors import ValidationError
 from .tau import comparability
-from .transforms import Step, Trace, Vec, apply_step, natvec
+from .transforms import Step, Trace, Vec, _is_int, apply_step, natvec
 
 
 class GameOutcome(NamedTuple):
@@ -76,15 +76,18 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
     incomparable vector (None if the sweep completes).
 
     Strict inequalities survive steps, so the sweep is stable across rounds.
-    A champion index outside the set raises ValidationError; an empty set
-    returns (champion_index, None).
+    A champion index that is not an int (a bool is not) or lies outside the
+    set raises ValidationError; an empty set returns (champion_index, None).
     """
     champ = champion_index
-    if not 0 <= champ < len(vectors):
+    if type(champ) is not int or not 0 <= champ < len(vectors):
+        if not _is_int(champ):
+            raise ValidationError(f"champion index must be an integer, got {champ!r}")
         if not vectors:
             return champ, None
-        raise ValidationError(
-            f"champion index {champ!r} is outside 0..{len(vectors) - 1}")
+        if not 0 <= champ < len(vectors):
+            raise ValidationError(
+                f"champion index {champ!r} is outside 0..{len(vectors) - 1}")
     c = vectors[champ]
     for i, v in enumerate(vectors):
         if i == champ:

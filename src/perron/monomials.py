@@ -17,8 +17,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import InternalError, ValidationError
 from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec, lex_sign,
                             positivize, _combination, _dot, _initial_basis,
-                            _into_cone, _rational_rank, _scaled)
-from .transforms import Matrix, Trace, Vec, compose_trace, natvec
+                            _into_cone, _scaled)
+from .transforms import Matrix, Trace, Vec, _bareiss, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
 Polynomial = dict[Vec, Fraction]
@@ -54,7 +54,7 @@ def _check_ring(ring: ValuedRing):
     scaled = _scaled(ring.values)
     violations = [f"value of variable {k} is not lex-positive"
                   for k, row in enumerate(scaled[1], start=1) if lex_sign(row) <= 0]
-    rank = _rational_rank(scaled[1][:ring.num_toric])
+    rank = _bareiss(scaled[1][:ring.num_toric])[0]
     if rank != ring.num_toric:
         violations.append(
             f"toric values not independent: rank {rank} < {ring.num_toric}")

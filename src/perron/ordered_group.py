@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 from .engine import Adversary, drive
 from .errors import InternalError, ValidationError
 from .tau import Comparability, comparability
-from .transforms import Matrix, Step, Trace, Vec, _is_int, identity_matrix, intvec
+from .transforms import Matrix, Step, Trace, Vec, _bareiss, _is_int, identity_matrix, intvec
 
 LexVec = tuple[Fraction, ...]
 
@@ -55,23 +55,6 @@ def _dot(coeffs: Sequence[int], rows: Sequence[Vec]):
     return (sum(map(mul, coeffs, column)) for column in zip(*rows))
 
 
-def _rational_rank(rows: Sequence[Vec]) -> int:
-    """Rank over Q of integer rows, such as those of _scaled."""
-    work = list(rows)
-    rank = 0
-    for col in range(len(work[0])):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if f := work[i][col]:
-                work[i] = [lead * x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
 class GroupOrder(NamedTuple):
     """Order data: the lex image of each original generator."""
 
@@ -100,7 +83,7 @@ def _check_order(order: GroupOrder):
     scaled = _scaled(order.images)
     violations = [f"image {k} is not lex-positive"
                   for k, row in enumerate(scaled[1], start=1) if lex_sign(row) <= 0]
-    rank = _rational_rank(scaled[1])
+    rank = _bareiss(scaled[1])[0]
     if rank != order.rank:
         violations.append(
             f"images not independent: rank {rank} < {order.rank}")

@@ -257,28 +257,38 @@ def compose_trace(steps: Sequence[Step], n: int) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-def determinant(m: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank over Q, signed last pivot) of integer rows, by fraction-free
+    (Bareiss) elimination.
 
-    Stays in integers: every division below is exact.
+    Each pivot updates every row below it and divides by the previous pivot,
+    so every entry stays a minor of the input and every division is exact.
+    For a square matrix of full rank the signed last pivot is the determinant;
+    no rows give (0, 1).
     """
+    work, rank, prev, sign = list(rows), 0, 1, 1
+    for col in range(len(work[0]) if work else 0):
+        if rank == len(work):
+            break
+        if not work[rank][col]:
+            pivot = next((i for i in range(rank + 1, len(work)) if work[i][col]), None)
+            if pivot is None:
+                continue
+            work[rank], work[pivot], sign = work[pivot], work[rank], -sign
+        top = work[rank]
+        lead = top[col]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col]
+            work[i] = [(lead * x - f * y) // prev for x, y in zip(work[i], top)]
+        prev, rank = lead, rank + 1
+    return rank, sign * prev
+
+
+def determinant(m: Matrix) -> int:
+    """Exact determinant, by _bareiss; the 0x0 matrix has determinant 1."""
     n = len(m)
     for row in m:
         if len(row) != n:
             raise ValidationError("matrix is not square")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for s in range(k + 1, n):
-                a[i][s] = (a[i][s] * a[k][k] - a[i][k] * a[k][s]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, pivot = _bareiss(m)
+    return pivot if rank == n else 0

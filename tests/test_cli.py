@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -1172,20 +1173,46 @@ def test_group_error_documents_are_byte_identical(argv, job, stdout,
     (["monomialize"], GOLDEN_TRACES[3][1]),
 ], ids=["positivize", "monomialize"])
 def test_one_job_checks_its_rank_once(argv, job, monkeypatch, capsys):
-    real = perron.ordered_group._rational_rank
+    real = perron.transforms._bareiss
     calls = []
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
 
-    # monomials holds its own reference, taken at import
-    monkeypatch.setattr(perron.ordered_group, "_rational_rank", counting)
-    monkeypatch.setattr(perron.monomials, "_rational_rank", counting)
+    # each group module holds its own reference, taken at import
+    monkeypatch.setattr(perron.ordered_group, "_bareiss", counting)
+    monkeypatch.setattr(perron.monomials, "_bareiss", counting)
     monkeypatch.setattr("sys.stdin", io.StringIO(job))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
     assert calls == [2]
+
+
+def high_rank_job(command, n, seed):
+    """A seeded job on n generator images (or n toric values) of length n,
+    with entries in -9..9 and a positive first entry."""
+    rng = random.Random(seed)
+    rows = [[str(rng.randint(1, 9))] + [str(rng.randint(-9, 9)) for _ in range(n - 1)]
+            for _ in range(n)]
+    if command == "positivize":  # first entry >= 10 - 9: a positive element
+        return {"generator_images": rows, "elements": [[10, -1] + [0] * (n - 2)]}
+    return {"num_vars": n, "num_toric": n, "values": rows,
+            "polynomial": [{"coeff": "1", "exponents": [1] + [0] * (n - 1)},
+                           {"coeff": "-1", "exponents": [0, 1] + [0] * (n - 2)}]}
+
+
+@pytest.mark.parametrize("command", ["positivize", "monomialize"])
+def test_high_rank_group_jobs_finish_promptly(command):
+    """The rank check on 40 rows keeps its entries minors of the input, so a
+    job finishes in well under a second, not in hours."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "perron", command],
+        input=json.dumps(high_rank_job(command, 40, seed=21)), capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert_one_document(0, proc.stdout)
 
 
 @pytest.mark.parametrize("argv, job", [

@@ -316,6 +316,23 @@ def test_advance_champion_rejects_an_index_outside_the_set():
     assert advance_champion(vs, 1) == (1, 0)
 
 
+def test_advance_champion_rejects_a_champion_index_that_is_not_an_int():
+    vs = ((1, 2), (2, 1))
+    for champ in (True, False, 1.0, "0", None):
+        with pytest.raises(ValidationError,
+                           match=rf"^champion index must be an integer, got {champ!r}$"):
+            advance_champion(vs, champ)
+    with pytest.raises(ValidationError, match="must be an integer, got True"):
+        next(game_tree(vs, True))
+    with pytest.raises(ValidationError, match="must be an integer"):
+        advance_champion([], False)
+
+    class Index(int):
+        pass
+
+    assert advance_champion(vs, Index(1)) == (1, 0)
+
+
 # set validation against the per-vector natvec path it short-cuts -------------
 
 def oracle_validated_vectors(vectors):

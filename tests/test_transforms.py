@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from perron import (Step, Trace, ValidationError, apply_matrix, apply_step,
                     compose_trace, determinant, identity_matrix, intvec,
                     natvec, step_matrix)
-from perron.transforms import apply_run, commute
+from perron.transforms import _bareiss, apply_run, commute
 
 from conftest import ordered_pair_with_step, traces, vec_with_step
 
@@ -46,6 +47,27 @@ def leibniz_det(m):
             prod *= m[r][perm[r]]
         total += permutation_sign(perm) * prod
     return total
+
+
+def fraction_rank_det(rows):
+    """(rank, determinant) by Gaussian elimination over Fraction; the
+    determinant is meaningful for square rows only."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            det = -det
+        det *= a[rank][col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank, det
 
 
 def random_trace(rng, n, length):
@@ -96,6 +118,7 @@ def test_apply_matrix_examples():
 
 def test_determinant_examples():
     assert determinant(identity_matrix(3)) == 1
+    assert determinant(()) == determinant(compose_trace([], 0)) == 1
     assert determinant(step_matrix(Step({1, 2, 3}, 2, 3))) == 1
     rng = random.Random(7)
     for _ in range(100):
@@ -110,6 +133,37 @@ def test_determinant_against_leibniz():
         n = rng.randint(1, 4)
         m = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
         assert determinant(m) == leibniz_det(m)
+
+
+@st.composite
+def integer_rows(draw):
+    """1-8 rows of 1-8 integers up to 2^70 of either sign.  Some rows are
+    integer combinations of earlier ones, some are zero, and some columns
+    are zero throughout."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    zero_cols = draw(st.sets(st.integers(0, c - 1), max_size=2))
+    entry = st.integers(-3, 3) | st.integers(-2 ** 70, 2 ** 70)
+    rows = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["free"] * 4 + ["combination", "zero"]))
+        if kind == "free" or kind == "combination" and not rows:
+            row = [0 if k in zero_cols else draw(entry) for k in range(c)]
+        elif kind == "combination":
+            coeffs = [draw(st.integers(-4, 4)) for _ in rows]
+            row = [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*rows)]
+        else:
+            row = [0] * c
+        rows.append(tuple(row))
+    return tuple(draw(st.permutations(rows)))
+
+
+@given(integer_rows())
+def test_elimination_matches_fraction_elimination(rows):
+    """The kernel's rank, and determinant on the leading square block."""
+    assert _bareiss(rows)[0] == fraction_rank_det(rows)[0]
+    k = min(len(rows), len(rows[0]))
+    square = tuple(row[:k] for row in rows[:k])
+    assert determinant(square) == fraction_rank_det(square)[1]
 
 
 # invariants ---------------------------------------------------------------
