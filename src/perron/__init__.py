@@ -15,7 +15,7 @@ so `import perron`, like a CLI call, compiles only the layers it runs.
 from importlib import import_module
 
 from .engine import (Adversary, EngineTrace, FirstIndex, MaxGrowth, Scripted,
-                     SeededRandom, choose_J, run_pair)
+                     SeededRandom, advance_champion, choose_J, run_pair)
 from .errors import (InteractiveAborted, InternalError, PerronError,
                      StepLimitExceeded, ValidationError)
 from .tau import Comparability, Tau, comparability, reduce_pair, tau
@@ -24,7 +24,7 @@ from .transforms import (Matrix, Step, Trace, Vec, apply_matrix, apply_step,
                          natvec, step_matrix)
 
 _LAZY = {name: module for module, names in (
-    ("game", "GameOutcome advance_champion game_tree is_won solve"),
+    ("game", "GameOutcome game_tree is_won solve"),
     ("monomials", "MonomializationResult Polynomial Substitution ValuedRing "
                   "apply_substitution divisibility_transform monomial_value "
                   "monomialize polynomial substitute_exponents validate_ring"),

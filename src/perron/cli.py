@@ -26,7 +26,7 @@ from operator import add
 from types import SimpleNamespace
 
 from .engine import (Adversary, FirstIndex, MaxGrowth, Scripted, SeededRandom,
-                     run_pair)
+                     advance_champion, run_pair)
 from .errors import (InteractiveAborted, InternalError, StepLimitExceeded,
                      ValidationError)
 from .transforms import compose_trace, natvec
@@ -217,13 +217,13 @@ def _cmd_compare(doc, args, infile):
 
 
 def _cmd_game(doc, args, infile, mode):
-    from .game import advance_champion, solve
+    from .game import solve
     raw = _as_list(_field(doc, "vectors"), "vectors")
     if not raw:
         raise ValidationError("vector list must be non-empty")
     vectors = [natvec(_as_int_list(v, "vector")) for v in raw]
     if mode == "play":
-        champ = 0  # tracked as solve tracks it
+        champ = 0  # tracked as drive tracks it
 
         def describe(vs):
             nonlocal champ

@@ -6,18 +6,20 @@ descend iterates this against an adversary until the pair is comparable;
 termination follows from the well-ordering of the measure.  It plays runs of
 identical steps in one go (the division form of the descent, as in
 multiplicative Euclid or Brun), so lopsided pairs need few iterations.
-run_pair, solve and positivize are phase rules over drive, which plays a job.
+drive plays every job as one game, the polyhedra game's champion strategy:
+run_pair on the pair, solve on the start set, positivize on the origin and
+the elements.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from operator import sub
+from operator import ge, le, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
-from .tau import Comparability, Tau, comparability, tau
+from .tau import Comparability, Tau, _tau_of, comparability
 from .transforms import Step, Trace, Vec, _is_int, apply_run, commute, natvec
 
 class Adversary:
@@ -163,25 +165,12 @@ class EngineTrace(_EngineTraceFields):
     @cached_property
     def tau_history(self) -> tuple[Tau, ...]:
         """tau before each step and after the last, replayed from the start.
-
-        Steps are linear, so d = alpha - beta moves by them too.  Within a
-        run, each step of the commuting block adds the same sum of its other
-        J-entries to d_j every time, and tau is
-        ((|d|_1 - |sum d|) / 2, (|d|_1 + |sum d|) / 2), kept up to date.
-        """
-        d = [x - y for x, y in zip(self.alpha, self.beta)]
-        norm, total = sum(map(abs, d)), sum(d)
-        out = [tau(self.alpha, self.beta)]
-        for block, m in self.steps.runs:
-            adds = [(s.j - 1, sum(d[i - 1] for i in s.J if i != s.j))
-                    for s in block]
-            for _ in range(m):
-                for j, add in adds:
-                    norm += abs(d[j] + add) - abs(d[j])
-                    d[j] += add
-                    total += add
-                    t = abs(total)
-                    out.append(Tau((norm - t) // 2, (norm + t) // 2))
+        Steps are linear, so d = alpha - beta moves by them too."""
+        d = list(map(sub, self.alpha, self.beta))
+        out = [_tau_of(d)]
+        for s in self.steps:
+            d[s.j - 1] += sum(d[i - 1] for i in s.J if i != s.j)
+            out.append(_tau_of(d))
         return tuple(out)
 
 
@@ -269,8 +258,8 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             except InteractiveAborted as exc:
                 exc.steps = steps
                 raise
-            if j not in J:
-                raise ValidationError(f"adversary chose j={j} outside J={sorted(J)}")
+            if type(j) is not int and not _is_int(j) or j not in J:
+                raise ValidationError(f"adversary chose j={j!r} outside J={sorted(J)}")
             if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= left:
                 raise ValidationError(f"adversary run length {k!r} outside 1..{left}")
             rounds = [(d, rule, Step(J, j, n))]
@@ -290,22 +279,54 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
             played.clear()
 
 
-def drive(rows: list[Vec], phase, adversary: Adversary,
-          step_limit: Optional[int], failure: str) -> Trace:
-    """Descend each pair phase(rows) names (it may edit rows) until it names
-    None; one due past round step_limit raises StepLimitExceeded(failure)."""
+def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, Optional[int]]:
+    """Sweep the vectors in input order, absorbing everything comparable into
+    the champion; return the updated champion index and the index of the first
+    incomparable vector (None if the sweep completes).
+
+    Strict inequalities survive steps, so the sweep is stable across rounds.
+    A champion index that is not an int (a bool is not) or lies outside the
+    set raises ValidationError; an empty set returns (champion_index, None).
+    """
+    champ = champion_index
+    if type(champ) is not int or not 0 <= champ < len(vectors):
+        if not _is_int(champ):
+            raise ValidationError(f"champion index must be an integer, got {champ!r}")
+        if not vectors:
+            return champ, None
+        if not 0 <= champ < len(vectors):
+            raise ValidationError(
+                f"champion index {champ!r} is outside 0..{len(vectors) - 1}")
+    c = vectors[champ]
+    for i, v in enumerate(vectors):
+        if i == champ:
+            continue
+        if len(c) != len(v):
+            comparability(c, v)  # raises its dimension mismatch error
+        if all(map(le, c, v)):
+            continue
+        if not all(map(ge, c, v)):
+            return champ, i
+        champ, c = i, v
+    return champ, None
+
+
+def drive(rows: list[Vec], champion: int, adversary: Adversary,
+          step_limit: Optional[int], failure: str) -> tuple[int, Trace]:
+    """Play the champion strategy on rows from the given champion; return
+    (final champion, steps).  Each phase descends the champion and the first
+    row it cannot be compared with, carrying every row along; a phase due past
+    round step_limit raises StepLimitExceeded(failure)."""
     if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
         raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
     steps = Trace()
-    while (pair := phase(rows)) is not None:
+    while True:
+        champion, target = advance_champion(rows, champion)
+        if target is None:
+            return champion, steps
         if step_limit is not None and steps.rounds >= step_limit:
             raise StepLimitExceeded(failure, steps)
-        descend(rows, *pair, adversary, steps, step_limit)
-    return steps
-
-
-def _pair_phase(rows):  # run_pair's phase rule: the pair, while incomparable
-    return (0, 1) if comparability(*rows) is Comparability.INCOMPARABLE else None
+        descend(rows, champion, target, adversary, steps, step_limit)
 
 
 def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
@@ -316,7 +337,7 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
     raises StepLimitExceeded (with the partial trace) when hit.
     """
     a, b = natvec(alpha), natvec(beta)
-    vectors = [a, b]  # the phase rule's comparability checks the dimensions
-    steps = drive(vectors, _pair_phase, adversary, step_limit,
-                  f"pair not comparable within {step_limit} steps")
+    vectors = [a, b]  # the champion sweep checks the dimensions
+    steps = drive(vectors, 0, adversary, step_limit,
+                  f"pair not comparable within {step_limit} steps")[1]
     return EngineTrace(steps, comparability(*vectors), *vectors, a, b)

@@ -2,21 +2,19 @@
 
 One player proposes J, the opponent picks j in J, and every tracked point
 updates by the same step.  The proposer wins once some point is a
-componentwise minimum of the set.  The strategy below keeps a champion that
-is below every point already processed and attacks the first point the
-champion cannot be compared with; steps preserve componentwise inequalities,
-so settled points stay settled.
+componentwise minimum of the set.  The champion strategy, which
+engine.drive plays, keeps a champion that is below every point already
+processed and attacks the first point the champion cannot be compared with;
+steps preserve componentwise inequalities, so settled points stay settled.
 """
 
 from __future__ import annotations
 
-from operator import ge, le
 from typing import NamedTuple, Optional, Sequence
 
-from .engine import Adversary, choose_J, drive
+from .engine import Adversary, advance_champion, choose_J, drive
 from .errors import ValidationError
-from .tau import comparability
-from .transforms import Step, Trace, Vec, _is_int, apply_step, natvec
+from .transforms import Step, Trace, Vec, apply_step, natvec
 
 
 class GameOutcome(NamedTuple):
@@ -70,38 +68,6 @@ def is_won(vectors: Sequence[Vec]) -> Optional[int]:
     return vs.index(low) if low in vs else None
 
 
-def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, Optional[int]]:
-    """Sweep the vectors in input order, absorbing everything comparable into
-    the champion; return the updated champion index and the index of the first
-    incomparable vector (None if the sweep completes).
-
-    Strict inequalities survive steps, so the sweep is stable across rounds.
-    A champion index that is not an int (a bool is not) or lies outside the
-    set raises ValidationError; an empty set returns (champion_index, None).
-    """
-    champ = champion_index
-    if type(champ) is not int or not 0 <= champ < len(vectors):
-        if not _is_int(champ):
-            raise ValidationError(f"champion index must be an integer, got {champ!r}")
-        if not vectors:
-            return champ, None
-        if not 0 <= champ < len(vectors):
-            raise ValidationError(
-                f"champion index {champ!r} is outside 0..{len(vectors) - 1}")
-    c = vectors[champ]
-    for i, v in enumerate(vectors):
-        if i == champ:
-            continue
-        if len(c) != len(v):
-            comparability(c, v)  # raises its dimension mismatch error
-        if all(map(le, c, v)):
-            continue
-        if not all(map(ge, c, v)):
-            return champ, i
-        champ, c = i, v
-    return champ, None
-
-
 def game_tree(vectors, champion_index: int = 0):
     """Walk the champion strategy's adversary tree depth first, yielding one
     (path, vectors, champion, moves) per node.  path is the tuple of steps
@@ -124,23 +90,12 @@ def game_tree(vectors, champion_index: int = 0):
 
 def solve(vectors, adversary: Adversary,
           step_limit: Optional[int] = None) -> GameOutcome:
-    """Play the champion strategy to a won position, against any adversary.
-
-    Each phase descends the champion and the first point it cannot be
-    compared with, carrying the other points along; the sweep stays fixed
-    until that pair is comparable, since steps preserve inequalities.  The
-    winner is the final champion: it only ever moves to a strictly smaller
-    point, so no earlier point equals it and it is is_won's answer.
+    """Play the champion strategy (engine.drive) from point 0 to a won
+    position, against any adversary.  The winner is the final champion: it
+    only ever moves to a strictly smaller point, so no earlier point equals
+    it and it is is_won's answer.
     """
     vs = list(_validated_vectors(vectors))
-    champ = 0
-
-    def phase(rows):
-        nonlocal champ
-        champ, target = advance_champion(rows, champ)
-        return None if target is None else (champ, target)
-
-    steps = drive(vs, phase, adversary, step_limit,
-                  f"game not won within {step_limit} rounds")
+    champ, steps = drive(vs, 0, adversary, step_limit,
+                         f"game not won within {step_limit} rounds")
     return GameOutcome(tuple(vs), champ, steps, steps.rounds)
-

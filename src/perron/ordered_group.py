@@ -6,7 +6,9 @@ independent over Q, which makes the coordinate map injective and the induced
 order total.  Bases evolve by transforms that subtract the smallest selected
 basis element from the others; every such transform keeps all basis images
 positive and enlarges the cone of non-negative integer combinations, which is
-what lets any positive element eventually acquire non-negative coordinates.
+what lets any positive element eventually acquire non-negative coordinates:
+positivize plays engine.drive's champion game on the elements and the origin,
+with a chooser that makes every step such a transform.
 
 Ranks, signs, sums and the descent run on one integer scale: _scaled clears
 a set of vectors by one L > 0, which keeps lex order, signs and rank, and a
@@ -22,7 +24,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .engine import Adversary, drive
 from .errors import InternalError, ValidationError
-from .tau import Comparability, comparability
 from .transforms import Matrix, Step, Trace, Vec, _bareiss, _is_int, identity_matrix, intvec
 
 LexVec = tuple[Fraction, ...]
@@ -272,11 +273,11 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
                    step_limit: Optional[int] = None) -> PositivizeAllResult:
     """Positivize the elements one after another in one final basis.
 
-    Phase by phase, the first element with a negative coordinate splits into
-    plus and minus rows that descend with the J-minimal-image chooser, so
-    every step is a basis transform.  Steps are linear: the element's row
-    ends as plus - minus, non-negative as the element is positive, and stays
-    so as the cone grows.  step_limit bounds the rounds of the whole job.
+    Phase by phase, the origin descends against the first element with a
+    negative coordinate, with the J-minimal-image chooser, so every step is
+    a basis transform.  Steps are linear: the origin stays zero, the element
+    ends above it, non-negative, and stays so as the cone grows.  step_limit
+    bounds the rounds of the whole job.
     """
     return _positivize_all(basis, _scaled(basis.images), elements, step_limit)
 
@@ -296,30 +297,20 @@ def _positivize_all(basis: GroupBasis, scaled, elements: Sequence[GroupElement],
 
 def _into_cone(basis: GroupBasis, scaled: tuple[int, tuple[Vec, ...]],
                rows: list[Vec], step_limit: Optional[int]) -> PositivizeAllResult:
-    """positivize_all for rows checked to be positive, scaled = _scaled(basis.images)."""
-    count = len(rows)
-
-    def phase(rows):
-        if len(rows) > count:  # a split element is descending
-            rel = comparability(*rows[count:])
-            if rel is Comparability.INCOMPARABLE:
-                return count, count + 1
-            if rel is Comparability.LESS_EQ:  # plus - minus <= 0, not 0
-                raise InternalError(
-                    "positive element ended with a negative coordinate")
-            del rows[count:]
-        row = next((row for row in rows if min(row) < 0), None)
-        if row is None:
-            return None
-        rows += [tuple([max(c, 0) for c in row]), tuple([max(-c, 0) for c in row])]
-        return count, count + 1
-
+    """positivize_all for rows checked to be positive, scaled = _scaled(basis.images).
+    A positive row with a negative coordinate has a positive one too, so the
+    origin, as champion, descends against it until it is non-negative."""
     L, images = scaled
+    origin = len(rows)
+    rows = [*rows, (0,) * basis.rank]
     chooser = _PerronChooser(basis._replace(images=images))  # images times L: ints
-    steps = drive(rows, phase, chooser, step_limit,
-                  f"pair not comparable within {step_limit} steps")
+    champion, steps = drive(rows, origin, chooser, step_limit,
+                            f"pair not comparable within {step_limit} steps")
+    if champion != origin:
+        raise InternalError("positive element ended with a negative coordinate")
     chooser.settle(steps.rounds + 1)
     # a row no transform touched is still the very row scaled: keep its image
     images = tuple([old if new is row else tuple([Fraction(x, L) for x in new])
                     for old, row, new in zip(basis.images, images, chooser.basis.images)])
-    return PositivizeAllResult(chooser.basis._replace(images=images), tuple(rows), steps)
+    return PositivizeAllResult(chooser.basis._replace(images=images),
+                               tuple(rows[:origin]), steps)

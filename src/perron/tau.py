@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from enum import Enum
-from operator import ge, le
-from typing import NamedTuple
+from operator import ge, le, sub
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 from .transforms import Vec
@@ -39,11 +39,17 @@ def reduce_pair(alpha: Vec, beta: Vec) -> tuple[Vec, Vec, Vec]:
     return gamma, abar, bbar
 
 
-def tau(alpha: Vec, beta: Vec) -> Tau:
-    _, abar, bbar = reduce_pair(alpha, beta)
-    na = sum(abar)
-    nb = sum(bbar)
+def _tau_of(d: Sequence[int]) -> Tau:
+    """tau of a pair with difference d = alpha - beta: its reduced parts are
+    the positive and the negative part of d."""
+    na = sum([x for x in d if x > 0])
+    nb = na - sum(d)
     return Tau(min(na, nb), max(na, nb))
+
+
+def tau(alpha: Vec, beta: Vec) -> Tau:
+    _check_dims(alpha, beta)
+    return _tau_of(list(map(sub, alpha, beta)))
 
 
 def comparability(alpha: Vec, beta: Vec) -> Comparability:

@@ -51,7 +51,10 @@ class Step:
     __slots__ = ("J", "j", "dim")
 
     def __init__(self, J: Iterable[int], j: int, dim: int):
-        J = frozenset(J)
+        try:
+            J = frozenset(J)
+        except TypeError:  # not iterable, or an unhashable member
+            raise ValidationError(f"J must be a set of integers, got {J!r}") from None
         if not J:
             raise ValidationError("J must be non-empty")
         dim_ok = type(dim) is int or _is_int(dim)

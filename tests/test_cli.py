@@ -74,9 +74,13 @@ def test_compare_dim_mismatch_is_exit_2(tmp_path):
 def test_malformed_json_is_exit_1(tmp_path):
     inp = tmp_path / "bad.json"
     out = tmp_path / "out.json"
-    inp.write_text("this is not json")
-    assert main(["compare", "--input", str(inp), "--output", str(out)]) == 1
-    assert json.loads(out.read_text())["status"] == "error"
+    for text, fragment in (
+            ("this is not json", "invalid JSON"),
+            ('{"alpha": [3, 1], "beta": [1, 2]} x', "trailing data after the JSON document")):
+        inp.write_text(text)
+        assert main(["compare", "--input", str(inp), "--output", str(out)]) == 1
+        assert_one_document(1, out.read_text())
+        assert fragment in json.loads(out.read_text())["diagnostics"][0]
 
 
 def test_step_limit_is_exit_3(tmp_path):
@@ -297,6 +301,29 @@ def test_bad_schema_version_is_exit_1(tmp_path):
         assert code == 1
         assert doc["status"] == "error"
         assert doc["diagnostics"] == [f"unsupported schema_version: {version!r}"]
+
+
+PAIR = {"alpha": [3, 1], "beta": [1, 2]}
+RING = {"num_vars": 2, "num_toric": 2, "values": [["1", "0"], ["0", "1"]],
+        "polynomial": [{"coeff": "1", "exponents": [1, 0]}]}
+
+
+@pytest.mark.parametrize("command, job, message", [
+    (["compare"], {**PAIR, "adversary": [1]}, "adversary must be an object"),
+    (["compare"], {**PAIR, "adversary": {"kind": "scripted"}},
+     "scripted adversary requires 'choices'"),
+    (["compare"], {**PAIR, "adversary": {"kind": "sly"}},
+     "unknown adversary kind: 'sly'"),
+    (["monomialize"], {**RING, "num_vars": True}, "num_vars must be an integer"),
+    (["monomialize"], {**RING, "polynomial": {"coeff": "1"}},
+     "polynomial must be a list of terms"),
+], ids=["adversary-list", "scripted-no-choices", "unknown-kind", "bool-int",
+        "polynomial-object"])
+def test_malformed_job_field_is_one_error_document(command, job, message, tmp_path):
+    code, doc, text = run_cli(tmp_path, command, job)
+    assert_one_document(code, text)
+    assert code == 1
+    assert doc["diagnostics"] == [message]
 
 
 def test_stdin_document_with_inline_choices(monkeypatch, capsys, tmp_path):

@@ -164,14 +164,16 @@ def test_adversary_outside_J_rejected():
         run_pair((3, 1), (1, 2), Cheater())
 
 
-@pytest.mark.parametrize("answer", [True, 1.0])
+@pytest.mark.parametrize("answer", [True, 1.0, [1]])
 def test_adversary_answering_a_non_integer_rejected(answer):
-    class Sly(FirstIndex):  # True == 1.0 == 1, so "j in J" alone lets both by
+    # True == 1.0 == 1, so "j in J" alone lets both by; a list is unhashable
+    class Sly(FirstIndex):
         def choose(self, J, vectors, round_no):
             return answer
 
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         run_pair((3, 1), (1, 2), Sly())
+    assert str(info.value) == f"adversary chose j={answer!r} outside J=[1, 2]"
 
 
 def test_max_growth_picks_largest_total_then_smallest_index():

@@ -35,6 +35,38 @@ def test_validate_ring():
     assert any("independent" in v for v in validate_ring(dependent))
     negative = ValuedRing(2, 2, (lexvec(["1", "0"]), lexvec(["-1", "0"])))
     assert any("positive" in v for v in validate_ring(negative))
+    values = standard_ring().values
+    assert validate_ring(ValuedRing(2, 3, values)) == [
+        "need 1 <= num_toric <= num_vars, got 3 and 2"]
+    assert validate_ring(ValuedRing(3, 2, values)) == ["expected 3 values, got 2"]
+    ragged = ValuedRing(2, 2, (lexvec(["1", "0"]), lexvec(["1"])))
+    assert validate_ring(ragged) == ["values must share one length"]
+
+
+def test_polynomial_drops_terms_that_cancel():
+    assert polynomial([((1, 0), 1), ((0, 1), 2), ((1, 0), -1)]) == {(0, 1): Fraction(2)}
+    assert polynomial([((1, 0), Fraction(1, 2)), ((1, 0), Fraction(-1, 2))]) == {}
+
+
+def test_wrong_exponent_counts_are_rejected():
+    ring = standard_ring()
+    cases = [
+        (lambda: monomial_value(ring, (1, 0, 0)),
+         "monomial has 3 exponents, ring has 2 variables"),
+        (lambda: apply_substitution({(1, 0, 0): Fraction(1)},
+                                    Substitution(((1, 0), (0, 1)), 2)),
+         "term has 3 exponents, substitution covers 2"),
+        (lambda: divisibility_transform(ring, (0, 1, 0), (1, 0)),
+         "M1 has 3 exponents, expected 2"),
+        (lambda: divisibility_transform(ring, (0, 1), (1,)),
+         "M2 has 1 exponents, expected 2"),
+        (lambda: monomialize(ring, {(1, 0): Fraction(1), (1, 0, 0): Fraction(1)}),
+         "term has 3 exponents, ring has 2 variables"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_monomial_value_examples():

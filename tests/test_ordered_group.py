@@ -47,6 +47,12 @@ def test_validate_order_examples():
     assert any("positive" in v for v in validate_order(negative))
     with pytest.raises(ValidationError):
         GroupBasis.initial(dependent)
+    assert validate_order(GroupOrder(())) == [
+        "order must have at least one generator image"]
+    ragged = GroupOrder((lexvec(["1", "0"]), lexvec(["1"])))
+    assert validate_order(ragged) == ["generator images must share one length"]
+    with pytest.raises(ValidationError, match="lex vector must have dimension >= 1"):
+        lexvec([])
 
 
 def test_element_compare_examples():
@@ -143,6 +149,19 @@ def test_positivize_all_examples():
         positivize_all(basis, [GroupElement(basis, (1, 0)),
                                GroupElement(basis, (-2, 0))])
     assert "element 2" in str(err.value)
+    other, _ = simple_perron(basis, {1, 2})
+    with pytest.raises(ValidationError) as err:
+        positivize_all(basis, [GroupElement(other, (1, 0))])
+    assert str(err.value) == "element 1 is not expressed in the given basis"
+
+
+def test_a_negative_row_ends_below_the_origin():
+    """The origin's champion game moves off the origin only past a row that
+    is below it, which a checked positive element never is."""
+    basis = standard_basis()
+    with pytest.raises(InternalError) as err:
+        perron.ordered_group._into_cone(basis, _scaled(basis.images), [(-1, 0)], None)
+    assert str(err.value) == "positive element ended with a negative coordinate"
 
 
 @given(group_orders(), st.data())

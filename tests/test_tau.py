@@ -54,6 +54,18 @@ def test_reduced_supports_are_disjoint(pair):
     assert tuple(g + b for g, b in zip(gamma, bbar)) == beta
 
 
+def oracle_tau(alpha, beta):
+    """tau from its definition: the sum norms of the reduced parts."""
+    _, abar, bbar = reduce_pair(alpha, beta)
+    na, nb = sum(abar), sum(bbar)
+    return min(na, nb), max(na, nb)
+
+
+@given(vec_pairs())
+def test_tau_matches_the_reduced_pair_definition(pair):
+    assert tau(*pair) == oracle_tau(*pair)
+
+
 @given(vec_pairs())
 def test_tau_is_symmetric(pair):
     alpha, beta = pair

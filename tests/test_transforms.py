@@ -363,6 +363,8 @@ def test_vector_validation():
         natvec([1, -2])
     with pytest.raises(ValidationError):
         apply_step(Step({1}, 1, 2), (1, 2, 3))
+    with pytest.raises(ValidationError, match="step has dim 2, vector has 3"):
+        apply_run(Step({1, 2}, 1, 2), 3, (1, 2, 3))
     with pytest.raises(ValidationError):
         apply_matrix(((1, 0), (0, 1)), (1, 2, 3))
     with pytest.raises(ValidationError):
@@ -414,6 +416,8 @@ def test_step_validation_messages():
         (({1, 3}, 1, 2), "J must be a subset of 1..2, got [1, 3]"),
         (({1.0, 2}, 2, 2), "J must be a subset of 1..2, got [1.0, 2]"),
         (({1, 2}, 3, 3), "j=3 is not a member of J=[1, 2]"),
+        (([[1]], 1, 2), "J must be a set of integers, got [[1]]"),
+        ((5, 1, 2), "J must be a set of integers, got 5"),
     ]
     for args, message in cases:
         with pytest.raises(ValidationError) as info:
