@@ -181,22 +181,30 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
     of one repetition, incomparable, and rule = _J_rule(d).  Every repetition
     shifts each d by `shift`.  Counts the repetitions t = 1, 2, ... in which
     every round decides like its counterpart in repetition 0: same _J_rule
-    triple, hence same signs and prefix cut.  Each decision is the sign of
-    a + t*b for integers a and b, |a| at most twice the norm of a state, so
-    the repetitions that decide alike form an interval, which ends within
-    2*|state|_1 + 1 of them: gallop to its end, then bisect.
+    triple, hence same signs and prefix cut, or a norm tie on repetition 0's
+    side (J is then the whole support of d), so a run that ends at a tie is
+    one run.  Each decision is the sign of a + t*b for integers a and b, |a|
+    at most twice the norm of a state, and a tie is the edge of the test that
+    sets swapped, so the repetitions that decide alike form an interval,
+    which ends within 2*|state|_1 + 1 of them: gallop to its end, probing
+    limit itself last (about log2(limit) probes for a run that lasts to
+    it), then bisect.
     """
+    # _J_rule puts a tie on the unswapped side, so a swapped round tests -d
+    tests = [([-x for x in d], [-y for y in shift], (J, False, order))
+             if swapped else (d, shift, (J, False, order))
+             for d, (J, swapped, order), *_ in rounds]
+
     def same(t):
-        for r in rounds:
-            if _J_rule([x + t * y for x, y in zip(r[0], shift)]) != r[1]:
+        for d, delta, rule in tests:
+            if _J_rule([x + t * y for x, y in zip(d, delta)]) != rule:
                 return False
         return True
 
     lo, stride = 0, 1  # repetitions up to lo decide like repetition 0
-    while lo + stride <= limit and same(lo + stride):
-        lo += stride
-        stride *= 2
-    hi = min(lo + stride, limit + 1)  # repetition hi does not, or is past the limit
+    while lo < limit and same(t := min(lo + stride, limit)):
+        lo, stride = t, 2 * stride
+    hi = t if lo < limit else limit + 1  # repetition hi does not, or is past the limit
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if same(mid):
@@ -231,7 +239,9 @@ def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
     leaves with `steps` attached as the partial trace.
 
     A run of k equal steps (J, j) adds k times the sum of the other
-    J-entries to entry j.  For an adversary that answers by J alone, a
+    J-entries to entry j.  The adversary's run length caps the run, and
+    _repeat_count finds how many of its rounds decide alike, a last round at
+    a norm tie included.  For an adversary that answers by J alone, a
     repeating block of commuting steps is likewise applied in one go.
     """
     n = len(vectors[p])

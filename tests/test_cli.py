@@ -789,6 +789,81 @@ def test_fuzz_wrong_typed_job_values(case):
     assert_one_document(*run_on_stdin(FUZZ_COMMANDS[command], data))
 
 
+def wide(lo):
+    """Integers from lo up, small or up to 2^70, as numbers or strings."""
+    ints = st.one_of(st.integers(lo, 9), st.integers(lo * 2 ** 70, 2 ** 70))
+    return st.one_of(ints, ints.map(str))
+
+
+positive_rationals = st.one_of(
+    wide(1), st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 2 ** 70),
+                       st.integers(1, 2 ** 70)))
+bad_entries = st.one_of(json_scalars, st.sampled_from(
+    ["1/0", "x", "1e5", "1.5.2", "+", " ", "1//2", "", "--1", "0x10", "nan"]))
+
+
+@st.composite
+def rows(draw, entries, count, width):
+    """count rows of width entries; sometimes one row is ragged."""
+    out = [[draw(entries) for _ in range(width)] for _ in range(count)]
+    if draw(st.integers(0, 4)) == 0:
+        out[draw(st.integers(0, count - 1))].append(draw(entries))
+    return out
+
+
+@st.composite
+def near_valid_jobs(draw):
+    """A job of the command's shape, with entries up to 2^70 in its rows and
+    any adversary descriptor.  Some rows are ragged; in some jobs a third of
+    the entries are of a wrong type or bad rationals, and some jobs have a
+    field of another type or a field left out."""
+    command = draw(st.sampled_from(sorted(JOB_KEYS)))
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dirty = draw(st.booleans())
+
+    def entries(good):
+        return st.one_of(good, good, bad_entries) if dirty else good
+
+    if command == "compare":
+        job = {"alpha": draw(rows(entries(wide(0)), 1, n))[0],
+               "beta": draw(rows(entries(wide(0)), 1, n))[0]}
+    elif command.startswith("game"):
+        job = {"vectors": draw(rows(entries(wide(0)), k, n))}
+    elif command == "positivize":
+        job = {"generator_images": draw(rows(entries(positive_rationals), n, n)),
+               "elements": draw(rows(entries(wide(-1)), k, n))}
+    else:
+        m = n + draw(st.integers(0, 1))
+        job = {"num_vars": m, "num_toric": n,
+               "values": draw(rows(entries(positive_rationals), m, n)),
+               "polynomial": [{"coeff": draw(entries(positive_rationals)),
+                               "exponents": draw(rows(entries(wide(0)), 1, m))[0]}
+                              for _ in range(k)]}
+    job["adversary"] = {"kind": draw(st.sampled_from(ADVERSARY_KINDS)),
+                        "seed": draw(entries(wide(0))),
+                        "choices": draw(st.lists(entries(wide(0)), max_size=4))}
+    key = draw(st.sampled_from(sorted(job)))
+    mutation = draw(st.integers(0, 5))
+    if mutation == 0:
+        job[key] = draw(json_values)
+    elif mutation == 1:
+        del job[key]
+    return command, job
+
+
+@settings(max_examples=200)
+@given(st.one_of(near_valid_jobs(),
+                 st.tuples(st.sampled_from(sorted(FUZZ_COMMANDS)), json_values)),
+       st.booleans())
+def test_fuzz_near_valid_jobs_with_and_without_trace(case, trace):
+    """Any document on every subcommand, with or without --trace: one result
+    document and a documented exit code."""
+    command, job = case
+    # the last --step-limit wins: it bounds monomialize's rounds too
+    argv = [*FUZZ_COMMANDS[command], "--step-limit", "200"] + (["--trace"] if trace else [])
+    assert_one_document(*run_on_stdin(argv, json.dumps(job).encode()))
+
+
 # one parser per process: calls share it and leave nothing behind ------------
 
 SEEDED_JOB = '{"alpha":[8,0,3],"beta":[2,5,1],"adversary":{"kind":"random","seed":123}}'

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
@@ -15,6 +15,7 @@ from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     compose_trace, element_value, game_tree, lex_sign,
                     monomialize, polynomial, positivize, positivize_all,
                     run_pair, simple_perron, solve, tau)
+import perron.ordered_group
 from perron.engine import _J_rule, _repeat_count
 
 from conftest import adversary_kinds, build_adversary, vec_pairs
@@ -366,12 +367,34 @@ def test_lopsided_pair_runs_in_few_iterations():
     adversary = CountingFirstIndex()
     trace = run_pair((N, 0), (0, 1), adversary)
     assert trace.rounds == N
-    assert 1 <= adversary.calls <= N.bit_length()
+    assert adversary.calls == 1  # the last round, at the norm tie (1, -1), included
     assert set(trace.steps) == {Step(frozenset({1, 2}), 1, 2)}
     assert (trace.final_alpha, trace.final_beta) == ((N, 0), (N, 1))
     assert trace.outcome is Comparability.LESS_EQ
     assert trace.tau_history[:3] == ((1, N), (1, N - 1), (1, N - 2))
     assert trace.tau_history[-2:] == ((1, 1), (0, 1))
+
+
+@pytest.mark.parametrize("N", [2, 3, 1000])
+def test_a_run_ending_at_a_norm_tie_is_one_iteration(N, monkeypatch):
+    """d = alpha - beta moves from (N, -1) to the tie (1, -1), then becomes
+    comparable; the element (1, -(N - 1)) of the group ends its run at a tie
+    likewise.  Each run asks its chooser once and keeps the one-round steps."""
+    adversary = CountingFirstIndex()
+    trace = run_pair((N, 0), (0, 1), adversary)
+    assert adversary.calls == 1
+    assert trace == run_pair((N, 0), (0, 1), OneRound())
+
+    lengths = []
+    run_length = perron.ordered_group._perron_run_length
+    monkeypatch.setattr(perron.ordered_group, "_perron_run_length",
+                        lambda *args: lengths.append(run_length(*args)) or lengths[-1])
+    basis = GroupBasis.initial(GroupOrder(((Fraction(1), Fraction(0)),
+                                           (Fraction(1, N), Fraction(1)))))
+    element = GroupElement(basis, (1, -(N - 1)))
+    result = positivize(basis, element)
+    assert len(lengths) == 1 and result.steps.rounds == N - 1
+    assert result == positivize_one_round(basis, element, None)
 
 
 def test_repeating_blocks_run_in_few_iterations():
@@ -552,14 +575,28 @@ def test_mixed_magnitude_pairs_compose_to_their_finals(pair):
         is not Comparability.INCOMPARABLE
 
 
+def decides_like(d, first):
+    """Whether state d decides like first, the oracle triple of repetition 0:
+    the same triple, or a norm tie on first's side.  At a tie J is the whole
+    support of d on either side, and on the swapped side order lists the
+    positive entries by falling residual."""
+    if oracle_J_rule(d) == first:
+        return True
+    if not first[1] or sum(d):
+        return False
+    positive = sorted((-x, i) for i, x in enumerate(d, start=1) if x > 0)
+    return first == (frozenset(i for i, x in enumerate(d, start=1) if x),
+                     True, [i for _, i in positive])
+
+
 def scanned_repeat_count(states, shift, limit):
     """The oracle: the largest t <= limit such that repetitions 1..t decide
-    like repetition 0 (same _J_rule triple for every state), by a direct
-    scan over t."""
+    like repetition 0 (same _J_rule triple for every state, or a norm tie on
+    its side), by a direct scan over t."""
     firsts = [oracle_J_rule(d) for d in states]
     t = 0
     while t < limit and all(
-            oracle_J_rule([x + (t + 1) * y for x, y in zip(d, shift)]) == first
+            decides_like([x + (t + 1) * y for x, y in zip(d, shift)], first)
             for d, first in zip(states, firsts)):
         t += 1
     return t
@@ -578,8 +615,18 @@ def repeating_blocks(draw):
     return states, shift, draw(st.integers(0, 60))
 
 
+A_300 = 2 ** 300 - 2 ** 150 + 7
+C_300 = 2 ** 299 + 3
+
+
 @settings(max_examples=300)
 @given(repeating_blocks())
+# a run that ends at a norm tie: (-1, 1) is repetition 4, and it is one run
+@example(([[-1, 5]], [0, -1], 4))
+# a period-2 block whose first round reaches a tie while the second goes on
+@example(([[-1, 5, 0], [-2, 9, 3]], [0, -1, 0], 10))
+# entries of about 300 bits, with the tie at repetition 4 of 9
+@example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 9))
 def test_repeat_count_matches_a_direct_scan(case):
     """The gallop and bisection find the end of the repetitions that decide
     alike because, from an incomparable state, they form an interval.  From

@@ -487,11 +487,16 @@ def test_positivize_all_round_trip(order, data):
             expansion(element.coords, basis.images)
 
 
-def test_ill_conditioned_positivize_takes_one_run():
+def test_ill_conditioned_positivize_takes_one_run(monkeypatch):
     N = 10 ** 5
     basis = GroupBasis.initial(GroupOrder(((Fraction(1), Fraction(0)),
                                            (Fraction(1, N), Fraction(1)))))
+    lengths = []  # one chooser run: its last round is a norm tie
+    run_length = perron.ordered_group._perron_run_length
+    monkeypatch.setattr(perron.ordered_group, "_perron_run_length",
+                        lambda *args: lengths.append(run_length(*args)) or lengths[-1])
     result = positivize(basis, GroupElement(basis, (1, -(N - 1))))
+    assert lengths == [N - 1]
     assert len(result.steps) == N - 1
     assert set(result.steps) == {Step(frozenset({1, 2}), 2, 2)}
     assert result.coords == (1, 0)
