@@ -18,20 +18,19 @@ from .engine import (Adversary, EngineTrace, FirstIndex, MaxGrowth, Scripted,
                      SeededRandom, advance_champion, choose_J, run_pair)
 from .errors import (InteractiveAborted, InternalError, PerronError,
                      StepLimitExceeded, ValidationError)
-from .tau import Comparability, Tau, comparability, reduce_pair, tau
+from .tau import Comparability, comparability, reduce_pair, tau
 from .transforms import (Matrix, Step, Trace, Vec, apply_matrix, apply_step,
-                         compose_trace, determinant, identity_matrix, intvec,
-                         natvec, step_matrix)
+                         compose_trace, determinant, natvec)
 
 _LAZY = {name: module for module, names in (
     ("game", "GameOutcome game_tree is_won solve"),
     ("monomials", "MonomializationResult Polynomial Substitution ValuedRing "
-                  "apply_substitution divisibility_transform monomial_value "
-                  "monomialize polynomial substitute_exponents validate_ring"),
+                  "apply_substitution divisibility_transform monomialize "
+                  "polynomial validate_ring"),
     ("ordered_group", "GroupBasis GroupElement GroupOrder LexVec "
-                      "PositivizeAllResult PositivizeResult element_compare "
-                      "element_value lex_sign lexvec positivize positivize_all "
-                      "simple_perron validate_order"),
+                      "PositivizeAllResult PositivizeResult element_value "
+                      "lex_sign lexvec positivize positivize_all simple_perron "
+                      "validate_order"),
 ) for name in names.split()}
 
 
@@ -52,12 +51,11 @@ __all__ = [
     "InternalError", "LexVec", "Matrix", "MaxGrowth", "MonomializationResult",
     "PerronError", "Polynomial", "PositivizeAllResult", "PositivizeResult",
     "Scripted", "SeededRandom", "Step", "StepLimitExceeded", "Substitution",
-    "Tau", "Trace", "ValidationError", "ValuedRing", "Vec", "advance_champion",
+    "Trace", "ValidationError", "ValuedRing", "Vec", "advance_champion",
     "apply_matrix", "apply_step", "apply_substitution", "choose_J",
     "comparability", "compose_trace", "determinant", "divisibility_transform",
-    "element_compare", "element_value", "game_tree", "identity_matrix",
-    "intvec", "is_won", "lex_sign", "lexvec", "monomial_value", "monomialize",
-    "natvec", "polynomial", "positivize", "positivize_all", "reduce_pair",
-    "run_pair", "simple_perron", "solve", "step_matrix", "substitute_exponents",
-    "tau", "validate_order", "validate_ring",
+    "element_value", "game_tree", "is_won", "lex_sign", "lexvec",
+    "monomialize", "natvec", "polynomial", "positivize", "positivize_all",
+    "reduce_pair", "run_pair", "simple_perron", "solve", "tau",
+    "validate_order", "validate_ring",
 ]

@@ -122,11 +122,14 @@ def _encode_lexvec(v):
     return [str(c) for c in v]
 
 
-def _encode_trace(steps):
-    out = []
-    for block, m in steps.runs:
-        out += [{"J": sorted(step.J), "j": step.j} for step in block] * m
-    return out
+def _encode_trace(steps) -> str:
+    """The trace as _ENCODER writes it, one {"J":[...],"j":...} per round:
+    each run's block is written once and its text repeated m times."""
+    text = "".join([
+        "".join(['{"J":[%s],"j":%s},' % (",".join(map(str, sorted(s.J))), s.j)
+                 for s in block]) * m
+        for block, m in steps.runs])
+    return f"[{text[:-1]}]"
 
 
 def _format_vec(v) -> str:
@@ -544,13 +547,12 @@ def _write_document(args, doc, code, steps=None) -> int:
     its code and says so, a success becomes an error with exit 1.  When
     --output cannot be written, an error document goes to stdout instead,
     with exit 1."""
-    try:
-        data = _ENCODER.encode(doc if steps is None else
-                               dict(doc, trace=_encode_trace(steps))) + "\n"
-    except (MemoryError, OverflowError):  # [...] * m with m past sys.maxsize
-        if steps is None:
-            raise
-        data = None  # handled outside, once the partial trace is freed
+    data = _ENCODER.encode(doc) + "\n"
+    if steps is not None:  # sort_keys puts "trace" after every other key
+        try:
+            data = f'{data[:-2]},"trace":{_encode_trace(steps)}}}\n'
+        except (MemoryError, OverflowError):  # text * m past memory or sys.maxsize
+            data = None  # handled outside, once the partial trace is freed
     if data is None:
         why = f"the trace of {steps.rounds} rounds is too large to encode"
         if doc["status"] == "ok":

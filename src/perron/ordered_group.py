@@ -141,22 +141,9 @@ def _combination(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> LexVec:
     return tuple(Fraction(s, L) for s in _dot(coeffs, rows))
 
 
-def _combination_sign(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> int:
-    """lex_sign of the combination, from integer sums up to the first non-zero."""
-    return lex_sign(_dot(coeffs, _scaled(vecs)[1]))
-
-
 def element_value(element: GroupElement) -> LexVec:
     """The element's image: the coordinate combination of the basis images."""
     return _combination(element.coords, element.basis.images)
-
-
-def element_compare(e1: GroupElement, e2: GroupElement) -> int:
-    """-1, 0 or 1 as e1 is below, equal to, or above e2 in the group order."""
-    if e1.basis != e2.basis:
-        raise ValidationError("elements must be expressed in the same basis")
-    return _combination_sign([a - b for a, b in zip(e1.coords, e2.coords)],
-                             e1.basis.images)
 
 
 def _lex_minimal(basis: GroupBasis, J: frozenset[int]) -> int:

@@ -98,19 +98,10 @@ def identity_matrix(n: int) -> Matrix:
     return tuple([(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n)])
 
 
-def step_matrix(step: Step) -> Matrix:
-    """Matrix with entry (r, s) = 1 iff r = s, or r = j and s in J."""
-    n = step.dim
-    return tuple(
-        tuple(1 if (r == s or (r == step.j and s in step.J)) else 0
-              for s in range(1, n + 1))
-        for r in range(1, n + 1))
-
-
 def apply_step(step: Step, v: Sequence[int]) -> Vec:
     """Replace coordinate j of v by the sum of its J-coordinates.
 
-    Agrees entrywise with step_matrix(step) applied to v; works for signed
+    Agrees entrywise with the step's matrix applied to v; works for signed
     vectors as well (needed for group-element coordinates).
     """
     if len(v) != step.dim:

@@ -6,7 +6,8 @@ import hypothesis
 import hypothesis.strategies as st
 
 from perron import (FirstIndex, GroupElement, GroupOrder, MaxGrowth,
-                    SeededRandom, Step, ValuedRing, element_value, lex_sign)
+                    SeededRandom, Step, ValidationError, ValuedRing,
+                    element_value, lex_sign)
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
@@ -21,6 +22,24 @@ def build_adversary(kind, seed=0):
 
 
 adversary_kinds = st.sampled_from(["first", "max_growth", "random"])
+
+
+def step_matrix(step):
+    """Oracle: the matrix with entry (r, s) = 1 iff r = s, or r = j and s in J."""
+    n = step.dim
+    return tuple(
+        tuple(1 if (r == s or (r == step.j and s in step.J)) else 0
+              for s in range(1, n + 1))
+        for r in range(1, n + 1))
+
+
+def element_compare(e1, e2):
+    """Oracle: -1, 0 or 1 as e1 is below, equal to, or above e2 in the group
+    order, the lex sign of the image of e1 - e2."""
+    if e1.basis != e2.basis:
+        raise ValidationError("elements must be expressed in the same basis")
+    diff = tuple(a - b for a, b in zip(e1.coords, e2.coords))
+    return lex_sign(element_value(GroupElement(e1.basis, diff)))
 
 
 @st.composite

@@ -26,11 +26,14 @@ from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder,
                     apply_matrix, apply_step, apply_substitution,
                     choose_J, comparability, compose_trace, determinant,
                     divisibility_transform, element_value, game_tree,
-                    identity_matrix, is_won, lex_sign, monomial_value,
-                    monomialize, polynomial, positivize, positivize_all,
-                    run_pair, simple_perron, solve, step_matrix,
-                    substitute_exponents, tau, validate_order)
+                    is_won, lex_sign, monomialize, polynomial, positivize,
+                    positivize_all, run_pair, simple_perron, solve, tau,
+                    validate_order)
 from perron.cli import main as cli_main
+from perron.monomials import monomial_value, substitute_exponents
+from perron.transforms import identity_matrix
+
+from conftest import element_compare, step_matrix
 
 # traces produced by criteria 1, 5, 6, 7 as (steps, dim); criterion 2 checks
 # its (much more numerous) leaf traces inline and records the counts here.
@@ -497,7 +500,7 @@ def _worked_examples_game():
 
 
 def _worked_examples_groups():
-    from perron import element_compare, lexvec
+    from perron import lexvec
 
     order = GroupOrder((lexvec(["1", "0"]), lexvec(["0", "1"])))
     basis = GroupBasis.initial(order)

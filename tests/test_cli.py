@@ -11,10 +11,10 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perron import InternalError, Step, apply_step, compose_trace
+from perron import InternalError, Step, Trace, apply_step, compose_trace
 import perron.cli
 import perron.monomials
 import perron.ordered_group
@@ -511,6 +511,40 @@ def test_trace_too_large_to_encode_is_left_out(extra, code, diagnostics):
     doc = json.loads(proc.stdout)
     assert doc["diagnostics"] == diagnostics
     assert "trace" not in doc and doc["payload"] is None
+
+
+@st.composite
+def run_traces(draw, max_dim=4, max_runs=4):
+    """A Trace of one-step runs and commuting blocks, m up to 10^4; may be empty.
+    In a block, each step's J is its own j plus indices no step writes, so
+    the steps commute."""
+    n = draw(st.integers(2, max_dim))
+    trace = Trace()
+    for _ in range(draw(st.integers(0, max_runs))):
+        writers = draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1,
+                                unique=True))
+        readers = [i for i in range(1, n + 1) if i not in writers]
+        block = [Step({j, *draw(st.sets(st.sampled_from(readers)))}, j, n)
+                 for j in writers]
+        trace.add_run(block, draw(st.integers(1, 10 ** 4)))
+    return trace
+
+
+@settings(max_examples=60)
+@given(run_traces(), st.sampled_from(["ok", "error"]))
+@example(Trace(), "error")
+@example(Trace([((Step({1, 2}, 1, 2),), 10 ** 4)]), "ok")
+@example(Trace([((Step({1, 3}, 1, 3), Step({2, 3}, 2, 3)), 7)]), "error")
+def test_trace_text_is_the_encoders_bytes(trace, status):
+    doc = {"schema_version": 1, "status": status, "payload": None,
+           "diagnostics": ["d"] if status == "error" else []}
+    expanded = [{"J": sorted(s.J), "j": s.j} for s in trace]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert perron.cli._write_document(argparse.Namespace(output="-"),
+                                          dict(doc), 3, trace) == 3
+    assert out.getvalue() == json.dumps(dict(doc, trace=expanded), sort_keys=True,
+                                        separators=(",", ":")) + "\n"
 
 
 def assert_malformed(argv, tmp_path, fragment):

@@ -5,18 +5,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     GroupOrder, MaxGrowth, PositivizeResult, Scripted,
-                    SeededRandom, Step, StepLimitExceeded, Tau, ValidationError,
+                    SeededRandom, Step, StepLimitExceeded, ValidationError,
                     ValuedRing, apply_matrix, apply_step, choose_J, comparability,
                     compose_trace, element_value, game_tree, lex_sign,
                     monomialize, polynomial, positivize, positivize_all,
                     run_pair, simple_perron, solve, tau)
 import perron.ordered_group
 from perron.engine import _J_rule, _repeat_count
+from perron.tau import Tau
 
 from conftest import adversary_kinds, build_adversary, vec_pairs
 
@@ -636,3 +637,91 @@ def test_repeat_count_matches_a_direct_scan(case):
     rounds = [(d, oracle_J_rule(d)) for d in states]
     assert _repeat_count(rounds, shift, limit) == \
         scanned_repeat_count(states, shift, limit)
+
+
+def closed_form_repeat_count(states, shift, limit):
+    """The oracle in closed form: every decision of _J_rule on a state d + t*shift
+    is a test a + t*b >= 0 (or > 0) that holds at t = 0, so it holds up to
+    (a - strict) // -b when b < 0, and forever otherwise.  The count is the
+    smallest such bound over every decision of every round, at most limit.
+
+    A swapped round is negated first, so that its rule is unswapped and a
+    norm tie decides like it.  The decisions are the sign of each entry (a
+    zero stays zero), na <= nb, each adjacent pair of order by falling
+    residual, then by index, and the prefix cut: the first L - 1 residuals
+    of order sum below na, and the first L reach it."""
+    count = limit
+
+    def holds_up_to(a, b, strict=False):
+        nonlocal count
+        if b < 0:
+            count = min(count, (a - strict) // -b)
+
+    for d in states:
+        delta = shift
+        if oracle_J_rule(d)[1]:
+            d, delta = [-x for x in d], [-y for y in shift]
+        J, swapped, order = oracle_J_rule(d)
+        assert not swapped
+
+        def part(indices):  # the sum of d + t*delta over indices, as (a, b)
+            return (sum(d[i - 1] for i in indices),
+                    sum(delta[i - 1] for i in indices))
+
+        for x, y in zip(d, delta):
+            if x:  # the sign of x
+                holds_up_to(abs(x), y if x > 0 else -y, True)
+            else:  # a zero stays zero: 0 <= t*y and 0 >= t*y
+                holds_up_to(0, y)
+                holds_up_to(0, -y)
+        a, b = part(range(1, len(d) + 1))
+        holds_up_to(-a, -b)  # na <= nb
+        for i, k in zip(order, order[1:]):  # d_i < d_k, or equal with i < k
+            holds_up_to(d[k - 1] - d[i - 1], delta[k - 1] - delta[i - 1], i > k)
+        # J is the positive entries plus the first L of order: without its
+        # L-th, the residuals fall short of na; with it, they reach na
+        cut = len(J) - sum(x > 0 for x in d)
+        a, b = part(J - {order[cut - 1]})
+        holds_up_to(a, b, True)
+        a, b = part(J)
+        holds_up_to(-a, -b)
+    return count
+
+
+@st.composite
+def wide_blocks(draw):
+    """Blocks of 1-3 rounds with entries of up to a few hundred bits, shifts
+    that may be zero, and limits from 1 to 2^200.  Half the time the first
+    round's last entry is set so that it reaches a norm tie (its entries
+    sum to zero) at repetition t0."""
+    n = draw(st.integers(2, 4))
+    bits = draw(st.integers(0, 300))
+    entry = st.integers(-2 ** bits, 2 ** bits)
+    shift = draw(st.one_of(
+        st.just([0] * n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        st.lists(entry, min_size=n, max_size=n)))
+    states = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=1, max_size=3))
+    if draw(st.booleans()):
+        t0 = draw(st.integers(0, 2 ** 20))
+        first = states[0]
+        first[-1] = -t0 * sum(shift) - sum(first[:-1])
+    assume(all(min(d) < 0 < max(d) for d in states))
+    return states, shift, draw(st.integers(1, 2 ** 200))
+
+
+@settings(max_examples=500)
+@given(wide_blocks())
+@example(([[-1, 5]], [0, -1], 4))
+@example(([[-1, 5, 0], [-2, 9, 3]], [0, -1, 0], 10))
+@example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 2 ** 200))
+@example(([[-A_300, 3, A_300 - 3], [C_300, -A_300, 1]], [0, 0, 0], 2 ** 200))
+@example(([[2, -1, -1], [1, 1, -3], [-5, 2, 2]], [1, -1, 0], 1))
+def test_repeat_count_matches_the_closed_form(case):
+    """The run length in closed form, one floor division per linear
+    decision, against the gallop and bisection of _repeat_count."""
+    states, shift, limit = case
+    rounds = [(d, oracle_J_rule(d)) for d in states]
+    assert _repeat_count(rounds, shift, limit) == \
+        closed_form_repeat_count(states, shift, limit)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from perron import (Comparability, FirstIndex, Scripted, Step,
                     ValidationError, advance_champion, apply_matrix,
                     apply_step, choose_J, comparability, compose_trace,
-                    game_tree, is_won, natvec, solve, step_matrix)
+                    game_tree, is_won, natvec, solve)
 from perron.game import _validated_vectors
 
-from conftest import adversary_kinds, build_adversary
+from conftest import adversary_kinds, build_adversary, step_matrix
 
 
 @st.composite

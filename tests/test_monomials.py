@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from perron import (Substitution, ValidationError, ValuedRing,
                     apply_substitution, determinant, divisibility_transform,
-                    lex_sign, lexvec, monomial_value, monomialize, natvec,
-                    polynomial, substitute_exponents, validate_ring)
+                    lex_sign, lexvec, monomialize, natvec, polynomial,
+                    validate_ring)
+from perron.monomials import monomial_value, substitute_exponents
 
 from conftest import ring_with_polynomial, valued_rings
 

@@ -9,19 +9,18 @@ from hypothesis import strategies as st
 import perron.ordered_group
 from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
                     StepLimitExceeded, Trace, ValidationError, ValuedRing,
-                    apply_step, determinant, element_compare, element_value,
-                    lex_sign, lexvec, monomial_value, monomialize, positivize,
-                    positivize_all, run_pair, simple_perron,
-                    substitute_exponents, validate_order)
+                    apply_step, determinant, element_value, lex_sign, lexvec,
+                    monomialize, positivize, positivize_all, run_pair,
+                    simple_perron, validate_order)
 from perron.engine import Adversary
-from perron.monomials import _substitution_from
+from perron.monomials import (_substitution_from, monomial_value,
+                              substitute_exponents)
 from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
-                                  _PerronChooser, _combination,
-                                  _combination_sign, _lex_minimal,
-                                  _perron_run_length, _scaled)
+                                  _PerronChooser, _combination, _dot,
+                                  _lex_minimal, _perron_run_length, _scaled)
 from perron.transforms import apply_run
 
-from conftest import group_orders, positive_element, valued_rings
+from conftest import element_compare, group_orders, positive_element, valued_rings
 
 
 def standard_basis():
@@ -534,7 +533,8 @@ def test_integer_sums_match_the_fraction_oracle(case):
     coeffs, vecs = case
     total = expansion(coeffs, vecs)
     assert _combination(coeffs, vecs) == total
-    assert _combination_sign(coeffs, vecs) == lex_sign(total)
+    # the sign check of positivize: integer sums up to the first non-zero
+    assert lex_sign(_dot(coeffs, _scaled(vecs)[1])) == lex_sign(total)
 
 
 @given(group_orders(), valued_rings(), st.data())
@@ -545,7 +545,7 @@ def test_element_and_monomial_values_match_the_fraction_oracle(order, ring, data
     coords = tuple(data.draw(st.integers(-9, 9)) for _ in range(basis.rank))
     total = expansion(coords, basis.images)
     assert element_value(GroupElement(basis, coords)) == total
-    assert _combination_sign(coords, basis.images) == lex_sign(total)
+    assert lex_sign(_dot(coords, _scaled(basis.images)[1])) == lex_sign(total)
     assert element_compare(GroupElement(basis, coords), zero) == lex_sign(total)
 
     exponents = tuple(data.draw(st.integers(0, 5)) for _ in range(ring.num_vars))

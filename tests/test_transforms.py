@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perron import (Step, Trace, ValidationError, apply_matrix, apply_step,
-                    compose_trace, determinant, identity_matrix, intvec,
-                    natvec, step_matrix)
-from perron.transforms import _bareiss, apply_run, commute
+                    compose_trace, determinant, natvec)
+from perron.transforms import (_bareiss, apply_run, commute, identity_matrix,
+                               intvec)
 
-from conftest import ordered_pair_with_step, traces, vec_with_step
+from conftest import ordered_pair_with_step, step_matrix, traces, vec_with_step
 
 
 # independent oracles ------------------------------------------------------
