@@ -136,6 +136,16 @@ def _format_vec(v) -> str:
     return "[" + ",".join(str(x) for x in v) + "]"
 
 
+def _say(text):
+    """Write text to stderr now; a closed or unwritable stderr does not stop
+    the one result document."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+
+
 # ---------------------------------------------------------------------------
 # adversaries
 
@@ -152,12 +162,10 @@ class _Prompt(Adversary):
 
     def choose(self, J, vectors, round_no):
         infile = self._infile if self._infile is not None else sys.stdin
-        out = sys.stderr
         label = "{" + ",".join(str(i) for i in sorted(J)) + "}"
-        out.write(f"round {round_no}: {self._describe(vectors)}J={label}\n")
+        _say(f"round {round_no}: {self._describe(vectors)}J={label}\n")
         while True:
-            out.write(f"choose j in {label}: ")
-            out.flush()
+            _say(f"choose j in {label}: ")
             line = infile.readline()
             if line == "":
                 raise InteractiveAborted("end of input during interactive choice")
@@ -167,8 +175,7 @@ class _Prompt(Adversary):
                 j = None
             if j in J:
                 return j
-            out.write(f"j must be one of {label}\n")
-            out.flush()
+            _say(f"j must be one of {label}\n")
 
 
 def _build_adversary(doc, args, infile, describe=None) -> Adversary:
@@ -239,9 +246,8 @@ def _cmd_game(doc, args, infile, mode):
 
     outcome = solve(vectors, adversary, step_limit=args.step_limit)
     if mode == "play":
-        sys.stderr.write(
-            f"won after {outcome.rounds} round(s): winner #{outcome.winner_index} "
-            f"{_format_vec(outcome.final_vectors[outcome.winner_index])}\n")
+        _say(f"won after {outcome.rounds} round(s): winner #{outcome.winner_index} "
+             f"{_format_vec(outcome.final_vectors[outcome.winner_index])}\n")
     payload = {
         "winner_index": outcome.winner_index,
         "final_vectors": [_encode_vec(v) for v in outcome.final_vectors],
@@ -409,10 +415,7 @@ def _help(path):
 def _fail(path, message):
     """A usage error: the usage line goes to stderr, the message into the
     one error document."""
-    try:  # a closed stderr does not stop the document
-        sys.stderr.write(_usage(path))
-    except (AttributeError, OSError):
-        pass
+    _say(_usage(path))
     raise MalformedInput(f"{_prog(path)}: {message}")
 
 

@@ -2,13 +2,13 @@
 
 choose_J builds an index set J such that applying the step (J, j) strictly
 decreases tau for EVERY j in J, so the opponent's choice of j never matters.
-descend iterates this against an adversary until the pair is comparable;
-termination follows from the well-ordering of the measure.  It plays runs of
-identical steps in one go (the division form of the descent, as in
-multiplicative Euclid or Brun), so lopsided pairs need few iterations.
 drive plays every job as one game, the polyhedra game's champion strategy:
 run_pair on the pair, solve on the start set, positivize on the origin and
-the elements.
+the elements.  Its one loop descends each phase's pair against an adversary
+until the pair is comparable; termination follows from the well-ordering of
+the measure.  It plays runs of identical steps in one go (the division form
+of the descent, as in multiplicative Euclid or Brun), so lopsided pairs need
+few iterations.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from operator import ge, le, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
-from .tau import Comparability, Tau, _tau_of, comparability
-from .transforms import Step, Trace, Vec, _is_int, apply_run, commute, natvec
+from .tau import Comparability, Tau, _check_dims, _tau_of, comparability
+from .transforms import Step, Trace, Vec, _is_int, apply_run, apply_step, commute, natvec
 
 class Adversary:
     """Picks j from a proposed J, seeing the tracked vectors and round number."""
@@ -137,8 +137,7 @@ def choose_J(alpha: Vec, beta: Vec) -> frozenset[int]:
 
     Requires the pair to be incomparable (both reduced parts non-zero).
     """
-    if len(alpha) != len(beta):
-        raise ValidationError(f"dimension mismatch: {len(alpha)} vs {len(beta)}")
+    _check_dims(alpha, beta)
     rule = _J_rule(list(map(sub, alpha, beta)))
     if rule is None:
         raise ValidationError("pair is already comparable; no J to choose")
@@ -169,7 +168,7 @@ class EngineTrace(_EngineTraceFields):
         d = list(map(sub, self.alpha, self.beta))
         out = [_tau_of(d)]
         for s in self.steps:
-            d[s.j - 1] += sum(d[i - 1] for i in s.J if i != s.j)
+            d = apply_step(s, d)
             out.append(_tau_of(d))
         return tuple(out)
 
@@ -228,67 +227,6 @@ def _period(played, rule) -> int:
     return 0
 
 
-def descend(vectors: list[Vec], p: int, q: int, adversary: Adversary,
-            steps: Trace, step_limit: Optional[int] = None) -> None:
-    """Descend the pair vectors[p], vectors[q] to comparability, carrying
-    every tracked vector along, in runs of identical steps.
-
-    `vectors` changes in place, and each iteration adds one run to `steps`.
-    Returns once the pair is comparable, or still incomparable once round
-    step_limit has been played; an InteractiveAborted from the adversary
-    leaves with `steps` attached as the partial trace.
-
-    A run of k equal steps (J, j) adds k times the sum of the other
-    J-entries to entry j.  The adversary's run length caps the run, and
-    _repeat_count finds how many of its rounds decide alike, a last round at
-    a norm tie included.  For an adversary that answers by J alone, a
-    repeating block of commuting steps is likewise applied in one go.
-    """
-    n = len(vectors[p])
-    played = []  # (d, rule, step) of the single rounds just played, when by_J
-    while True:
-        round_no = steps.rounds + 1
-        d = list(map(sub, vectors[p], vectors[q]))
-        rule = _J_rule(d)
-        if rule is None or (step_limit is not None and round_no > step_limit):
-            return
-        J = rule[0]
-        left = (step_limit - round_no + 1 if step_limit is not None
-                else sum(map(abs, d)) + 1 << 64)  # past any run: _repeat_count
-        period = m = 0
-        if adversary.by_J:
-            period = _period(played, rule)
-        if period:  # the block played twice now starts again
-            rounds = played[-period:]
-            shift = list(map(sub, d, rounds[0][0]))
-            m = _repeat_count(rounds, shift, left // period)
-        if not m:
-            try:
-                j, k = adversary.choose_run(J, tuple(vectors), round_no, left)
-            except InteractiveAborted as exc:
-                exc.steps = steps
-                raise
-            if type(j) is not int and not _is_int(j) or j not in J:
-                raise ValidationError(f"adversary chose j={j!r} outside J={sorted(J)}")
-            if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= left:
-                raise ValidationError(f"adversary run length {k!r} outside 1..{left}")
-            rounds = [(d, rule, Step(J, j, n))]
-            m = 1
-            if k > 1:
-                shift = [0] * n
-                shift[j - 1] = sum(d[i - 1] for i in J if i != j)
-                m += _repeat_count(rounds, shift, k - 1)
-        block = [r[2] for r in rounds]
-        for step in block:  # the block's steps commute: each one's run in turn
-            vectors[:] = [apply_run(step, m, v) for v in vectors]
-        steps.add_run(block, m)
-        if adversary.by_J and len(block) * m == 1:
-            played += rounds
-            del played[:-2 * n]
-        else:
-            played.clear()
-
-
 def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, Optional[int]]:
     """Sweep the vectors in input order, absorbing everything comparable into
     the champion; return the updated champion index and the index of the first
@@ -312,7 +250,7 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
         if i == champ:
             continue
         if len(c) != len(v):
-            comparability(c, v)  # raises its dimension mismatch error
+            _check_dims(c, v)
         if all(map(le, c, v)):
             continue
         if not all(map(ge, c, v)):
@@ -324,9 +262,19 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
 def drive(rows: list[Vec], champion: int, adversary: Adversary,
           step_limit: Optional[int], failure: str) -> tuple[int, Trace]:
     """Play the champion strategy on rows from the given champion; return
-    (final champion, steps).  Each phase descends the champion and the first
-    row it cannot be compared with, carrying every row along; a phase due past
-    round step_limit raises StepLimitExceeded(failure)."""
+    (final champion, steps).  `rows` changes in place.
+
+    Each phase descends the champion and the first row it cannot be compared
+    with to comparability, carrying every row along, in runs of identical
+    steps: a run of k equal steps (J, j) adds k times the sum of the other
+    J-entries to entry j.  The adversary's run length caps the run, and
+    _repeat_count finds how many of its rounds decide alike, a last round at
+    a norm tie included.  For an adversary that answers by J alone, a
+    repeating block of commuting steps is likewise applied in one go.  The
+    round that would pass step_limit raises StepLimitExceeded(failure, steps);
+    an InteractiveAborted from the adversary leaves with `steps` attached as
+    the partial trace.
+    """
     if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
         raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
     steps = Trace()
@@ -334,9 +282,44 @@ def drive(rows: list[Vec], champion: int, adversary: Adversary,
         champion, target = advance_champion(rows, champion)
         if target is None:
             return champion, steps
-        if step_limit is not None and steps.rounds >= step_limit:
-            raise StepLimitExceeded(failure, steps)
-        descend(rows, champion, target, adversary, steps, step_limit)
+        played = []  # (d, rule, step) of the single rounds just played, when by_J
+        while rule := _J_rule(d := list(map(sub, rows[champion], rows[target]))):
+            round_no = steps.rounds + 1
+            if step_limit is not None and round_no > step_limit:
+                raise StepLimitExceeded(failure, steps)
+            J = rule[0]
+            left = (step_limit - round_no + 1 if step_limit is not None
+                    else sum(map(abs, d)) + 1 << 64)  # past any run: _repeat_count
+            period = m = 0
+            if adversary.by_J:
+                period = _period(played, rule)
+            if period:  # the block played twice now starts again
+                rounds = played[-period:]
+                m = _repeat_count(rounds, list(map(sub, d, rounds[0][0])), left // period)
+            if not m:
+                try:
+                    j, k = adversary.choose_run(J, tuple(rows), round_no, left)
+                except InteractiveAborted as exc:
+                    exc.steps = steps
+                    raise
+                if type(j) is not int and not _is_int(j) or j not in J:
+                    raise ValidationError(f"adversary chose j={j!r} outside J={sorted(J)}")
+                if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= left:
+                    raise ValidationError(f"adversary run length {k!r} outside 1..{left}")
+                step = Step(J, j, len(d))
+                rounds, m = [(d, rule, step)], 1
+                if k > 1:  # each round adds the step's change of d once more
+                    shift = list(map(sub, apply_step(step, d), d))
+                    m += _repeat_count(rounds, shift, k - 1)
+            block = [r[2] for r in rounds]
+            for step in block:  # the block's steps commute: each one's run in turn
+                rows[:] = [apply_run(step, m, v) for v in rows]
+            steps.add_run(block, m)
+            if adversary.by_J and len(block) * m == 1:
+                played += rounds
+                del played[:-2 * len(d)]
+            else:
+                played.clear()
 
 
 def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,

@@ -161,12 +161,35 @@ def test_game_solve_rejects_interactive(tmp_path):
 def test_game_play_reprompts_then_finishes(tmp_path, monkeypatch, capsys):
     code, doc, _ = run_cli(
         tmp_path, ["game", "play"], {"vectors": [[1, 0], [0, 1]]},
-        stdin="3\n1\n", monkeypatch=monkeypatch)
+        stdin="3\nx\n1\n", monkeypatch=monkeypatch)
     assert code == 0
     assert doc["payload"]["winner_index"] == 0
     err = capsys.readouterr().err
-    assert "j must be one of {1,2}" in err
+    assert err.count("j must be one of {1,2}\n") == 2  # out of J, not an int
     assert "choose j in {1,2}:" in err
+
+
+class _FullStream(io.StringIO):
+    """A stream on a full disk: every write raises OSError."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stderr", [None, _FullStream()], ids=["closed", "full"])
+@pytest.mark.parametrize("command, doc", [
+    (["game", "play"], {"vectors": [[0, 2], [1, 1], [3, 0]]}),
+    (["compare"], {"alpha": [3, 1], "beta": [1, 2], "adversary": {"kind": "interactive"}}),
+], ids=["game-play", "compare"])
+def test_interactive_job_without_a_writable_stderr_writes_its_document(
+        tmp_path, monkeypatch, stderr, command, doc):
+    """The round lines, prompts and closing line are best effort: a closed
+    stderr (sys.stderr is None) or one that raises OSError loses only them."""
+    monkeypatch.setattr("sys.stderr", stderr)
+    code, out, _ = run_cli(tmp_path, command, doc, stdin="1\n1\n",
+                           monkeypatch=monkeypatch)
+    assert code == 0 and out["status"] == "ok"
+    assert out["payload"]["rounds"] == 2
 
 
 def test_game_play_eof_is_exit_4(tmp_path, monkeypatch):

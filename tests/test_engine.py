@@ -606,7 +606,7 @@ def scanned_repeat_count(states, shift, limit):
 @st.composite
 def repeating_blocks(draw):
     """A block's states (alpha - beta at each of its rounds), one shift per
-    repetition, and a limit.  Every state is incomparable, as in descend,
+    repetition, and a limit.  Every state is incomparable, as in drive,
     which passes the states of rounds it played."""
     n = draw(st.integers(2, 4))
     state = st.lists(st.integers(-20, 20), min_size=n, max_size=n).filter(

@@ -297,6 +297,8 @@ def test_trace_merges_repeated_blocks_and_checks_its_runs():
     assert trace.runs == [((a,), 5), ((a, b), 5), ((b,), 1)]
     assert len(trace) == 16 and trace[5:8] == (a, b, a)
     assert Trace() == () == Trace() and Trace() != [a]
+    assert Trace().__eq__(5) is NotImplemented and Trace() != 5
+    assert Trace([((a,), 2)]) != Trace([((a,), 3)]) != Trace([((a,), 2)])
     assert Trace([((a,), 2)]) != (a, b) and (b, a) != Trace([((a, b), 1)])
     assert compose_trace(trace, 3) == compose_trace(list(trace), 3)
     for block, m in (((), 1), ((a,), 0), ((Step({1, 2}, 1, 2),
