@@ -525,7 +525,7 @@ def _read_job(args):
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        stripped = text.lstrip()
+        stripped = text.removeprefix("\ufeff").lstrip()  # RFC 8259 8.1: skip a BOM
         doc, end = _DECODER.raw_decode(stripped)
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"cannot read input: {exc}")

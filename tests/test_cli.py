@@ -596,6 +596,28 @@ def test_non_utf8_input_is_exit_1(tmp_path):
                      "cannot read input")
 
 
+@pytest.mark.parametrize("argv, job", [
+    (["compare", "--trace"], b'{"alpha":[3,1],"beta":[1,2]}'),
+    (["positivize", "--trace"],
+     b'{"generator_images":[["1","0"],["1/7","1"]],"elements":[[9,-40]]}'),
+    (["game", "play"], b'{"vectors":[[0,2],[1,1],[3,0]]}\n1\n1\n'),
+], ids=["compare", "positivize", "play"])
+def test_a_byte_order_mark_is_skipped(argv, job, tmp_path):
+    """RFC 8259 8.1 lets a parser ignore one leading U+FEFF: a job saved with
+    it gives the same bytes as the job without it, on stdin and from a file."""
+    bom = "\ufeff".encode()
+    plain = run_on_stdin(argv, job)
+    assert plain[0] == 0
+    assert run_on_stdin(argv, bom + job) == plain
+    if argv[0] != "game":  # play reads its choices from stdin, not the file
+        inp = tmp_path / "job.json"
+        for data in (job, bom + job):
+            inp.write_bytes(data)
+            assert run_on_stdin(argv + ["--input", str(inp)], b"") == plain
+    # only one mark is dropped: a second one is not JSON
+    assert run_on_stdin(argv, bom + bom + job)[0] == 1
+
+
 def test_deeply_nested_json_is_exit_1(tmp_path):
     inp = tmp_path / "job.json"
     inp.write_text("[" * 100000)

@@ -620,23 +620,38 @@ A_300 = 2 ** 300 - 2 ** 150 + 7
 C_300 = 2 ** 299 + 3
 
 
+def assert_repeat_count(oracle, states, shift, limit):
+    """_repeat_count, named or not, against the oracle at limit, and, since a
+    named limit is probed first, at the oracle's count and one either side."""
+    rounds = [(d, oracle_J_rule(d)) for d in states]
+    count = oracle(states, shift, limit)
+    for cap in {limit, count + 1, count, max(count - 1, 0)}:
+        expected = oracle(states, shift, cap)
+        for named in (False, True):
+            assert _repeat_count(rounds, shift, cap, named) == expected, (cap, named)
+
+
 @settings(max_examples=300)
 @given(repeating_blocks())
-# a run that ends at a norm tie: (-1, 1) is repetition 4, and it is one run
+# a run that ends at a norm tie: (-1, 1) is repetition 4, and it is one run;
+# limits at the oracle's count, one past it and one short of it
 @example(([[-1, 5]], [0, -1], 4))
+@example(([[-1, 5]], [0, -1], 5))
+@example(([[-1, 5]], [0, -1], 3))
 # a period-2 block whose first round reaches a tie while the second goes on
 @example(([[-1, 5, 0], [-2, 9, 3]], [0, -1, 0], 10))
+@example(([[-1, 5, 0], [-2, 9, 3]], [0, -1, 0], 5))
 # entries of about 300 bits, with the tie at repetition 4 of 9
 @example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 9))
+@example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 5))
+@example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 4))
+@example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 3))
 def test_repeat_count_matches_a_direct_scan(case):
     """The gallop and bisection find the end of the repetitions that decide
     alike because, from an incomparable state, they form an interval.  From
     a comparable one they need not: d = (1, 3) with shift (-1, -1) is
     comparable at t = 0, 1 and 3 but not at 2."""
-    states, shift, limit = case
-    rounds = [(d, oracle_J_rule(d)) for d in states]
-    assert _repeat_count(rounds, shift, limit) == \
-        scanned_repeat_count(states, shift, limit)
+    assert_repeat_count(scanned_repeat_count, *case)
 
 
 def closed_form_repeat_count(states, shift, limit):
@@ -714,14 +729,13 @@ def wide_blocks(draw):
 @settings(max_examples=500)
 @given(wide_blocks())
 @example(([[-1, 5]], [0, -1], 4))
+@example(([[-1, 5]], [0, -1], 5))
+@example(([[-1, 5]], [0, -1], 3))
 @example(([[-1, 5, 0], [-2, 9, 3]], [0, -1, 0], 10))
 @example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 2 ** 200))
 @example(([[-A_300, 3, A_300 - 3], [C_300, -A_300, 1]], [0, 0, 0], 2 ** 200))
 @example(([[2, -1, -1], [1, 1, -3], [-5, 2, 2]], [1, -1, 0], 1))
 def test_repeat_count_matches_the_closed_form(case):
     """The run length in closed form, one floor division per linear
-    decision, against the gallop and bisection of _repeat_count."""
-    states, shift, limit = case
-    rounds = [(d, oracle_J_rule(d)) for d in states]
-    assert _repeat_count(rounds, shift, limit) == \
-        closed_form_repeat_count(states, shift, limit)
+    decision, against _repeat_count's named probe, gallop and bisection."""
+    assert_repeat_count(closed_form_repeat_count, *case)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import perron.engine
 import perron.ordered_group
 from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
                     StepLimitExceeded, Trace, ValidationError, ValuedRing,
@@ -502,6 +503,25 @@ def test_ill_conditioned_positivize_takes_one_run(monkeypatch):
     assert result.basis.images == ((Fraction(1, N), Fraction(-(N - 1))),
                                    (Fraction(1, N), Fraction(1)))
     assert result.basis.coords_in_original == ((1, -(N - 1)), (0, 1))
+
+
+@pytest.mark.parametrize("N", [10 ** 4, 10 ** 30])
+def test_one_perron_run_costs_a_few_J_rule_calls(N, monkeypatch):
+    """The long-descent shape: the chooser names the run's end, N - 1 rounds
+    on, and one probe confirms it, so the cost does not grow with log N.
+    Three calls: the run's first round, the probe, and the comparable pair."""
+    basis = GroupBasis.initial(GroupOrder(((Fraction(1), Fraction(0)),
+                                           (Fraction(1, N), Fraction(1)))))
+    element = GroupElement(basis, (1, -(N - 1)))
+    calls = []
+    J_rule = perron.engine._J_rule
+    monkeypatch.setattr(perron.engine, "_J_rule",
+                        lambda d: calls.append(1) or J_rule(d))
+    result = positivize(basis, element)
+    assert len(calls) <= 4
+    assert result.steps.runs == [((Step(frozenset({1, 2}), 2, 2),), N - 1)]
+    if N == 10 ** 4:
+        assert result == oracle_positivize(basis, element)
 
 
 # the group layer sums in integers; the Fraction expansion is the oracle ------
