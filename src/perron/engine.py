@@ -173,8 +173,7 @@ class EngineTrace(_EngineTraceFields):
         return tuple(out)
 
 
-def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int,
-                  named: bool = False) -> int:
+def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
     """How many more times, at most limit, a block of rounds repeats.
 
     rounds[i] starts with (d, rule): d = alpha - beta at the start of round i
@@ -186,9 +185,10 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int,
     one run.  Each decision is the sign of a + t*b for integers a and b, |a|
     at most twice the norm of a state, and a tie is the edge of the test that
     sets swapped, so the repetitions that decide alike form an interval,
-    which ends within 2*|state|_1 + 1 of them.  A `named` limit, where the
-    adversary ends its run, is probed first; else, or on a miss, gallop to
-    the end, probing the cap last (about log2(limit) probes), then bisect.
+    which ends within 2*|state|_1 + 1 of them, or never.  So a limit within
+    that bound may be where the run ends, and is probed first; past it, or
+    on a miss, gallop to the end, probing the cap last (about log2(limit)
+    probes), then bisect.
     """
     # _J_rule puts a tie on the unswapped side, so a swapped round tests -d
     tests = [([-x for x in d], [-y for y in shift], (J, False, order))
@@ -201,9 +201,10 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int,
                 return False
         return True
 
-    if named and same(limit):
+    probe = limit <= 2 * max([sum(map(abs, d)) for d, *_ in tests]) + 1
+    if probe and same(limit):
         return limit
-    limit -= named  # a miss: no repetition is probed twice
+    limit -= probe  # a miss: no repetition is probed twice
     lo, stride = 0, 1  # repetitions up to lo decide like repetition 0
     while lo < limit and same(t := min(lo + stride, limit)):
         lo, stride = t, 2 * stride
@@ -263,9 +264,9 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
     return champ, None
 
 
-def drive(rows: list[Vec], champion: int, adversary: Adversary,
-          step_limit: Optional[int], failure: str) -> tuple[int, Trace]:
-    """Play the champion strategy on rows from the given champion; return
+def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
+          failure: str) -> tuple[int, Trace]:
+    """Play the champion strategy on rows, row 0 the first champion; return
     (final champion, steps).  `rows` changes in place.
 
     Each phase descends the champion and the first row it cannot be compared
@@ -273,8 +274,7 @@ def drive(rows: list[Vec], champion: int, adversary: Adversary,
     steps: a run of k equal steps (J, j) adds k times the sum of the other
     J-entries to entry j.  The adversary's run length caps the run, and
     _repeat_count finds how many of its rounds decide alike, a last round at
-    a norm tie included; a cap below the rounds left names the run's end, so
-    that is probed first.  For an adversary that answers by J alone, a
+    a norm tie included.  For an adversary that answers by J alone, a
     repeating block of commuting steps is likewise applied in one go.  The
     round that would pass step_limit raises StepLimitExceeded(failure, steps);
     an InteractiveAborted from the adversary leaves with `steps` attached as
@@ -282,7 +282,7 @@ def drive(rows: list[Vec], champion: int, adversary: Adversary,
     """
     if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
         raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
-    steps = Trace()
+    steps, champion = Trace(), 0
     while True:
         champion, target = advance_champion(rows, champion)
         if target is None:
@@ -315,7 +315,7 @@ def drive(rows: list[Vec], champion: int, adversary: Adversary,
                 rounds, m = [(d, rule, step)], 1
                 if k > 1:  # each round adds the step's change of d once more
                     shift = list(map(sub, apply_step(step, d), d))
-                    m += _repeat_count(rounds, shift, k - 1, k < left)
+                    m += _repeat_count(rounds, shift, k - 1)
             block = [r[2] for r in rounds]
             for step in block:  # the block's steps commute: each one's run in turn
                 rows[:] = [apply_run(step, m, v) for v in rows]
@@ -336,6 +336,6 @@ def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,
     """
     a, b = natvec(alpha), natvec(beta)
     vectors = [a, b]  # the champion sweep checks the dimensions
-    steps = drive(vectors, 0, adversary, step_limit,
+    steps = drive(vectors, adversary, step_limit,
                   f"pair not comparable within {step_limit} steps")[1]
     return EngineTrace(steps, comparability(*vectors), *vectors, a, b)

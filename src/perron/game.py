@@ -96,6 +96,6 @@ def solve(vectors, adversary: Adversary,
     it and it is is_won's answer.
     """
     vs = list(_validated_vectors(vectors))
-    champ, steps = drive(vs, 0, adversary, step_limit,
+    champ, steps = drive(vs, adversary, step_limit,
                          f"game not won within {step_limit} rounds")
     return GameOutcome(tuple(vs), champ, steps, steps.rounds)

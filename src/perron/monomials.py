@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import InternalError, ValidationError
 from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec, lex_sign,
                             positivize, _combination, _dot, _initial_basis,
-                            _into_cone, _scaled)
+                            _into_cone, _rational, _scaled)
 from .transforms import Matrix, Trace, Vec, _bareiss, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
@@ -74,7 +74,7 @@ def polynomial(terms: Iterable[tuple[Sequence[int], Fraction]]) -> Polynomial:
     out: Polynomial = {}
     for exponents, coeff in terms:
         e = natvec(exponents)
-        c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        c = coeff if type(coeff) is Fraction else _rational(coeff, "coefficient")
         c = out[e] + c if e in out else c
         if c:
             out[e] = c

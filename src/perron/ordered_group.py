@@ -29,9 +29,18 @@ from .transforms import Matrix, Step, Trace, Vec, _bareiss, _is_int, identity_ma
 LexVec = tuple[Fraction, ...]
 
 
+def _rational(x, what: str) -> Fraction:
+    """Fraction(x); ValidationError, naming x, for what Fraction cannot read."""
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        raise ValidationError(f"{what} is not a rational number: {x!r}") from None
+
+
 def lexvec(entries) -> LexVec:
     """Freeze a vector of exact rationals."""
-    v = tuple([e if type(e) is Fraction else Fraction(e) for e in entries])
+    v = tuple([e if type(e) is Fraction else _rational(e, "lex vector entry")
+               for e in entries])
     if not v:
         raise ValidationError("lex vector must have dimension >= 1")
     return v
@@ -286,18 +295,17 @@ def _into_cone(basis: GroupBasis, scaled: tuple[int, tuple[Vec, ...]],
                rows: list[Vec], step_limit: Optional[int]) -> PositivizeAllResult:
     """positivize_all for rows checked to be positive, scaled = _scaled(basis.images).
     A positive row with a negative coordinate has a positive one too, so the
-    origin, as champion, descends against it until it is non-negative."""
+    origin, row 0 and champion, descends against it until it is non-negative."""
     L, images = scaled
-    origin = len(rows)
-    rows = [*rows, (0,) * basis.rank]
+    rows = [(0,) * basis.rank, *rows]
     chooser = _PerronChooser(basis._replace(images=images))  # images times L: ints
-    champion, steps = drive(rows, origin, chooser, step_limit,
+    champion, steps = drive(rows, chooser, step_limit,
                             f"pair not comparable within {step_limit} steps")
-    if champion != origin:
+    if champion:
         raise InternalError("positive element ended with a negative coordinate")
     chooser.settle(steps.rounds + 1)
     # a row no transform touched is still the very row scaled: keep its image
     images = tuple([old if new is row else tuple([Fraction(x, L) for x in new])
                     for old, row, new in zip(basis.images, images, chooser.basis.images)])
     return PositivizeAllResult(chooser.basis._replace(images=images),
-                               tuple(rows[:origin]), steps)
+                               tuple(rows[1:]), steps)

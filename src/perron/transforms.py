@@ -119,18 +119,13 @@ def apply_run(step: Step, k: int, v: Sequence[int]) -> Vec:
     """apply_step k times, in closed form.
 
     The step leaves every coordinate but j fixed, so each application adds
-    the same sum of the other J-coordinates to coordinate j.
+    to coordinate j the change that one apply_step makes there.
     """
-    if len(v) != step.dim:
-        raise ValidationError(
-            f"dimension mismatch: step has dim {step.dim}, vector has {len(v)}")
+    once = apply_step(step, v)
+    if k == 1:
+        return once
     j = step.j - 1
-    total = 0
-    for i in step.J:
-        total += v[i - 1]
-    out = list(v)
-    out[j] += k * (total - v[j])
-    return tuple(out)
+    return (*v[:j], v[j] + k * (once[j] - v[j]), *v[j + 1:])
 
 
 def commute(block: Sequence[Step]) -> bool:
@@ -231,24 +226,20 @@ def apply_matrix(m: Matrix, v: Sequence[int]) -> Vec:
 def compose_trace(steps: Sequence[Step], n: int) -> Matrix:
     """Product of the step matrices, last step leftmost; empty gives identity.
 
-    Multiplying by a step matrix on the left is the row operation
-    row_j <- sum of the J-rows.  A Trace is read run by run: m repetitions
-    of a block of commuting steps add m times the sum of each step's other
-    J-rows to its row j.  Any other sequence is read one step at a time.
+    Column k of the product is the trace applied to the k-th unit vector, so
+    the trace runs on the identity's columns.  A Trace is read run by run: m
+    repetitions of a block of commuting steps are each step's run of m in
+    turn, as drive plays them.  Any other sequence is read one step at a time.
     """
     runs = steps.runs if isinstance(steps, Trace) else [((s,), 1) for s in steps]
-    rows = [list(row) for row in identity_matrix(n)]
+    columns = identity_matrix(n)
     for block, m in runs:
-        for step in block:  # commuting: no step writes another's other J-rows
+        for step in block:
             if step.dim != n:
                 raise ValidationError(
                     f"trace mixes dimensions: expected {n}, found {step.dim}")
-            j = step.j
-            row = rows[j - 1]
-            for i in step.J:
-                if i != j:
-                    row[:] = [x + m * y for x, y in zip(row, rows[i - 1])]
-    return tuple(map(tuple, rows))
+            columns = [apply_run(step, m, c) for c in columns]
+    return tuple(zip(*columns))
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:

@@ -1171,19 +1171,31 @@ def run_main(argv):
         sys.stdin, sys.stdout, sys.stderr = saved
 
 
-@pytest.mark.parametrize("argv", [
-    ["compare", "--bogus"], ["compare", "--step-limit", "abc"], [], ["game"],
-    ["positivize", "--step-limit", "-5"], ["comparee"], ["compare", "--seed"],
-    ["game", "solve", "--s", "5"],
+# each diagnostic as argparse wrote it on 3.10-3.12, which the CLI keeps;
+# from 3.13.13 on, argparse writes the choices without quotes
+@pytest.mark.parametrize("argv, diagnostic", [
+    (["compare", "--bogus"], "perron: unrecognized arguments: --bogus"),
+    (["compare", "--step-limit", "abc"],
+     "perron compare: argument --step-limit: not a non-negative integer: 'abc'"),
+    ([], "perron: the following arguments are required: command"),
+    (["game"], "perron game: the following arguments are required: game_mode"),
+    (["positivize", "--step-limit", "-5"],
+     "perron positivize: argument --step-limit: not a non-negative integer: '-5'"),
+    (["comparee"], "perron: argument command: invalid choice: 'comparee' "
+                   "(choose from 'compare', 'game', 'positivize', 'monomialize')"),
+    (["compare", "--seed"], "perron compare: argument --seed: expected one argument"),
+    (["game", "solve", "--s", "5"],
+     "perron game solve: ambiguous option: --s could match --seed, --step-limit"),
 ], ids=["unknown-flag", "step-limit-abc", "no-subcommand", "game-no-mode",
         "negative-step-limit", "invalid-subcommand", "missing-value",
         "ambiguous-prefix"])
-def test_usage_error_diagnostics_match_argparse(argv):
-    outcome, out, err = parsed(ORACLE.parse_args, argv)
-    assert outcome[0] == "error"
-    assert parsed(perron.cli._parse_args, argv) == (outcome, out, err)
+def test_usage_error_diagnostics_match_argparse(argv, diagnostic):
+    outcome, out, err = parsed(perron.cli._parse_args, argv)
+    assert outcome == ("error", diagnostic) and err.startswith("usage: perron")
+    if sys.version_info < (3, 13):
+        assert parsed(ORACLE.parse_args, argv) == (outcome, out, err)
     code, out, err_main = run_main(argv)
-    assert code == 1 and json.loads(out)["diagnostics"] == [outcome[1]]
+    assert code == 1 and json.loads(out)["diagnostics"] == [diagnostic]
     assert err_main == err
 
 
@@ -1199,7 +1211,8 @@ def test_usage_error_diagnostics_match_argparse(argv):
 def test_argv_grammar(argv, fields):
     args = perron.cli._parse_args(argv)
     assert {name: getattr(args, name) for name in fields} == fields
-    assert parsed(perron.cli._parse_args, argv) == parsed(ORACLE.parse_args, argv)
+    if sys.version_info < (3, 13):
+        assert parsed(perron.cli._parse_args, argv) == parsed(ORACLE.parse_args, argv)
 
 
 @pytest.mark.parametrize("flag, fragment", [

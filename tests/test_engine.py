@@ -15,6 +15,7 @@ from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
                     compose_trace, element_value, game_tree, lex_sign,
                     monomialize, polynomial, positivize, positivize_all,
                     run_pair, simple_perron, solve, tau)
+import perron.engine
 import perron.ordered_group
 from perron.engine import _J_rule, _repeat_count
 from perron.tau import Tau
@@ -621,14 +622,30 @@ C_300 = 2 ** 299 + 3
 
 
 def assert_repeat_count(oracle, states, shift, limit):
-    """_repeat_count, named or not, against the oracle at limit, and, since a
-    named limit is probed first, at the oracle's count and one either side."""
+    """_repeat_count against the oracle at limit, and, since a limit within
+    the bound 2*|state|_1 + 1 is probed first, at the oracle's count and one
+    either side, which lie within it when the run ends before limit."""
     rounds = [(d, oracle_J_rule(d)) for d in states]
     count = oracle(states, shift, limit)
     for cap in {limit, count + 1, count, max(count - 1, 0)}:
-        expected = oracle(states, shift, cap)
-        for named in (False, True):
-            assert _repeat_count(rounds, shift, cap, named) == expected, (cap, named)
+        assert _repeat_count(rounds, shift, cap) == oracle(states, shift, cap), cap
+
+
+@pytest.mark.parametrize("limit, first", [(4, 4), (10 ** 6, 1)])
+def test_repeat_count_probes_a_limit_within_the_bound_first(monkeypatch, limit, first):
+    """(-1, 5) with shift (0, -1) runs 4 repetitions, to a norm tie; the
+    bound is 2*6 + 1 = 13.  A limit of 4 lies within it and is probed first,
+    a limit of 10^6 cannot be where the run ends, so the gallop starts at 1.
+    The state is swapped, so repetition t is tested as -(d + t*shift)."""
+    probed = []
+
+    def recording(d):
+        probed.append(d)
+        return _J_rule(d)
+
+    monkeypatch.setattr(perron.engine, "_J_rule", recording)
+    assert _repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -1], limit) == 4
+    assert probed[0] == [1, first - 5]
 
 
 @settings(max_examples=300)
@@ -737,5 +754,5 @@ def wide_blocks(draw):
 @example(([[2, -1, -1], [1, 1, -3], [-5, 2, 2]], [1, -1, 0], 1))
 def test_repeat_count_matches_the_closed_form(case):
     """The run length in closed form, one floor division per linear
-    decision, against _repeat_count's named probe, gallop and bisection."""
+    decision, against _repeat_count's first probe, gallop and bisection."""
     assert_repeat_count(closed_form_repeat_count, *case)

@@ -241,10 +241,15 @@ def test_monomialize_checks_every_exponent_vector():
 # polynomial and substitute_exponents against the forms they replaced -------
 
 def oracle_polynomial(terms):
+    """The sum polynomial replaced; a coefficient Fraction cannot read is a
+    ValidationError that names it, as the library's invalid input is."""
     out = {}
     for exponents, coeff in terms:
         e = natvec(exponents)
-        c = Fraction(coeff)
+        try:
+            c = Fraction(coeff)
+        except ValueError:
+            raise ValidationError(f"coefficient is not a rational number: {coeff!r}")
         acc = out.get(e, Fraction(0)) + c
         if acc:
             out[e] = acc

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -11,8 +12,8 @@ import perron.ordered_group
 from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
                     StepLimitExceeded, Trace, ValidationError, ValuedRing,
                     apply_step, determinant, element_value, lex_sign, lexvec,
-                    monomialize, positivize, positivize_all, run_pair,
-                    simple_perron, validate_order)
+                    monomialize, polynomial, positivize, positivize_all,
+                    run_pair, simple_perron, validate_order)
 from perron.engine import Adversary
 from perron.monomials import (_substitution_from, monomial_value,
                               substitute_exponents)
@@ -53,6 +54,28 @@ def test_validate_order_examples():
     assert validate_order(ragged) == ["generator images must share one length"]
     with pytest.raises(ValidationError, match="lex vector must have dimension >= 1"):
         lexvec([])
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", None, float("inf"), float("nan"), [1]],
+                         ids=["word", "zero-denominator", "none", "inf", "nan", "list"])
+def test_a_bad_rational_is_a_validation_error(bad):
+    """Fraction raises ValueError, ZeroDivisionError, TypeError or
+    OverflowError for these; the library raises ValidationError, naming the
+    entry."""
+    with pytest.raises(ValidationError, match=f"lex vector entry is not a "
+                                              f"rational number: {re.escape(repr(bad))}"):
+        lexvec(["1", bad])
+    with pytest.raises(ValidationError, match=f"coefficient is not a rational number: "
+                                              f"{re.escape(repr(bad))}"):
+        polynomial([((1,), bad)])
+
+
+def test_rationals_read_as_before():
+    """ints, Fractions, floats and numeric strings stay accepted."""
+    assert lexvec([3, Fraction(1, 2), 0.25, " -3/6 ", "1.5"]) == (
+        3, Fraction(1, 2), Fraction(1, 4), Fraction(-1, 2), Fraction(3, 2))
+    assert polynomial([((1,), "2/4"), ((0,), 0.5)]) == {(1,): Fraction(1, 2),
+                                                        (0,): Fraction(1, 2)}
 
 
 def test_element_compare_examples():
