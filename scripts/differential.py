@@ -17,7 +17,8 @@ Families, N jobs each (default 2000):
                   Scripted and a FirstIndex that aborts after some runs;
   solve           solve on 2-5 points against the same adversaries;
   positivize_all  positivize_all, and positivize of the first element;
-  monomialize     monomialize on rings with 1-3 toric variables;
+  monomialize     monomialize on rings with 1-3 toric variables, and
+                  divisibility_transform of two of its terms' toric parts;
   cli             perron.cli.main in-process on every subcommand, with and
                   without --trace, malformed jobs among them.
 Step limits are None or 0-1000.  Inputs include mixed-magnitude entries of
@@ -312,12 +313,19 @@ def runner(perron):
                 outcome(first))
 
     def monomialize(job):
-        def call():
-            ring = perron.ValuedRing(job["num_vars"], job["num_toric"],
+        def ring():
+            return perron.ValuedRing(job["num_vars"], job["num_toric"],
                                      order(job["values"]).images)
+
+        def call():
             f = perron.polynomial([(e, Fraction(c)) for e, c in job["terms"]])
-            return perron.monomialize(ring, f, job["step_limit"])
-        return outcome(call)
+            return perron.monomialize(ring(), f, job["step_limit"])
+
+        # the toric parts of the first and last terms, in that order: M1 may
+        # be above M2, or equal to it
+        m1, m2 = (e[:job["num_toric"]] + [0] * (job["num_vars"] - job["num_toric"])
+                  for e, _ in (job["terms"][0], job["terms"][-1]))
+        return outcome(call), outcome(lambda: perron.divisibility_transform(ring(), m1, m2))
 
     def run_cli(job):
         saved = sys.stdin, sys.stdout, sys.stderr

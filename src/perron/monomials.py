@@ -15,9 +15,8 @@ from operator import sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, ValidationError
-from .ordered_group import (GroupBasis, GroupElement, GroupOrder, LexVec, lex_sign,
-                            positivize, _combination, _dot, _initial_basis,
-                            _into_cone, _rational, _scaled)
+from .ordered_group import (GroupOrder, LexVec, lex_sign, _combination, _dot,
+                            _initial_basis, _into_cone, _rational, _scaled)
 from .transforms import Matrix, Trace, Vec, _bareiss, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
@@ -125,28 +124,12 @@ def apply_substitution(p: Polynomial, s: Substitution) -> Polynomial:
     return out
 
 
-def _substitution_from(ring: ValuedRing, final_basis: GroupBasis,
-                       steps: Trace) -> tuple[Substitution, ValuedRing]:
-    """Assemble the substitution matrix and the primed ring from the final
-    basis reached by a run of basis transforms.
-
-    Column i of the composed step matrix holds the coordinates of the old
-    value of x_i in the new basis, so the exponent matrix is its transpose.
-    """
-    n = ring.num_toric
-    composed = compose_trace(steps, n)
-    a = tuple(zip(*composed))
-    new_values = final_basis.images + ring.values[n:]
-    return (Substitution(a, ring.num_vars, steps),
-            ValuedRing(ring.num_vars, n, new_values))
-
-
 def divisibility_transform(ring: ValuedRing, m1: Sequence[int],
                            m2: Sequence[int]) -> tuple[Substitution, ValuedRing]:
     """Substitution under which the lower-valued toric monomial m1 divides m2.
 
-    Positivizes the value difference in the group generated by the toric
-    values; the resulting basis images become the primed variable values.
+    It is monomialize of the binomial x^m1 + x^m2: the value difference joins
+    the cone, and the basis images become the primed variable values.
     """
     _require_valid(ring)
     m1 = natvec(m1)
@@ -160,10 +143,8 @@ def divisibility_transform(ring: ValuedRing, m1: Sequence[int],
                 f"{name} must involve only the first {n} variables")
     if not monomial_value(ring, m1) < monomial_value(ring, m2):
         raise ValidationError("value of M1 must be strictly below value of M2")
-    basis = _initial_basis(GroupOrder(ring.values[:n]))
-    delta = GroupElement(basis, tuple(e - d for d, e in zip(m1[:n], m2[:n])))
-    result = positivize(basis, delta)
-    return _substitution_from(ring, result.basis, result.steps)
+    result = monomialize(ring, {m1: Fraction(1), m2: Fraction(1)})
+    return result.substitution, ValuedRing(m, n, result.new_values)
 
 
 class MonomializationResult(NamedTuple):
@@ -204,8 +185,10 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     deltas = [tuple(map(sub, t, min_part))  # positive: min_part is least
               for t in toric_parts if t != min_part]
     combined = _into_cone(basis, scaled, deltas, step_limit)
-    substitution, new_ring = _substitution_from(ring, combined.basis,
-                                                combined.steps)
+    # column i of the composed step matrix holds the old value of x_i in the
+    # new basis, so the exponent matrix is its transpose
+    substitution = Substitution(tuple(zip(*compose_trace(combined.steps, n))), m,
+                                combined.steps)
 
     transformed = apply_substitution(f, substitution)
     factor = substitute_exponents(min_part + zero_tail, substitution)[:n]
@@ -218,4 +201,5 @@ def monomialize(ring: ValuedRing, f: Polynomial,
         unit[reduced] = c
     if all(any(e[:n]) for e in unit):
         raise InternalError("unit part still lies inside the toric ideal")
-    return MonomializationResult(substitution, new_ring.values, factor, unit)
+    return MonomializationResult(substitution, combined.basis.images + ring.values[n:],
+                                 factor, unit)

@@ -216,9 +216,9 @@ class Trace(Sequence):
 
 def apply_matrix(m: Matrix, v: Sequence[int]) -> Vec:
     """Exact matrix-vector product."""
-    if not m or len(m[0]) != len(v):
+    if not m or any(len(row) != len(v) for row in m):
         raise ValidationError(
-            f"dimension mismatch: matrix is {len(m)}x{len(m[0]) if m else 0}, "
+            f"dimension mismatch: matrix has row lengths {sorted({len(r) for r in m})}, "
             f"vector has {len(v)}")
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
 
@@ -270,10 +270,11 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 
 def determinant(m: Matrix) -> int:
-    """Exact determinant, by _bareiss; the 0x0 matrix has determinant 1."""
+    """Exact determinant of an integer matrix, by _bareiss; 0x0 gives 1."""
     n = len(m)
     for row in m:
         if len(row) != n:
             raise ValidationError("matrix is not square")
+        intvec(row)  # Bareiss floors: other entries would give a wrong result
     rank, pivot = _bareiss(m)
     return pivot if rank == n else 0

@@ -536,6 +536,33 @@ def test_trace_too_large_to_encode_is_left_out(extra, code, diagnostics):
     assert "trace" not in doc and doc["payload"] is None
 
 
+def _unencodable(steps):
+    raise OverflowError("the trace text is past sys.maxsize")
+
+
+@pytest.mark.parametrize("argv, stdin, code, diagnostics", [
+    (["positivize", "--step-limit", "4"],
+     '{"generator_images":[["1","0"],["1/7","1"]],"elements":[[9,-40]]}', 3,
+     ["pair not comparable within 4 steps",
+      "the trace of 4 rounds is too large to encode; it is left out"]),
+    (["game", "play"], '{"vectors":[[2,0],[0,3],[1,1]]}\n2\n', 4,
+     ["end of input during interactive choice",
+      "the trace of 1 rounds is too large to encode; it is left out"]),
+], ids=["step-limit", "aborted"])
+def test_an_error_whose_trace_cannot_be_encoded_keeps_its_code(
+        argv, stdin, code, diagnostics, monkeypatch, capsys):
+    """An error document whose trace fails to encode is written once,
+    without the trace, and its diagnostics say why."""
+    monkeypatch.setattr(perron.cli, "_encode_trace", _unencodable)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert_one_document(code, out)
+    doc = json.loads(out)
+    assert doc["diagnostics"] == diagnostics
+    assert "trace" not in doc and doc["payload"] is None
+
+
 @st.composite
 def run_traces(draw, max_dim=4, max_runs=4):
     """A Trace of one-step runs and commuting blocks, m up to 10^4; may be empty.

@@ -11,12 +11,11 @@ import perron.engine
 import perron.ordered_group
 from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
                     StepLimitExceeded, Trace, ValidationError, ValuedRing,
-                    apply_step, determinant, element_value, lex_sign, lexvec,
-                    monomialize, polynomial, positivize, positivize_all,
-                    run_pair, simple_perron, validate_order)
+                    apply_step, compose_trace, determinant, element_value,
+                    lex_sign, lexvec, monomialize, polynomial, positivize,
+                    positivize_all, run_pair, simple_perron, validate_order)
 from perron.engine import Adversary
-from perron.monomials import (_substitution_from, monomial_value,
-                              substitute_exponents)
+from perron.monomials import Substitution, monomial_value, substitute_exponents
 from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
                                   _PerronChooser, _combination, _dot,
                                   _lex_minimal, _perron_run_length, _scaled)
@@ -401,9 +400,11 @@ def oracle_monomialize(ring, f, step_limit):
     deltas = [GroupElement(basis, tuple(a - b for a, b in zip(t, low)))
               for t in parts if t != low]
     result = oracle_positivize_all(basis, deltas, step_limit)
-    substitution, new_ring = _substitution_from(ring, result.basis, result.steps)
-    factor = substitute_exponents(low + (0,) * (ring.num_vars - n), substitution)
-    return substitution.matrix, new_ring.values, factor[:n], result.steps.runs
+    matrix = tuple(zip(*compose_trace(result.steps, n)))
+    new_values = result.basis.images + ring.values[n:]
+    factor = substitute_exponents(low + (0,) * (ring.num_vars - n),
+                                  Substitution(matrix, ring.num_vars))
+    return matrix, new_values, factor[:n], result.steps.runs
 
 
 def monomialize_outcome(ring, f, step_limit):

@@ -127,6 +127,28 @@ def test_determinant_examples():
         assert determinant(compose_trace(steps, n)) == 1
 
 
+@pytest.mark.parametrize("m, v", [
+    (((1, 2), (3, 4, 5)), (1, 2)),  # a long row after a row that fits
+    (((1, 2), (3,)), (1, 2)),  # a short one
+    (((1, 2),), (1, 2, 3)),
+    ((), (1,)),
+])
+def test_apply_matrix_checks_every_row(m, v):
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        apply_matrix(m, v)
+
+
+@pytest.mark.parametrize("m", [
+    ((Fraction(1, 3), 1), (1, 1)),  # det -2/3, not the -1 a floored Bareiss gives
+    ((0.5, 0.0), (0.0, 1.0)),  # det 0.5, not 0
+    ((1, 0), (0, "1")),
+    ((True, 0), (0, 1)),
+])
+def test_determinant_takes_integer_entries_only(m):
+    with pytest.raises(ValidationError, match="must be integers"):
+        determinant(m)
+
+
 def test_determinant_against_leibniz():
     rng = random.Random(11)
     for _ in range(200):
