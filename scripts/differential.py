@@ -344,6 +344,18 @@ def runner(perron):
             "monomialize": monomialize, "cli": run_cli}
 
 
+def job_digests(run, seed, family, jobs):
+    """sha256 of the outcome of each of the family's first `jobs` jobs."""
+    return [hashlib.sha256(repr(run[family](make_job(seed, family, k))).encode()).hexdigest()
+            for k in range(jobs)]
+
+
+def family_digest(digests):
+    """The digest printed for a family: 16 hex digits of the sha256 of its
+    job digests.  tests/test_differential.py holds those of a 200-job slice."""
+    return hashlib.sha256("".join(digests).encode()).hexdigest()[:16]
+
+
 def worker(src, seed, jobs, only):
     """Print, as one JSON line, each family's per-job digests (or, for only =
     (family, k), that job's outcome)."""
@@ -356,9 +368,7 @@ def worker(src, seed, jobs, only):
         family, k = only
         print(json.dumps(repr(run[family](make_job(seed, family, k)))))
         return
-    digests = {family: [hashlib.sha256(repr(run[family](make_job(seed, family, k))).encode())
-                        .hexdigest() for k in range(jobs)]
-               for family in FAMILIES}
+    digests = {family: job_digests(run, seed, family, jobs) for family in FAMILIES}
     print(json.dumps(digests))
 
 
@@ -427,9 +437,8 @@ def main(argv=None):
         base, new = (side(src, args) for src in sides.values())
     print(f"{'family':<15} {'jobs':>5}  digest (sha256 of the job digests)")
     for family in FAMILIES:
-        digest = hashlib.sha256("".join(new[family]).encode()).hexdigest()
         same = base[family] == new[family]
-        print(f"{family:<15} {args.jobs:>5}  {digest[:16]}  "
+        print(f"{family:<15} {args.jobs:>5}  {family_digest(new[family])}  "
               f"{'identical' if same else 'DIFFERENT'}")
         if not same:
             k = next(k for k, (a, b) in enumerate(zip(base[family], new[family])) if a != b)

@@ -193,7 +193,9 @@ def _build_adversary(doc, args, infile, describe=None) -> Adversary:
         if seed is None:
             raise MalformedInput(
                 "random adversary needs a seed ('seed' field or --seed)")
-        return SeededRandom(_as_int(seed, "seed"))
+        if (seed := _as_int(seed, "seed")) < 0:  # random.Random would use |seed|
+            raise MalformedInput(f"seed must be >= 0, got {seed}")
+        return SeededRandom(seed)
     if kind == "scripted":
         if "choices" not in descriptor:
             raise MalformedInput("scripted adversary requires 'choices'")

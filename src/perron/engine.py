@@ -26,8 +26,8 @@ class Adversary:
     """Picks j from a proposed J, seeing the tracked vectors and round number."""
 
     #: True when the answer to J depends on J alone, whatever the vectors,
-    #: the round and the answers before.  The descent then also replays a
-    #: repeating block of different steps without asking again.
+    #: the round and the answers before: it then holds for whole runs, and
+    #: the descent replays a repeating block of steps without asking again.
     by_J = False
 
     def choose(self, J: frozenset[int], vectors: Sequence[Vec], round_no: int) -> int:
@@ -40,13 +40,14 @@ class Adversary:
 
         The descent may end the run sooner, when J changes or the pair becomes
         comparable; the round_no of the next call tells how many rounds were
-        played.  By default every run is one round.
+        played.  By default j is choose's answer, for limit rounds when by_J
+        and for one round otherwise.
         """
-        return self.choose(J, vectors, round_no), 1
+        return self.choose(J, vectors, round_no), limit if self.by_J else 1
 
 
 class FirstIndex(Adversary):
-    """Always the smallest index in J.  That answer depends on J alone, so it
+    """Always the smallest index in J: an answer by J alone (by_J), so it
     holds for whole runs and blocks, unless a subclass overrides choose."""
 
     @property
@@ -56,22 +57,17 @@ class FirstIndex(Adversary):
     def choose(self, J, vectors, round_no):
         return min(J)
 
-    def choose_run(self, J, vectors, round_no, limit):
-        if not self.by_J:
-            return super().choose_run(J, vectors, round_no, limit)
-        return min(J), limit
-
 
 class SeededRandom(Adversary):
-    """Uniform choice; the whole choice sequence is a pure function of the seed."""
+    """Uniform choice; the whole choice sequence is a pure function of the
+    seed.  random.Random seeds with |seed|, so seeds s and -s draw alike."""
 
     def __init__(self, seed: int):
         self.seed = seed
         self._rng = random.Random(seed)
 
     def choose(self, J, vectors, round_no):
-        candidates = sorted(J)
-        return candidates[self._rng.randrange(len(candidates))]
+        return self._rng.choice(sorted(J))
 
 
 class MaxGrowth(Adversary):
@@ -282,7 +278,7 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
     """
     if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
         raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
-    steps, champion = Trace(), 0
+    steps, champion, by_J = Trace(), 0, adversary.by_J
     while True:
         champion, target = advance_champion(rows, champion)
         if target is None:
@@ -295,9 +291,8 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
             J = rule[0]
             left = (step_limit - round_no + 1 if step_limit is not None
                     else sum(map(abs, d)) + 1 << 64)  # past any run: _repeat_count
-            period = m = 0
-            if adversary.by_J:
-                period = _period(played, rule)
+            period = _period(played, rule) if by_J else 0
+            m = 0
             if period:  # the block played twice now starts again
                 rounds = played[-period:]
                 m = _repeat_count(rounds, list(map(sub, d, rounds[0][0])), left // period)
@@ -320,7 +315,7 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
             for step in block:  # the block's steps commute: each one's run in turn
                 rows[:] = [apply_run(step, m, v) for v in rows]
             steps.add_run(block, m)
-            if adversary.by_J and len(block) * m == 1:
+            if by_J and len(block) * m == 1:
                 played += rounds
                 del played[:-2 * len(d)]
             else:

@@ -146,6 +146,8 @@ class Trace(Sequence):
     OverflowError.
     """
 
+    _Step = Step  # the class: a profiler may rebind the module name Step
+
     def __init__(self, runs: Iterable[tuple[Sequence[Step], int]] = ()):
         self.runs: list[tuple[tuple[Step, ...], int]] = []
         self.rounds = 0
@@ -156,6 +158,9 @@ class Trace(Sequence):
         """Record block played m more times; a repeat of the last run's block
         extends that run."""
         block = tuple(block)
+        for s in block:
+            if not isinstance(s, self._Step):
+                raise ValidationError(f"a trace holds steps, got {s!r}")
         if not block or len(block) > 1 and not commute(block) \
                 or type(m) is not int and not _is_int(m) or m < 1:
             raise ValidationError(
@@ -227,11 +232,11 @@ def compose_trace(steps: Sequence[Step], n: int) -> Matrix:
     """Product of the step matrices, last step leftmost; empty gives identity.
 
     Column k of the product is the trace applied to the k-th unit vector, so
-    the trace runs on the identity's columns.  A Trace is read run by run: m
-    repetitions of a block of commuting steps are each step's run of m in
-    turn, as drive plays them.  Any other sequence is read one step at a time.
+    the trace runs on the identity's columns.  It is read run by run, any
+    other sequence as the Trace of its steps: m repetitions of a block of
+    commuting steps are each step's run of m in turn, as drive plays them.
     """
-    runs = steps.runs if isinstance(steps, Trace) else [((s,), 1) for s in steps]
+    runs = (steps if isinstance(steps, Trace) else Trace(((s,), 1) for s in steps)).runs
     columns = identity_matrix(n)
     for block, m in runs:
         for step in block:

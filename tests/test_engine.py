@@ -8,13 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from perron import (Comparability, FirstIndex, GroupBasis, GroupElement,
-                    GroupOrder, MaxGrowth, PositivizeResult, Scripted,
-                    SeededRandom, Step, StepLimitExceeded, ValidationError,
-                    ValuedRing, apply_matrix, apply_step, choose_J, comparability,
-                    compose_trace, element_value, game_tree, lex_sign,
-                    monomialize, polynomial, positivize, positivize_all,
-                    run_pair, simple_perron, solve, tau)
+from perron import (Adversary, Comparability, FirstIndex, GroupBasis,
+                    GroupElement, GroupOrder, MaxGrowth, PositivizeResult,
+                    Scripted, SeededRandom, Step, StepLimitExceeded,
+                    ValidationError, ValuedRing, apply_matrix, apply_step,
+                    choose_J, comparability, compose_trace, element_value,
+                    game_tree, lex_sign, monomialize, polynomial, positivize,
+                    positivize_all, run_pair, simple_perron, solve, tau)
 import perron.engine
 import perron.ordered_group
 from perron.engine import _J_rule, _repeat_count
@@ -426,18 +426,48 @@ def test_repeating_blocks_run_in_few_iterations():
     assert outcome == solve(vectors, OneRound())
 
 
+class CountingOneRound(OneRound):
+    def __init__(self):
+        self.calls = 0
+
+    def choose(self, J, vectors, round_no):
+        self.calls += 1
+        return super().choose(J, vectors, round_no)
+
+
 def test_overriding_choose_plays_one_round_at_a_time():
-    class CountingOneRound(OneRound):
+    adversary = CountingOneRound()
+    trace = run_pair((500, 503, 0), (0, 0, 5), adversary)
+    assert adversary.calls == trace.rounds == 201
+
+
+def test_an_adversary_by_J_gets_whole_runs_from_adversary():
+    """by_J alone, without a choose_run of its own, earns whole runs: on
+    (0, 0, 3000) against (5, 1, 0) every round plays ({1, 2, 3}, 3), so the
+    adversary is asked once, and the trace is the one-round replay's."""
+    class CountingMax(Adversary):
+        by_J = True
+
         def __init__(self):
             self.calls = 0
 
         def choose(self, J, vectors, round_no):
             self.calls += 1
-            return super().choose(J, vectors, round_no)
+            return max(J)
 
-    adversary = CountingOneRound()
-    trace = run_pair((500, 503, 0), (0, 0, 5), adversary)
-    assert adversary.calls == trace.rounds == 201
+    class OneRoundMax(CountingMax):
+        by_J = False
+
+    pair = (0, 0, 3000), (5, 1, 0)
+    adversary, one_round = CountingMax(), OneRoundMax()
+    trace = run_pair(*pair, adversary)
+    assert adversary.calls == 1
+    assert trace.steps.runs == [((Step({1, 2, 3}, 3, 3),), 500)]
+    assert trace == run_pair(*pair, one_round)
+    assert one_round.calls == 500
+
+    counting = CountingOneRound()
+    assert run_pair(*pair, counting).rounds == counting.calls
 
 
 def test_run_stops_at_the_step_limit():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from perron import (Step, Trace, ValidationError, apply_matrix, apply_step,
                     compose_trace, determinant, natvec)
+import perron.transforms
 from perron.transforms import (_bareiss, apply_run, commute, identity_matrix,
                                intvec)
 
@@ -328,6 +329,23 @@ def test_trace_merges_repeated_blocks_and_checks_its_runs():
                      ((a,), 2.5), ((a,), True)):
         with pytest.raises(ValidationError, match="^a run is a non-empty block"):
             Trace([(block, m)])
+
+
+def test_trace_and_compose_trace_take_only_steps(monkeypatch):
+    step = Step({1, 2}, 1, 2)
+    # the perfbench tracer rebinds the module name Step to a wrapper function
+    monkeypatch.setattr(perron.transforms, "Step", lambda *args: Step(*args))
+    assert Trace([((step,), 2)]).runs == [((step,), 2)]
+    assert compose_trace([step, step], 2) == ((1, 2), (0, 1))
+    for runs, bad in (([((1,), 1)], 1), ([((step, 3), 1)], 3),
+                      ([((step,), 1), ((step, None), 1)], None)):
+        with pytest.raises(ValidationError, match=rf"^a trace holds steps, got {bad}$"):
+            Trace(runs)
+    with pytest.raises(ValidationError,
+                       match=r"^a trace holds steps, got \(frozenset\(\{1, 2\}\), 1\)$"):
+        compose_trace([(frozenset({1, 2}), 1)], 2)
+    with pytest.raises(ValidationError, match="^a trace holds steps, got 'x'$"):
+        compose_trace([step, "x"], 2)
 
 
 @st.composite
