@@ -8,11 +8,12 @@ Every run emits one result document with a top-level schema_version of 1:
 
 Rationals travel as strings "p/q" (or "p"); integers as JSON numbers while
 they fit exactly in a double, as decimal strings beyond that.  Exit codes:
-0 ok, 1 malformed input, a usage error, an unwritable --output (the error
-document then goes to stdout) or a trace too large to encode, 2 validation
-failure, 3 step limit exceeded (the limit bounds the rounds of the whole
-job), 4 interactive session aborted, 5 internal error (a result that failed
-its own consistency check).
+0 ok, 1 malformed input (a closed stdin too), a usage error, an unwritable
+--output (the error document then goes to stdout), an unwritable stdout (one
+stderr line says why) or a trace too large to encode, 2 validation failure,
+3 step limit exceeded (the limit bounds the rounds of the whole job), 4
+interactive session aborted (end of input, or a closed stdin), 5 internal
+error (a result that failed its own consistency check).
 """
 
 from __future__ import annotations
@@ -136,14 +137,23 @@ def _format_vec(v) -> str:
     return "[" + ",".join(str(x) for x in v) + "]"
 
 
-def _say(text):
-    """Write text to stderr now; a closed or unwritable stderr does not stop
-    the one result document."""
+def _write(text, name="stdout") -> int:
+    """Write text to sys.stdout (or sys.stderr) now and return EXIT_OK.  A
+    closed or unwritable stream loses the text and returns EXIT_MALFORMED;
+    for stdout, one stderr line says why."""
+    stream = getattr(sys, name)
     try:
-        sys.stderr.write(text)
-        sys.stderr.flush()
-    except (AttributeError, OSError):
-        pass
+        stream.write(text)
+        stream.flush()
+        return EXIT_OK
+    except (AttributeError, OSError) as exc:
+        if name == "stdout":
+            _say(f"perron: cannot write to stdout: "
+                 f"{'it is closed' if stream is None else exc}\n")
+        return EXIT_MALFORMED
+
+
+_say = partial(_write, name="stderr")  # stderr lines never stop the result document
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +176,7 @@ class _Prompt(Adversary):
         _say(f"round {round_no}: {self._describe(vectors)}J={label}\n")
         while True:
             _say(f"choose j in {label}: ")
-            line = infile.readline()
+            line = "" if infile is None else infile.readline()  # None: stdin closed
             if line == "":
                 raise InteractiveAborted("end of input during interactive choice")
             try:
@@ -483,8 +493,7 @@ def _parse_level(path, tokens, args):
                 _fail(path, f"argument {name}: ignored explicit argument "
                             f"{value!r}")
             if spec is None:
-                sys.stdout.write(_help(path))
-                raise SystemExit(0)
+                raise SystemExit(_write(_help(path)))
             setattr(args, name[2:].replace("-", "_"), True)
             continue
         if value is None:
@@ -523,6 +532,8 @@ def _read_job(args):
     JSON followed by the j choices)."""
     try:
         if args.input == "-":
+            if sys.stdin is None:
+                raise OSError("stdin is closed")
             text = sys.stdin.read()
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -573,9 +584,7 @@ def _write_document(args, doc, code, steps=None) -> int:
         except OSError as exc:
             args.output = "-"
             return _emit_error(args, f"cannot write output: {exc}", EXIT_MALFORMED)
-    sys.stdout.write(data)
-    sys.stdout.flush()
-    return code
+    return _write(data) or code  # EXIT_OK is 0
 
 
 def main(argv=None) -> int:

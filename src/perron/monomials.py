@@ -15,9 +15,9 @@ from operator import sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, ValidationError
-from .ordered_group import (GroupOrder, LexVec, lex_sign, _combination, _dot,
-                            _initial_basis, _into_cone, _rational, _scaled)
-from .transforms import Matrix, Trace, Vec, _bareiss, compose_trace, natvec
+from .ordered_group import (GroupOrder, LexVec, _check_values, _combination, _dot,
+                            _initial_basis, _into_cone, _rational, _valid)
+from .transforms import Matrix, Trace, Vec, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
 Polynomial = dict[Vec, Fraction]
@@ -48,24 +48,8 @@ def _check_ring(ring: ValuedRing):
                 f"{ring.num_vars}"], None
     if len(ring.values) != ring.num_vars:
         return [f"expected {ring.num_vars} values, got {len(ring.values)}"], None
-    if len({len(v) for v in ring.values}) != 1:
-        return ["values must share one length"], None
-    scaled = _scaled(ring.values)
-    violations = [f"value of variable {k} is not lex-positive"
-                  for k, row in enumerate(scaled[1], start=1) if lex_sign(row) <= 0]
-    rank = _bareiss(scaled[1][:ring.num_toric])[0]
-    if rank != ring.num_toric:
-        violations.append(
-            f"toric values not independent: rank {rank} < {ring.num_toric}")
-    return violations, scaled
-
-
-def _require_valid(ring: ValuedRing):
-    """_scaled(ring.values) of a valid ring; ValidationError otherwise."""
-    violations, scaled = _check_ring(ring)
-    if violations:
-        raise ValidationError("invalid ring: " + "; ".join(violations))
-    return scaled
+    return _check_values(ring.values, ring.num_toric, "values", "value of variable",
+                         "toric values")
 
 
 def polynomial(terms: Iterable[tuple[Sequence[int], Fraction]]) -> Polynomial:
@@ -131,7 +115,7 @@ def divisibility_transform(ring: ValuedRing, m1: Sequence[int],
     It is monomialize of the binomial x^m1 + x^m2: the value difference joins
     the cone, and the basis images become the primed variable values.
     """
-    _require_valid(ring)
+    _valid("ring", _check_ring(ring))
     m1 = natvec(m1)
     m2 = natvec(m2)
     n, m = ring.num_toric, ring.num_vars
@@ -165,7 +149,7 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     positivizes every value difference at once, yielding a single substitution.
     step_limit bounds the rounds of that whole run, as in positivize_all.
     """
-    L, rows = _require_valid(ring)
+    L, rows = _valid("ring", _check_ring(ring))
     if not f:
         raise ValidationError("polynomial must be non-zero")
     n, m = ring.num_toric, ring.num_vars

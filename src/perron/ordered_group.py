@@ -88,16 +88,29 @@ def _check_order(order: GroupOrder):
     """(violations, _scaled(order.images)), scaled None for missing or ragged images."""
     if not order.images:
         return ["order must have at least one generator image"], None
-    if len({len(img) for img in order.images}) != 1:
-        return ["generator images must share one length"], None
-    scaled = _scaled(order.images)
-    violations = [f"image {k} is not lex-positive"
+    return _check_values(order.images, order.rank, "generator images", "image", "images")
+
+
+def _check_values(vecs: Sequence[LexVec], n: int, plural: str, each: str, first: str):
+    """(violations, _scaled(vecs) or None if ragged): one length, each value
+    lex-positive, the first n independent; plural, each and first name them."""
+    if len({len(v) for v in vecs}) != 1:
+        return [f"{plural} must share one length"], None
+    scaled = _scaled(vecs)
+    violations = [f"{each} {k} is not lex-positive"
                   for k, row in enumerate(scaled[1], start=1) if lex_sign(row) <= 0]
-    rank = _bareiss(scaled[1])[0]
-    if rank != order.rank:
-        violations.append(
-            f"images not independent: rank {rank} < {order.rank}")
+    rank = _bareiss(scaled[1][:n])[0]
+    if rank != n:
+        violations.append(f"{first} not independent: rank {rank} < {n}")
     return violations, scaled
+
+
+def _valid(what: str, checked):
+    """checked's scaled copy, or a ValidationError naming what and its violations."""
+    violations, scaled = checked
+    if violations:
+        raise ValidationError(f"invalid {what}: " + "; ".join(violations))
+    return scaled
 
 
 class GroupBasis(NamedTuple):
@@ -114,9 +127,7 @@ class GroupBasis(NamedTuple):
 
     @classmethod
     def initial(cls, order: GroupOrder) -> "GroupBasis":
-        violations = validate_order(order)
-        if violations:
-            raise ValidationError("invalid order: " + "; ".join(violations))
+        _valid("order", _check_order(order))
         return _initial_basis(order)
 
 
@@ -249,13 +260,9 @@ class PositivizeResult(NamedTuple):
 
 def positivize(basis: GroupBasis, element: GroupElement,
                step_limit: Optional[int] = None) -> PositivizeResult:
-    """Transform the basis until the element has non-negative coordinates."""
-    if element.basis != basis:
-        raise ValidationError("element is not expressed in the given basis")
-    scaled = _scaled(basis.images)
-    if lex_sign(_dot(element.coords, scaled[1])) < 0:
-        raise ValidationError("element is negative; only positive elements join the cone")
-    basis, (coords,), steps = _into_cone(basis, scaled, [element.coords], step_limit)
+    """Transform the basis until the element has non-negative coordinates:
+    positivize_all of the one element."""
+    basis, (coords,), steps = positivize_all(basis, [element], step_limit)
     return PositivizeResult(basis, coords, steps)
 
 

@@ -201,6 +201,51 @@ def test_game_play_eof_is_exit_4(tmp_path, monkeypatch):
     assert doc["trace"] == []
 
 
+def test_a_closed_stdin_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", None)
+    assert main(["compare"]) == 1
+    out = capsys.readouterr().out
+    assert_one_document(1, out)
+    assert json.loads(out)["diagnostics"] == ["cannot read input: stdin is closed"]
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["game", "play"], {"vectors": [[0, 2], [1, 1], [3, 0]]}),
+    (["compare"], {"alpha": [3, 1], "beta": [1, 2], "adversary": {"kind": "interactive"}}),
+], ids=["game-play", "compare"])
+def test_interactive_choice_on_a_closed_stdin_is_exit_4(tmp_path, monkeypatch,
+                                                        command, doc):
+    """With the job read from a file, a closed stdin ends the choices as end
+    of input does."""
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, _ = run_cli(tmp_path, command, doc, "--trace")
+    assert code == 4
+    assert out["diagnostics"] == ["end of input during interactive choice"]
+    assert out["trace"] == []
+
+
+@pytest.mark.parametrize("stdout", [None, _FullStream()], ids=["closed", "full"])
+@pytest.mark.parametrize("argv", [["compare"], ["compare", "--bogus"]],
+                         ids=["ok", "usage-error"])
+def test_an_unwritable_stdout_is_exit_1_with_one_stderr_line(monkeypatch, capsys,
+                                                             stdout, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"alpha":[3,1],"beta":[1,2]}'))
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(argv) == 1
+    why = "it is closed" if stdout is None else "[Errno 28] No space left on device"
+    assert capsys.readouterr().err.endswith(f"perron: cannot write to stdout: {why}\n")
+
+
+@pytest.mark.parametrize("stdout", [None, _FullStream()], ids=["closed", "full"])
+def test_help_into_an_unwritable_stdout_is_exit_1(monkeypatch, capsys, stdout):
+    monkeypatch.setattr("sys.stdout", stdout)
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", "--help"])
+    assert exit_.value.code == 1
+    why = "it is closed" if stdout is None else "[Errno 28] No space left on device"
+    assert capsys.readouterr().err == f"perron: cannot write to stdout: {why}\n"
+
+
 def test_positivize(tmp_path):
     code, doc, _ = run_cli(
         tmp_path, ["positivize"],
@@ -1411,9 +1456,8 @@ def test_one_job_checks_its_rank_once(argv, job, monkeypatch, capsys):
         calls.append(len(rows))
         return real(rows)
 
-    # each group module holds its own reference, taken at import
+    # orders and rings share one check, in ordered_group
     monkeypatch.setattr(perron.ordered_group, "_bareiss", counting)
-    monkeypatch.setattr(perron.monomials, "_bareiss", counting)
     monkeypatch.setattr("sys.stdin", io.StringIO(job))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
@@ -1460,7 +1504,6 @@ def test_one_job_scales_its_images_once(argv, job, monkeypatch, capsys):
         return real(vecs)
 
     monkeypatch.setattr(perron.ordered_group, "_scaled", counting)
-    monkeypatch.setattr(perron.monomials, "_scaled", counting)
     monkeypatch.setattr("sys.stdin", io.StringIO(job))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"

@@ -33,9 +33,21 @@ def poly_times_monomial(p, shift):
 def test_validate_ring():
     assert validate_ring(standard_ring()) == []
     dependent = ValuedRing(2, 2, (lexvec(["1", "0"]), lexvec(["2", "0"])))
-    assert any("independent" in v for v in validate_ring(dependent))
+    assert validate_ring(dependent) == ["toric values not independent: rank 1 < 2"]
     negative = ValuedRing(2, 2, (lexvec(["1", "0"]), lexvec(["-1", "0"])))
-    assert any("positive" in v for v in validate_ring(negative))
+    assert validate_ring(negative) == ["value of variable 2 is not lex-positive",
+                                       "toric values not independent: rank 1 < 2"]
+    # only the toric values are ranked; every value must be lex-positive
+    beyond = ValuedRing(3, 2, (lexvec(["1", "0"]), lexvec(["0", "1"]), lexvec(["0", "-1"])))
+    assert validate_ring(beyond) == ["value of variable 3 is not lex-positive"]
+    assert validate_ring(ValuedRing(3, 2, beyond.values[:2] + (lexvec(["1", "1"]),))) == []
+    with pytest.raises(ValidationError) as err:
+        monomialize(dependent, {(1, 0): Fraction(1)})
+    assert str(err.value) == "invalid ring: toric values not independent: rank 1 < 2"
+    with pytest.raises(ValidationError) as err:
+        divisibility_transform(negative, (1, 0), (0, 1))
+    assert str(err.value) == ("invalid ring: value of variable 2 is not lex-positive; "
+                              "toric values not independent: rank 1 < 2")
     values = standard_ring().values
     assert validate_ring(ValuedRing(2, 3, values)) == [
         "need 1 <= num_toric <= num_vars, got 3 and 2"]

@@ -42,11 +42,20 @@ def test_validate_order_examples():
     ok = GroupOrder((lexvec(["1", "0"]), lexvec(["0", "1"])))
     assert validate_order(ok) == []
     dependent = GroupOrder((lexvec(["1", "0"]), lexvec(["2", "0"])))
-    assert any("independent" in v for v in validate_order(dependent))
+    assert validate_order(dependent) == ["images not independent: rank 1 < 2"]
     negative = GroupOrder((lexvec(["1", "0"]), lexvec(["0", "-1"])))
-    assert any("positive" in v for v in validate_order(negative))
-    with pytest.raises(ValidationError):
+    assert validate_order(negative) == ["image 2 is not lex-positive"]
+    both = GroupOrder((lexvec(["0", "0"]), lexvec(["-1", "0"])))
+    assert validate_order(both) == ["image 1 is not lex-positive",
+                                    "image 2 is not lex-positive",
+                                    "images not independent: rank 1 < 2"]
+    with pytest.raises(ValidationError) as err:
         GroupBasis.initial(dependent)
+    assert str(err.value) == "invalid order: images not independent: rank 1 < 2"
+    with pytest.raises(ValidationError) as err:
+        GroupBasis.initial(both)
+    assert str(err.value) == ("invalid order: image 1 is not lex-positive; image 2 "
+                              "is not lex-positive; images not independent: rank 1 < 2")
     assert validate_order(GroupOrder(())) == [
         "order must have at least one generator image"]
     ragged = GroupOrder((lexvec(["1", "0"]), lexvec(["1"])))
@@ -143,11 +152,13 @@ def test_positivize_examples():
 
 def test_positivize_rejects_negative():
     basis = standard_basis()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         positivize(basis, GroupElement(basis, (-1, 0)))
+    assert str(err.value) == "element 1 is negative"
     other, _ = simple_perron(basis, {1, 2})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         positivize(basis, GroupElement(other, (1, 0)))
+    assert str(err.value) == "element 1 is not expressed in the given basis"
 
 
 def test_positivize_all_examples():
