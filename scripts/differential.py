@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the package behaves byte-identically at another revision.
 
-    python scripts/differential.py --rev REV [--jobs N] [--seed S]
+    python scripts/differential.py --rev REV [--jobs N] [--seed S] [--counts]
     python scripts/differential.py --rev REV --replay FAMILY:INDEX [--seed S]
 
 Exports REV's src/ with `git archive` into a temporary directory, then runs
@@ -28,9 +28,18 @@ included) or its exception's type, message and partial trace; for the CLI,
 the exit code and the bytes written to stdout and stderr.  Job k of a family
 depends only on the seed, the family and k, so a larger --jobs extends the
 corpus and --replay reruns one job on both sides.
+
+--counts also prints, for each side, how many times each family's jobs call
+four names of perron.engine, wrapped from outside: _J_rule (one decision of
+the descent), _repeat_count (one run or block length), apply_run (one row
+moved by one run) and advance_champion (one champion sweep); the workers
+always count.  Counts show cost without a clock; they are printed and never
+compared, since a change may move them on purpose.
+tests/test_differential.py holds those of a 200-job slice.
 """
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -46,6 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("run_pair", "solve", "positivize_all", "monomialize", "cli")
+COUNTED = ("_J_rule", "_repeat_count", "apply_run", "advance_champion")
 ADVERSARIES = ("first", "max_growth", "random", "scripted", "abort")
 
 
@@ -350,6 +360,28 @@ def job_digests(run, seed, family, jobs):
             for k in range(jobs)]
 
 
+@contextlib.contextmanager
+def counting(engine):
+    """Wrap each COUNTED name of the engine module while the block runs;
+    yield the dict of their call counts, which the block fills."""
+    counts = dict.fromkeys(COUNTED, 0)
+    saved = {name: getattr(engine, name) for name in COUNTED}
+
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+        return call
+
+    for name, f in saved.items():
+        setattr(engine, name, counted(name, f))
+    try:
+        yield counts
+    finally:
+        for name, f in saved.items():
+            setattr(engine, name, f)
+
+
 def family_digest(digests):
     """The digest printed for a family: 16 hex digits of the sha256 of its
     job digests.  tests/test_differential.py holds those of a 200-job slice."""
@@ -357,8 +389,8 @@ def family_digest(digests):
 
 
 def worker(src, seed, jobs, only):
-    """Print, as one JSON line, each family's per-job digests (or, for only =
-    (family, k), that job's outcome)."""
+    """Print, as one JSON line, each family's per-job digests and engine call
+    counts (or, for only = (family, k), that job's outcome)."""
     sys.path.insert(0, src)
     import perron
     if not Path(perron.__file__).resolve().is_relative_to(Path(src).resolve()):
@@ -368,8 +400,12 @@ def worker(src, seed, jobs, only):
         family, k = only
         print(json.dumps(repr(run[family](make_job(seed, family, k)))))
         return
-    digests = {family: job_digests(run, seed, family, jobs) for family in FAMILIES}
-    print(json.dumps(digests))
+    digests, tallies = {}, {}
+    for family in FAMILIES:
+        with counting(perron.engine) as tally:
+            digests[family] = job_digests(run, seed, family, jobs)
+        tallies[family] = tally
+    print(json.dumps({"digests": digests, "counts": tallies}))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +456,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0, help="corpus seed (0)")
     parser.add_argument("--replay", type=parse_replay, metavar="FAMILY:INDEX",
                         help="rerun one job on both sides and print both outcomes")
+    parser.add_argument("--counts", action="store_true",
+                        help="also print each side's engine call counts per family")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -434,7 +472,15 @@ def main(argv=None):
             for name, src in sides.items():
                 print(f"{name}:", side(src, args, args.replay))
             return 0
-        base, new = (side(src, args) for src in sides.values())
+        results = {name: side(src, args) for name, src in sides.items()}
+    if args.counts:
+        print(f"{'family':<15} {'side':<15}" + "".join(f"{name:>17}" for name in COUNTED))
+        for family in FAMILIES:
+            for name, result in results.items():
+                print(f"{family:<15} {name:<15}"
+                      + "".join(f"{result['counts'][family][c]:>17,}" for c in COUNTED))
+        print()
+    base, new = (result["digests"] for result in results.values())
     print(f"{'family':<15} {'jobs':>5}  digest (sha256 of the job digests)")
     for family in FAMILIES:
         same = base[family] == new[family]

@@ -167,11 +167,8 @@ def element_value(element: GroupElement) -> LexVec:
 
 
 def _lex_minimal(basis: GroupBasis, J: frozenset[int]) -> int:
-    """The member of J with the lex-minimal image; images must be distinct."""
-    ranked = sorted(J, key=lambda i: basis.images[i - 1])
-    if len(ranked) > 1 and basis.images[ranked[0] - 1] == basis.images[ranked[1] - 1]:
-        raise InternalError("two basis elements share an image; order is degenerate")
-    return ranked[0]
+    """The member of J with the lex-minimal image."""
+    return min(J, key=lambda i: basis.images[i - 1])
 
 
 def _perron_transform(basis: GroupBasis, J: frozenset[int], j: int,
@@ -181,10 +178,7 @@ def _perron_transform(basis: GroupBasis, J: frozenset[int], j: int,
         return tuple([tuple([x - k * y for x, y in zip(v, vecs[j - 1])])
                       if i in J and i != j else v for i, v in enumerate(vecs, start=1)])
 
-    images, rows = subtract(basis.images), subtract(basis.coords_in_original)
-    if any(lex_sign(images[i - 1]) <= 0 for i in J if i != j):
-        raise InternalError("transformed basis image is not lex-positive")
-    return GroupBasis(basis.order, rows, images)
+    return GroupBasis(basis.order, subtract(basis.coords_in_original), subtract(basis.images))
 
 
 def _perron_run_length(images: Sequence[LexVec], J: frozenset[int], j: int,
@@ -225,7 +219,10 @@ def simple_perron(basis: GroupBasis, J) -> tuple[GroupBasis, Step]:
     if not Jset or not all(_is_int(i) and 1 <= i <= n for i in Jset):
         raise ValidationError(f"J must be a non-empty subset of 1..{n}")
     j = _lex_minimal(basis, Jset)
-    return _perron_transform(basis, Jset, j, 1), Step(Jset, j, n)
+    new = _perron_transform(basis, Jset, j, 1)
+    if any(lex_sign(new.images[i - 1]) <= 0 for i in Jset if i != j):
+        raise InternalError("transformed basis image is not lex-positive")
+    return new, Step(Jset, j, n)
 
 
 class _PerronChooser(Adversary):
@@ -314,5 +311,8 @@ def _into_cone(basis: GroupBasis, scaled: tuple[int, tuple[Vec, ...]],
     # a row no transform touched is still the very row scaled: keep its image
     images = tuple([old if new is row else tuple([Fraction(x, L) for x in new])
                     for old, row, new in zip(basis.images, images, chooser.basis.images)])
+    # checked once: a transform keeps J's least image, so a bad image persists
+    if any(lex_sign(new) <= 0 for old, new in zip(basis.images, images) if new is not old):
+        raise InternalError("transformed basis image is not lex-positive")
     return PositivizeAllResult(chooser.basis._replace(images=images),
                                tuple(rows[1:]), steps)

@@ -19,7 +19,7 @@ import perron.cli
 import perron.monomials
 import perron.ordered_group
 from perron.cli import MalformedInput, main
-from perron.monomials import monomialize
+from perron.transforms import identity_matrix
 
 
 def run_cli(tmp_path, command, doc, *extra, stdin=None, monkeypatch=None):
@@ -431,6 +431,17 @@ def test_huge_integers_round_trip_as_strings(tmp_path):
     assert "e+" not in raw and "E+" not in raw
 
 
+@pytest.mark.parametrize("x, encoded", [
+    (2 ** 53 - 1, 2 ** 53 - 1), (-(2 ** 53 - 1), -(2 ** 53 - 1)),
+    (2 ** 53, str(2 ** 53)), (-(2 ** 53), str(-(2 ** 53))),
+])
+def test_integers_past_an_exact_double_become_strings(x, encoded):
+    """Below 2^53 in magnitude an integer is a JSON number; from 2^53 on, where
+    a double cannot tell n from n + 1, it is a decimal string."""
+    assert perron.cli._encode_int(x) == encoded
+    assert perron.cli._encode_vec([x, 1]) == [encoded, 1]
+
+
 def test_scripted_choice_outside_J_is_exit_2(tmp_path):
     code, doc, _ = run_cli(
         tmp_path, ["compare"],
@@ -772,15 +783,13 @@ def assert_internal_error(tmp_path, capsys, command, job, fragment):
     assert capsys.readouterr().out == ""
 
 
-def test_failed_monomialize_reverification_is_exit_5(tmp_path, monkeypatch, capsys):
-    def corrupted(ring, f, step_limit=None):
-        result = monomialize(ring, f, step_limit)
-        wrong = tuple(e + 1 for e in result.factor_exponents)
-        return result._replace(factor_exponents=wrong)
-
-    monkeypatch.setattr("perron.monomials.monomialize", corrupted)
+def test_monomialize_factor_that_does_not_divide_is_exit_5(tmp_path, monkeypatch,
+                                                          capsys):
+    """A substitution that does not match the steps played: the identity
+    leaves x1 + x2 as it is, and x2, the value-minimal term, does not divide x1."""
+    monkeypatch.setattr("perron.monomials.compose_trace", lambda steps, n: identity_matrix(n))
     assert_internal_error(tmp_path, capsys, ["monomialize"], MONOMIAL_JOB,
-                          "factorization identity failed re-verification")
+                          "factor does not divide the transformed polynomial")
 
 
 def test_internal_error_from_the_library_is_exit_5(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,13 @@
 """The first 200 jobs of each family of scripts/differential.py's corpus,
-run in-process and checked against digests committed here.
+run in-process and checked against digests and engine call counts committed
+here.
 
-The digests are those that `python scripts/differential.py --rev HEAD --jobs
-200` prints, and hold on Python 3.10-3.13 under any PYTHONHASHSEED.  An
-intended change of behaviour that moves a digest updates it here and says so
-in CHANGES.md, as the golden CLI tests do.
+The digests and counts are those that `python scripts/differential.py --rev
+HEAD --jobs 200 --counts` prints, and hold on Python 3.10-3.13 under any
+PYTHONHASHSEED.  An intended change of behaviour that moves a digest updates
+it here and says so in CHANGES.md, as the golden CLI tests do.  So does a
+change of cost that moves a count: a count that falls says what it saves, one
+that rises says why.
 """
 
 import importlib.util
@@ -23,6 +26,14 @@ DIGESTS = {
     "monomialize": "370255df1194311c",
     "cli": "7ef05188d20f1b35",
 }
+# calls of perron.engine's _J_rule, _repeat_count, apply_run and advance_champion
+COUNTS = {
+    "run_pair": (25430, 159, 710, 315),
+    "solve": (4047, 151, 7088, 287),
+    "positivize_all": (4182, 1388, 4884, 525),
+    "monomialize": (420, 116, 387, 361),
+    "cli": (2301, 1026, 5286, 206),
+}
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +44,29 @@ def differential():
     return module
 
 
+@pytest.fixture(scope="module")
+def corpus_slice(differential):
+    """family -> (job digests, engine call counts), each family run once."""
+    run, done = differential.runner(perron), {}
+
+    def of(family):
+        if family not in done:
+            with differential.counting(perron.engine) as counts:
+                done[family] = differential.job_digests(run, SEED, family, JOBS), counts
+        return done[family]
+    return of
+
+
 def test_every_family_is_checked(differential):
-    assert tuple(DIGESTS) == differential.FAMILIES
+    assert tuple(DIGESTS) == tuple(COUNTS) == differential.FAMILIES
 
 
 @pytest.mark.parametrize("family", list(DIGESTS))
-def test_corpus_slice_matches_its_digest(differential, family):
-    run = differential.runner(perron)
-    digests = differential.job_digests(run, SEED, family, JOBS)
-    assert differential.family_digest(digests) == DIGESTS[family]
+def test_corpus_slice_matches_its_digest(differential, corpus_slice, family):
+    assert differential.family_digest(corpus_slice(family)[0]) == DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", list(COUNTS))
+def test_corpus_slice_matches_its_counts(differential, corpus_slice, family):
+    counts = corpus_slice(family)[1]
+    assert tuple(counts[name] for name in differential.COUNTED) == COUNTS[family]

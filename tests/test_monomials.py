@@ -139,6 +139,15 @@ def test_apply_substitution_examples():
     assert apply_substitution({}, s) == {}
 
 
+def test_a_singular_substitution_is_the_callers_error():
+    """monomialize builds unimodular substitutions only; a caller's singular
+    one can send two terms to one exponent vector."""
+    p = polynomial([((1, 0), Fraction(1)), ((0, 1), Fraction(1))])
+    with pytest.raises(ValidationError) as err:
+        apply_substitution(p, Substitution(((1, 1), (1, 1)), 2))
+    assert str(err.value) == "substitution collided two exponent vectors"
+
+
 def test_monomialize_example():
     ring = standard_ring()
     f = polynomial([((1, 0), Fraction(1)), ((0, 1), Fraction(1))])

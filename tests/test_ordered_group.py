@@ -197,6 +197,28 @@ def test_a_negative_row_ends_below_the_origin():
     assert str(err.value) == "positive element ended with a negative coordinate"
 
 
+def test_a_miscounted_run_ends_with_a_non_positive_image(monkeypatch):
+    """A chooser that applies each run one round more than the descent played:
+    (1, -6) takes 6 rounds of ({1,2}, 2), and (1, 0) - 7 * (1/7, 1) is
+    (0, -7).  The descent ends as it would, and the final images are checked."""
+    transform = perron.ordered_group._perron_transform
+    monkeypatch.setattr("perron.ordered_group._perron_transform",
+                        lambda basis, J, j, k: transform(basis, J, j, k + 1))
+    basis = GroupBasis.initial(GroupOrder((lexvec(["1", "0"]), lexvec(["1/7", "1"]))))
+    with pytest.raises(InternalError) as err:
+        positivize(basis, GroupElement(basis, (1, -6)))
+    assert str(err.value) == "transformed basis image is not lex-positive"
+
+
+def test_simple_perron_checks_its_result_on_a_hand_built_basis():
+    """Two equal images make no ordered group: one minus the other is zero."""
+    image = lexvec(["1", "0"])
+    basis = GroupBasis(GroupOrder((image, image)), ((1, 0), (0, 1)), (image, image))
+    with pytest.raises(InternalError) as err:
+        simple_perron(basis, {1, 2})
+    assert str(err.value) == "transformed basis image is not lex-positive"
+
+
 @given(group_orders(), st.data())
 def test_positivize_all_step_limit_bounds_the_whole_job(order, data):
     basis = GroupBasis.initial(order)
