@@ -29,7 +29,7 @@ from .engine import (Adversary, FirstIndex, MaxGrowth, Scripted, SeededRandom,
                      advance_champion, run_pair)
 from .errors import (InteractiveAborted, InternalError, StepLimitExceeded,
                      ValidationError)
-from .transforms import compose_trace, natvec
+from .transforms import compose_trace
 
 SCHEMA_VERSION = 1
 _EXACT_DOUBLE = 2 ** 53  # integers beyond this are emitted as decimal strings
@@ -221,8 +221,8 @@ def _build_adversary(doc, args, infile, describe=None) -> Adversary:
 # subcommands; each imports the upper layer it runs, so a call loads only that
 
 def _cmd_compare(doc, args, infile):
-    alpha = natvec(_as_int_list(_field(doc, "alpha"), "alpha"))
-    beta = natvec(_as_int_list(_field(doc, "beta"), "beta"))
+    alpha = _as_int_list(_field(doc, "alpha"), "alpha")
+    beta = _as_int_list(_field(doc, "beta"), "beta")
     adversary = _build_adversary(
         doc, args, infile,
         lambda vs: "alpha={} beta={} ".format(*map(_format_vec, vs)))
@@ -239,10 +239,8 @@ def _cmd_compare(doc, args, infile):
 
 def _cmd_game(doc, args, infile, mode):
     from .game import solve
-    raw = _as_list(_field(doc, "vectors"), "vectors")
-    if not raw:
-        raise ValidationError("vector list must be non-empty")
-    vectors = [natvec(_as_int_list(v, "vector")) for v in raw]
+    vectors = [_as_int_list(v, "vector")
+               for v in _as_list(_field(doc, "vectors"), "vectors")]
     if mode == "play":
         champ = 0  # tracked as drive tracks it
 
@@ -268,21 +266,16 @@ def _cmd_game(doc, args, infile, mode):
 
 
 def _cmd_positivize(doc, args, infile):
-    from .ordered_group import (GroupElement, GroupOrder, _check_order,
-                                _initial_basis, _positivize_all)
+    from .ordered_group import GroupElement, GroupOrder, _initial_basis, positivize_all
     raw_images = _field(doc, "generator_images")
     if not isinstance(raw_images, list) or not raw_images:
         raise MalformedInput("generator_images must be a non-empty list")
-    order = GroupOrder(_as_lexvecs(raw_images, "generator_images",
-                                   "each generator image", "image entry"))
-    violations, scaled = _check_order(order)
-    if violations:
-        raise ValidationError("; ".join(violations))
-    basis = _initial_basis(order)
+    basis = _initial_basis(GroupOrder(_as_lexvecs(
+        raw_images, "generator_images", "each generator image", "image entry")))
 
     elements = [GroupElement(basis, _as_int_list(row, "element"))
                 for row in _as_list(_field(doc, "elements"), "elements")]
-    result = _positivize_all(basis, scaled, elements, args.step_limit)
+    result = positivize_all(basis, elements, args.step_limit)
     payload = {
         "basis_in_original": _encode_matrix(result.basis.coords_in_original),
         "basis_images": [_encode_lexvec(img) for img in result.basis.images],
@@ -304,8 +297,6 @@ def _cmd_monomialize(doc, args, infile):
     f = polynomial([(_as_int_list(_field(term, "exponents"), "exponents"),
                      _as_rational(_field(term, "coeff"), "coeff", Fraction))
                     for term in raw_terms])
-    if not f:
-        raise ValidationError("zero polynomial")
 
     result = monomialize(ring, f, step_limit=args.step_limit)
     unit_terms = [{"coeff": str(c), "exponents": _encode_vec(e)}

@@ -15,9 +15,9 @@ from operator import sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, ValidationError
-from .ordered_group import (GroupOrder, LexVec, _check_values, _combination, _dot,
-                            _initial_basis, _into_cone, _rational, _valid)
-from .transforms import Matrix, Trace, Vec, compose_trace, natvec
+from .ordered_group import (GroupOrder, LexVec, _check_values, _dot, _initial_basis,
+                            _into_cone, _rational, _valid)
+from .transforms import Matrix, Trace, Vec, _is_int, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
 Polynomial = dict[Vec, Fraction]
@@ -43,6 +43,9 @@ def validate_ring(ring: ValuedRing) -> list[str]:
 
 def _check_ring(ring: ValuedRing):
     """(violations, _scaled(ring.values)), scaled None when the shape is wrong."""
+    if not (_is_int(ring.num_toric) and _is_int(ring.num_vars)):
+        return [f"num_toric and num_vars must be integers, got {ring.num_toric!r} "
+                f"and {ring.num_vars!r}"], None
     if not 1 <= ring.num_toric <= ring.num_vars:
         return [f"need 1 <= num_toric <= num_vars, got {ring.num_toric} and "
                 f"{ring.num_vars}"], None
@@ -64,15 +67,6 @@ def polynomial(terms: Iterable[tuple[Sequence[int], Fraction]]) -> Polynomial:
         elif e in out:
             del out[e]
     return out
-
-
-def monomial_value(ring: ValuedRing, exponents: Sequence[int]) -> LexVec:
-    """Value of a monomial: exponents combine the variable values linearly."""
-    e = natvec(exponents)
-    if len(e) != ring.num_vars:
-        raise ValidationError(
-            f"monomial has {len(e)} exponents, ring has {ring.num_vars} variables")
-    return _combination(e, ring.values)
 
 
 class Substitution(NamedTuple):
@@ -115,7 +109,7 @@ def divisibility_transform(ring: ValuedRing, m1: Sequence[int],
     It is monomialize of the binomial x^m1 + x^m2: the value difference joins
     the cone, and the basis images become the primed variable values.
     """
-    _valid("ring", _check_ring(ring))
+    rows = _valid(_check_ring(ring), "invalid ring: ")[1]
     m1 = natvec(m1)
     m2 = natvec(m2)
     n, m = ring.num_toric, ring.num_vars
@@ -125,7 +119,7 @@ def divisibility_transform(ring: ValuedRing, m1: Sequence[int],
         if any(mono[n:]):
             raise ValidationError(
                 f"{name} must involve only the first {n} variables")
-    if not monomial_value(ring, m1) < monomial_value(ring, m2):
+    if not tuple(_dot(m1, rows)) < tuple(_dot(m2, rows)):  # values times one L > 0
         raise ValidationError("value of M1 must be strictly below value of M2")
     result = monomialize(ring, {m1: Fraction(1), m2: Fraction(1)})
     return result.substitution, ValuedRing(m, n, result.new_values)
@@ -148,13 +142,15 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     because distinct toric monomials have distinct values.  One combined run
     positivizes every value difference at once, yielding a single substitution.
     step_limit bounds the rounds of that whole run, as in positivize_all.
+    f is read through polynomial(), which drops zero coefficients.
     """
-    L, rows = _valid("ring", _check_ring(ring))
+    f = polynomial(f.items())
     if not f:
-        raise ValidationError("polynomial must be non-zero")
+        raise ValidationError("zero polynomial")
+    L, rows = _valid(_check_ring(ring), "invalid ring: ")
     n, m = ring.num_toric, ring.num_vars
     for e in f:
-        if len(natvec(e)) != m:
+        if len(e) != m:
             raise ValidationError(
                 f"term has {len(e)} exponents, ring has {m} variables")
 

@@ -30,8 +30,11 @@ LexVec = tuple[Fraction, ...]
 
 
 def _rational(x, what: str) -> Fraction:
-    """Fraction(x); ValidationError, naming x, for what Fraction cannot read."""
+    """Fraction(x); ValidationError, naming x, for what Fraction cannot read
+    and for a bool, which Fraction reads as 0 or 1."""
     try:
+        if isinstance(x, bool):
+            raise TypeError(x)
         return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise ValidationError(f"{what} is not a rational number: {x!r}") from None
@@ -81,14 +84,14 @@ class GroupOrder(NamedTuple):
 
 def validate_order(order: GroupOrder) -> list[str]:
     """Return the list of violations (empty when the order is usable)."""
-    return _check_order(order)[0]
+    return _check_order(order.images)[0]
 
 
-def _check_order(order: GroupOrder):
-    """(violations, _scaled(order.images)), scaled None for missing or ragged images."""
-    if not order.images:
+def _check_order(images: Sequence[LexVec]):
+    """(violations, _scaled(images)), scaled None for missing or ragged images."""
+    if not images:
         return ["order must have at least one generator image"], None
-    return _check_values(order.images, order.rank, "generator images", "image", "images")
+    return _check_values(images, len(images), "generator images", "image", "images")
 
 
 def _check_values(vecs: Sequence[LexVec], n: int, plural: str, each: str, first: str):
@@ -105,11 +108,11 @@ def _check_values(vecs: Sequence[LexVec], n: int, plural: str, each: str, first:
     return violations, scaled
 
 
-def _valid(what: str, checked):
-    """checked's scaled copy, or a ValidationError naming what and its violations."""
+def _valid(checked, prefix: str = ""):
+    """checked's scaled copy, or a ValidationError: prefix, then its violations."""
     violations, scaled = checked
     if violations:
-        raise ValidationError(f"invalid {what}: " + "; ".join(violations))
+        raise ValidationError(prefix + "; ".join(violations))
     return scaled
 
 
@@ -127,7 +130,7 @@ class GroupBasis(NamedTuple):
 
     @classmethod
     def initial(cls, order: GroupOrder) -> "GroupBasis":
-        _valid("order", _check_order(order))
+        _valid(_check_order(order.images), "invalid order: ")
         return _initial_basis(order)
 
 
@@ -209,20 +212,19 @@ def _perron_run_length(images: Sequence[LexVec], J: frozenset[int], j: int,
 def simple_perron(basis: GroupBasis, J) -> tuple[GroupBasis, Step]:
     """Subtract the J-minimal basis element from every other element of J.
 
-    j is the member of J with lex-minimal image (unique, since independent
-    images are distinct).  Coordinates of any element transform by the step
-    matrix of the returned Step; all new images stay lex-positive and the
-    basis stays unimodular over the original generators.
+    The basis images are checked as an order's are.  j is the member of J
+    with lex-minimal image, and the transform subtracts it from larger,
+    distinct images, so all new images stay lex-positive.  Coordinates of any
+    element transform by the step matrix of the returned Step, and the basis
+    stays unimodular over the original generators.
     """
+    _valid(_check_order(basis.images))
     n = basis.rank
     Jset = frozenset(J)
     if not Jset or not all(_is_int(i) and 1 <= i <= n for i in Jset):
         raise ValidationError(f"J must be a non-empty subset of 1..{n}")
     j = _lex_minimal(basis, Jset)
-    new = _perron_transform(basis, Jset, j, 1)
-    if any(lex_sign(new.images[i - 1]) <= 0 for i in Jset if i != j):
-        raise InternalError("transformed basis image is not lex-positive")
-    return new, Step(Jset, j, n)
+    return _perron_transform(basis, Jset, j, 1), Step(Jset, j, n)
 
 
 class _PerronChooser(Adversary):
@@ -277,14 +279,10 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
     negative coordinate, with the J-minimal-image chooser, so every step is
     a basis transform.  Steps are linear: the origin stays zero, the element
     ends above it, non-negative, and stays so as the cone grows.  step_limit
-    bounds the rounds of the whole job.
+    bounds the rounds of the whole job.  The basis images are checked as an
+    order's are, and the violations raised as they are.
     """
-    return _positivize_all(basis, _scaled(basis.images), elements, step_limit)
-
-
-def _positivize_all(basis: GroupBasis, scaled, elements: Sequence[GroupElement],
-                    step_limit: Optional[int]) -> PositivizeAllResult:
-    """positivize_all with scaled = _scaled(basis.images) already taken."""
+    scaled = _valid(_check_order(basis.images))
     rows = []
     for k, e in enumerate(elements, start=1):
         if e.basis != basis:

@@ -33,6 +33,16 @@ def step_matrix(step):
         for r in range(1, n + 1))
 
 
+def monomial_value(ring, exponents):
+    """Oracle: the value of a monomial, the exact rational combination of the
+    variable values with the exponents as coefficients."""
+    total = [Fraction(0)] * ring.order_dim
+    for e, val in zip(exponents, ring.values):
+        for k, x in enumerate(val):
+            total[k] += e * x
+    return tuple(total)
+
+
 def element_compare(e1, e2):
     """Oracle: -1, 0 or 1 as e1 is below, equal to, or above e2 in the group
     order, the lex sign of the image of e1 - e2."""

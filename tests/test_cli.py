@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perron import InternalError, Step, Trace, apply_step, compose_trace
+from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder, InternalError,
+                    Step, Trace, ValidationError, ValuedRing, apply_step, compose_trace,
+                    lexvec, monomialize, positivize_all, run_pair, solve)
 import perron.cli
 import perron.monomials
 import perron.ordered_group
@@ -764,6 +766,19 @@ def test_int_digit_limit_is_restored_after_main(tmp_path):
         sys.set_int_max_str_digits(before)
 
 
+def test_a_python_without_an_int_digit_limit_runs_the_job(monkeypatch, capsys):
+    """Before 3.10.7 sys has no set_int_max_str_digits; main runs the job as it is."""
+    job = '{"alpha":[30,33,0],"beta":[0,0,5]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(["compare"]) == 0
+    usual = capsys.readouterr().out
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main(["compare"]) == 0
+    assert capsys.readouterr().out == usual
+    assert json.loads(usual)["payload"]["final_beta"] == [30, 35, 5]
+
+
 # internal errors: exit 5 with one error document ---------------------------
 
 MONOMIAL_JOB = {"num_vars": 2, "num_toric": 2,
@@ -793,11 +808,11 @@ def test_monomialize_factor_that_does_not_divide_is_exit_5(tmp_path, monkeypatch
 
 
 def test_internal_error_from_the_library_is_exit_5(tmp_path, monkeypatch, capsys):
-    def broken(basis, scaled, elements, step_limit):
+    def broken(basis, scaled, rows, step_limit):
         raise InternalError("transformed basis image is not lex-positive")
 
-    # the CLI passes its validated, scaled images to positivize_all's body
-    monkeypatch.setattr("perron.ordered_group._positivize_all", broken)
+    # positivize_all hands its checked, scaled images to the descent
+    monkeypatch.setattr("perron.ordered_group._into_cone", broken)
     assert_internal_error(
         tmp_path, capsys, ["positivize"],
         {"generator_images": [["1", "0"], ["0", "1"]], "elements": [[2, -1]]},
@@ -1451,6 +1466,56 @@ def test_group_error_documents_are_byte_identical(argv, job, stdout,
     monkeypatch.setattr("sys.stdin", io.StringIO(job))
     assert main(argv) == 2
     assert capsys.readouterr().out == stdout
+
+
+def _images(*rows):
+    return tuple(lexvec(row) for row in rows)
+
+
+def _positivize(rows, elements):
+    """positivize_all on the basis and elements the CLI decodes: the images as
+    they are, unchecked, in the identity basis."""
+    images = _images(*rows)
+    basis = GroupBasis(GroupOrder(images), identity_matrix(len(images)), images)
+    return positivize_all(basis, [GroupElement(basis, e) for e in elements])
+
+
+# one job per invalid value, each with the library call on its decoded input
+INVALID_VALUES = {
+    "negative-entry": (["compare"], {"alpha": [1, -1], "beta": [0, 1]},
+                       lambda: run_pair([1, -1], [0, 1], FirstIndex())),
+    "empty-set": (["game", "solve"], {"vectors": []},
+                  lambda: solve([], FirstIndex())),
+    "ragged-set": (["game", "solve"], {"vectors": [[1], [1, 2]]},
+                   lambda: solve([[1], [1, 2]], FirstIndex())),
+    "dependent-images": (["positivize"], {
+        "generator_images": [["1", "0"], ["2", "0"]], "elements": [[1, 0]]},
+        lambda: _positivize([["1", "0"], ["2", "0"]], [[1, 0]])),
+    "non-positive-image": (["positivize"], {
+        "generator_images": [["1", "0"], ["0", "-1"]], "elements": [[1, 0]]},
+        lambda: _positivize([["1", "0"], ["0", "-1"]], [[1, 0]])),
+    "zero-polynomial": (["monomialize"], {
+        "num_vars": 2, "num_toric": 2, "values": [["1", "0"], ["0", "1"]],
+        "polynomial": [{"coeff": "1", "exponents": [1, 0]},
+                       {"coeff": "-1", "exponents": [1, 0]}]},
+        lambda: monomialize(ValuedRing(2, 2, _images(["1", "0"], ["0", "1"])), {})),
+    "dependent-toric-values": (["monomialize"], {
+        "num_vars": 2, "num_toric": 2, "values": [["1", "0"], ["2", "0"]],
+        "polynomial": [{"coeff": "1", "exponents": [1, 0]}]},
+        lambda: monomialize(ValuedRing(2, 2, _images(["1", "0"], ["2", "0"])),
+                            {(1, 0): Fraction(1)})),
+}
+
+
+@pytest.mark.parametrize("argv, job, call", INVALID_VALUES.values(), ids=INVALID_VALUES)
+def test_the_cli_reports_the_librarys_check(argv, job, call, monkeypatch, capsys):
+    """Each value rule lives in the library: the CLI's one diagnostic for an
+    invalid value is the library's own ValidationError on the decoded input."""
+    with pytest.raises(ValidationError) as err:
+        call()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == [str(err.value)]
 
 
 @pytest.mark.parametrize("argv, job", [

@@ -64,8 +64,9 @@ def test_import_perron_loads_the_core_only():
     assert not loaded & (HEAVY | UPPER)
 
 
-# names the package no longer exports: the five still in use live on in their
-# layers, and step_matrix and element_compare are test oracles (conftest.py)
+# names the package no longer exports: the four still in use live on in their
+# layers, and step_matrix, element_compare and monomial_value are test oracles
+# (conftest.py)
 REMOVED = ("step_matrix", "identity_matrix", "element_compare", "intvec",
            "substitute_exponents", "monomial_value", "Tau")
 

@@ -8,22 +8,13 @@ from perron import (Substitution, ValidationError, ValuedRing,
                     apply_substitution, determinant, divisibility_transform,
                     lex_sign, lexvec, monomialize, natvec, polynomial,
                     validate_ring)
-from perron.monomials import monomial_value, substitute_exponents
+from perron.monomials import substitute_exponents
 
-from conftest import ring_with_polynomial, valued_rings
+from conftest import monomial_value, ring_with_polynomial, valued_rings
 
 
 def standard_ring():
     return ValuedRing(2, 2, (lexvec(["1", "0"]), lexvec(["0", "1"])))
-
-
-def value_oracle(ring, exponents):
-    """Independent linear combination of the variable values."""
-    total = [Fraction(0)] * ring.order_dim
-    for e, val in zip(exponents, ring.values):
-        for k, x in enumerate(val):
-            total[k] += e * x
-    return tuple(total)
 
 
 def poly_times_monomial(p, shift):
@@ -56,6 +47,21 @@ def test_validate_ring():
     assert validate_ring(ragged) == ["values must share one length"]
 
 
+@pytest.mark.parametrize("num_vars, num_toric, shown", [
+    (2, "1", "'1' and 2"),
+    (2.0, 2, "2 and 2.0"),
+    (2, True, "True and 2"),
+], ids=["str-toric", "float-vars", "bool-toric"])
+def test_ring_counts_must_be_integers(num_vars, num_toric, shown):
+    """A count that is not an int is named, not compared or read as 1."""
+    ring = ValuedRing(num_vars, num_toric, standard_ring().values)
+    message = f"num_toric and num_vars must be integers, got {shown}"
+    assert validate_ring(ring) == [message]
+    with pytest.raises(ValidationError) as err:
+        monomialize(ring, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    assert str(err.value) == f"invalid ring: {message}"
+
+
 def test_polynomial_drops_terms_that_cancel():
     assert polynomial([((1, 0), 1), ((0, 1), 2), ((1, 0), -1)]) == {(0, 1): Fraction(2)}
     assert polynomial([((1, 0), Fraction(1, 2)), ((1, 0), Fraction(-1, 2))]) == {}
@@ -64,8 +70,6 @@ def test_polynomial_drops_terms_that_cancel():
 def test_wrong_exponent_counts_are_rejected():
     ring = standard_ring()
     cases = [
-        (lambda: monomial_value(ring, (1, 0, 0)),
-         "monomial has 3 exponents, ring has 2 variables"),
         (lambda: apply_substitution({(1, 0, 0): Fraction(1)},
                                     Substitution(((1, 0), (0, 1)), 2)),
          "term has 3 exponents, substitution covers 2"),
@@ -85,7 +89,6 @@ def test_wrong_exponent_counts_are_rejected():
 def test_monomial_value_examples():
     ring = standard_ring()
     assert monomial_value(ring, (1, 0)) == lexvec(["1", "0"])
-    assert value_oracle(ring, (2, 1)) == (Fraction(2), Fraction(1))
     assert monomial_value(ring, (2, 1)) == (Fraction(2), Fraction(1))
     assert monomial_value(ring, (0, 0)) == (Fraction(0), Fraction(0))
 
@@ -117,10 +120,15 @@ def test_divisibility_transform_trivial_cases():
 
 def test_divisibility_transform_preconditions():
     ring = standard_ring()
-    with pytest.raises(ValidationError):
+    halves = ValuedRing(2, 2, (lexvec(["1/2", "0"]), lexvec(["0", "1/3"])))
+    below = "^value of M1 must be strictly below value of M2$"
+    with pytest.raises(ValidationError, match=below):
         divisibility_transform(ring, (1, 0), (0, 1))  # nu(M1) > nu(M2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=below):
         divisibility_transform(ring, (1, 0), (1, 0))  # equal values
+    with pytest.raises(ValidationError, match=below):
+        divisibility_transform(halves, (2, 0), (0, 5))  # (1, 0) > (0, 5/3)
+    assert divisibility_transform(halves, (0, 3), (1, 0))[0].matrix == ((1, 3), (0, 1))
     mixed = ValuedRing(3, 2, (lexvec(["1", "0"]), lexvec(["0", "1"]),
                               lexvec(["1", "1"])))
     with pytest.raises(ValidationError):
@@ -176,11 +184,14 @@ def test_monomialize_trivial_cases():
 
 def test_monomialize_preconditions():
     ring = standard_ring()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^zero polynomial$"):
         monomialize(ring, {})
     dependent = ValuedRing(2, 2, (lexvec(["1", "0"]), lexvec(["2", "0"])))
     with pytest.raises(ValidationError):
         monomialize(dependent, polynomial([((1, 0), Fraction(1))]))
+    # the polynomial is read before the ring, as the CLI reads a job
+    with pytest.raises(ValidationError, match="^zero polynomial$"):
+        monomialize(dependent, {(1, 0): 0, (0, 1): Fraction(0)})
 
 
 @pytest.mark.parametrize("toric, message", [
@@ -249,6 +260,21 @@ def test_substitution_preserves_monomial_values(ring, data):
     exponents = tuple(data.draw(st.integers(0, 4)) for _ in range(m))
     assert monomial_value(new_ring, substitute_exponents(exponents, substitution)) \
         == monomial_value(ring, exponents)
+
+
+def test_monomialize_reads_a_raw_polynomial_as_polynomial_does():
+    """A zero coefficient is no term, and a coefficient must be rational."""
+    ring = standard_ring()
+    # x1 with coefficient 0 is no term: x2 alone needs no substitution
+    result = monomialize(ring, {(1, 0): 0, (0, 1): 1})
+    assert result.substitution.matrix == ((1, 0), (0, 1))
+    assert result.factor_exponents == (0, 1)
+    assert result.unit_part == {(0, 0): Fraction(1)}
+    for f, message in [({(1, 0): "x", (0, 1): 1}, "coefficient is not a rational number: 'x'"),
+                       ({(1, 0): 0}, "zero polynomial")]:
+        with pytest.raises(ValidationError) as err:
+            monomialize(ring, f)
+        assert str(err.value) == message
 
 
 def test_monomialize_checks_every_exponent_vector():

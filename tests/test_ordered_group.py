@@ -15,7 +15,7 @@ from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
                     lex_sign, lexvec, monomialize, polynomial, positivize,
                     positivize_all, run_pair, simple_perron, validate_order)
 from perron.engine import Adversary
-from perron.monomials import Substitution, monomial_value, substitute_exponents
+from perron.monomials import Substitution, substitute_exponents
 from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
                                   _PerronChooser, _combination, _dot,
                                   _lex_minimal, _perron_run_length, _scaled)
@@ -210,13 +210,59 @@ def test_a_miscounted_run_ends_with_a_non_positive_image(monkeypatch):
     assert str(err.value) == "transformed basis image is not lex-positive"
 
 
-def test_simple_perron_checks_its_result_on_a_hand_built_basis():
-    """Two equal images make no ordered group: one minus the other is zero."""
-    image = lexvec(["1", "0"])
-    basis = GroupBasis(GroupOrder((image, image)), ((1, 0), (0, 1)), (image, image))
-    with pytest.raises(InternalError) as err:
+def hand_built_basis(*images):
+    """A basis on the given images, built without GroupBasis.initial's check."""
+    images = tuple(lexvec(img) for img in images)
+    return GroupBasis(GroupOrder(images), ((1, 0), (0, 1)), images)
+
+
+def test_simple_perron_checks_a_hand_built_basis():
+    """Two equal images make no ordered group: one minus the other is zero.
+    The basis is checked on entry, as an order is."""
+    basis = hand_built_basis(["1", "0"], ["1", "0"])
+    with pytest.raises(ValidationError) as err:
         simple_perron(basis, {1, 2})
-    assert str(err.value) == "transformed basis image is not lex-positive"
+    assert str(err.value) == "images not independent: rank 1 < 2"
+
+
+@pytest.mark.parametrize("images, message", [
+    ((["1", "0"], ["1", "0"]), "images not independent: rank 1 < 2"),
+    ((["1", "0"], ["0", "-1"]), "image 2 is not lex-positive"),
+    ((["1", "0"], ["1"]), "generator images must share one length"),
+], ids=["equal-images", "non-positive-image", "ragged-images"])
+def test_positivize_checks_a_hand_built_basis(images, message):
+    """The caller's basis gets the order check's own diagnostics, unprefixed
+    as the CLI prints them, from positivize and positivize_all alike, before
+    any element is read."""
+    basis = hand_built_basis(*images)
+    element = GroupElement(basis, (2, -1))
+    for call in (lambda: positivize(basis, element),
+                 lambda: positivize_all(basis, [element]),
+                 lambda: positivize_all(basis, [])):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_positivize_takes_back_its_own_basis():
+    """A positivized basis is a valid one: it passes the check again."""
+    basis = standard_basis()
+    first = positivize(basis, GroupElement(basis, (2, -1)))
+    second = positivize(first.basis, GroupElement(first.basis, (1, -3)))
+    assert all(c >= 0 for c in second.coords)
+    assert expansion(second.coords, second.basis.images) == \
+        expansion((1, -3), first.basis.images)
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_a_bool_is_not_a_rational(entry):
+    """Fraction reads True as 1; lexvec and polynomial reject it, as intvec does."""
+    with pytest.raises(ValidationError) as err:
+        lexvec([entry, 0])
+    assert str(err.value) == f"lex vector entry is not a rational number: {entry!r}"
+    with pytest.raises(ValidationError) as err:
+        polynomial([((1, 0), entry)])
+    assert str(err.value) == f"coefficient is not a rational number: {entry!r}"
 
 
 @given(group_orders(), st.data())
@@ -626,4 +672,4 @@ def test_element_and_monomial_values_match_the_fraction_oracle(order, ring, data
     assert element_compare(GroupElement(basis, coords), zero) == lex_sign(total)
 
     exponents = tuple(data.draw(st.integers(0, 5)) for _ in range(ring.num_vars))
-    assert monomial_value(ring, exponents) == expansion(exponents, ring.values)
+    assert _combination(exponents, ring.values) == expansion(exponents, ring.values)
