@@ -285,7 +285,7 @@ def _cmd_positivize(doc, args, infile):
 
 
 def _cmd_monomialize(doc, args, infile):
-    from .monomials import Fraction, ValuedRing, monomialize, polynomial
+    from .monomials import Fraction, ValuedRing, monomialize
     m = _as_int(_field(doc, "num_vars"), "num_vars")
     n = _as_int(_field(doc, "num_toric"), "num_toric")
     ring = ValuedRing(m, n, _as_lexvecs(_field(doc, "values"), "values",
@@ -294,11 +294,11 @@ def _cmd_monomialize(doc, args, infile):
     raw_terms = _field(doc, "polynomial")
     if not isinstance(raw_terms, list):
         raise MalformedInput("polynomial must be a list of terms")
-    f = polynomial([(_as_int_list(_field(term, "exponents"), "exponents"),
-                     _as_rational(_field(term, "coeff"), "coeff", Fraction))
-                    for term in raw_terms])
+    terms = [(_as_int_list(_field(term, "exponents"), "exponents"),
+              _as_rational(_field(term, "coeff"), "coeff", Fraction))
+             for term in raw_terms]
 
-    result = monomialize(ring, f, step_limit=args.step_limit)
+    result = monomialize(ring, terms, step_limit=args.step_limit)
     unit_terms = [{"coeff": str(c), "exponents": _encode_vec(e)}
                   for e, c in sorted(result.unit_part.items())]
     payload = {

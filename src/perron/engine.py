@@ -13,7 +13,6 @@ few iterations.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from operator import ge, le, sub
 from typing import NamedTuple, Optional, Sequence
@@ -63,6 +62,7 @@ class SeededRandom(Adversary):
     seed.  random.Random seeds with |seed|, so seeds s and -s draw alike."""
 
     def __init__(self, seed: int):
+        import random  # loaded by the seeded adversary alone
         self.seed = seed
         self._rng = random.Random(seed)
 

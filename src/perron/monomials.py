@@ -11,13 +11,13 @@ Coefficients are exact rationals; identities below hold with zero tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InternalError, ValidationError
 from .ordered_group import (GroupOrder, LexVec, _check_values, _dot, _initial_basis,
                             _into_cone, _rational, _valid)
-from .transforms import Matrix, Trace, Vec, _is_int, compose_trace, natvec
+from .transforms import Matrix, Trace, Vec, _is_int, apply_matrix, compose_trace, natvec
 
 # Canonical polynomial: exponent vector -> non-zero coefficient.
 Polynomial = dict[Vec, Fraction]
@@ -83,19 +83,16 @@ class Substitution(NamedTuple):
         return len(self.matrix)
 
 
-def substitute_exponents(e: Vec, s: Substitution) -> Vec:
-    return tuple(_dot(e, s.matrix)) + tuple(e[s.num_toric:])
-
-
 def apply_substitution(p: Polynomial, s: Substitution) -> Polynomial:
     """Map every exponent vector through the substitution; coefficients move
     unchanged.  A singular map that collides two terms raises ValidationError."""
+    columns = tuple(zip(*s.matrix))  # toric entry j of an image: e dot column j
     out: Polynomial = {}
     for e, c in p.items():
         if len(e) != s.num_vars:
             raise ValidationError(
                 f"term has {len(e)} exponents, substitution covers {s.num_vars}")
-        image = substitute_exponents(e, s)
+        image = tuple([sum(map(mul, e, col)) for col in columns]) + e[s.num_toric:]
         if image in out:
             raise ValidationError("substitution collided two exponent vectors")
         out[image] = c
@@ -132,7 +129,8 @@ class MonomializationResult(NamedTuple):
     unit_part: Polynomial
 
 
-def monomialize(ring: ValuedRing, f: Polynomial,
+def monomialize(ring: ValuedRing,
+                f: Polynomial | Iterable[tuple[Sequence[int], Fraction]],
                 step_limit: Optional[int] = None) -> MonomializationResult:
     """Rewrite f as (toric monomial) * unit with the unit outside the toric
     ideal: f's image under the substitution factors exactly, and the unit has
@@ -142,9 +140,10 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     because distinct toric monomials have distinct values.  One combined run
     positivizes every value difference at once, yielding a single substitution.
     step_limit bounds the rounds of that whole run, as in positivize_all.
-    f is read through polynomial(), which drops zero coefficients.
+    f is a Polynomial or a term list, read through polynomial(), which
+    merges duplicate exponents and drops zero coefficients.
     """
-    f = polynomial(f.items())
+    f = polynomial(f.items() if isinstance(f, dict) else f)
     if not f:
         raise ValidationError("zero polynomial")
     L, rows = _valid(_check_ring(ring), "invalid ring: ")
@@ -155,7 +154,6 @@ def monomialize(ring: ValuedRing, f: Polynomial,
                 f"term has {len(e)} exponents, ring has {m} variables")
 
     toric_parts = sorted({e[:n] for e in f})
-    zero_tail = (0,) * (m - n)
     scaled = L, rows[:n]  # each toric part's value, times one L > 0
     min_part = min(toric_parts, key=lambda t: tuple(_dot(t, scaled[1])))
 
@@ -165,12 +163,12 @@ def monomialize(ring: ValuedRing, f: Polynomial,
     combined = _into_cone(basis, scaled, deltas, step_limit)
     # column i of the composed step matrix holds the old value of x_i in the
     # new basis, so the exponent matrix is its transpose
-    substitution = Substitution(tuple(zip(*compose_trace(combined.steps, n))), m,
-                                combined.steps)
+    composed = compose_trace(combined.steps, n)
+    substitution = Substitution(tuple(zip(*composed)), m, combined.steps)
 
     transformed = apply_substitution(f, substitution)
-    factor = substitute_exponents(min_part + zero_tail, substitution)[:n]
-    shift = factor + zero_tail
+    factor = apply_matrix(composed, min_part)
+    shift = factor + (0,) * (m - n)
     unit: Polynomial = {}
     for e, c in transformed.items():
         reduced = tuple(map(sub, e, shift))

@@ -285,7 +285,7 @@ def positivize_all(basis: GroupBasis, elements: Sequence[GroupElement],
     scaled = _valid(_check_order(basis.images))
     rows = []
     for k, e in enumerate(elements, start=1):
-        if e.basis != basis:
+        if getattr(e, "basis", None) != basis:
             raise ValidationError(f"element {k} is not expressed in the given basis")
         if lex_sign(_dot(e.coords, scaled[1])) < 0:
             raise ValidationError(f"element {k} is negative")

@@ -43,6 +43,14 @@ def monomial_value(ring, exponents):
     return tuple(total)
 
 
+def substitute_exponents(e, s):
+    """Oracle: the exponents of x^e after the substitution, entry j the sum
+    over toric i of e_i times matrix[i][j], the rest of e unchanged."""
+    n = s.num_toric
+    head = tuple(sum(e[i] * s.matrix[i][j] for i in range(n)) for j in range(n))
+    return head + tuple(e[n:])
+
+
 def element_compare(e1, e2):
     """Oracle: -1, 0 or 1 as e1 is below, equal to, or above e2 in the group
     order, the lex sign of the image of e1 - e2."""

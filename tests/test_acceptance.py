@@ -30,10 +30,9 @@ from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder,
                     positivize_all, run_pair, simple_perron, solve, tau,
                     validate_order)
 from perron.cli import main as cli_main
-from perron.monomials import substitute_exponents
 from perron.transforms import identity_matrix
 
-from conftest import element_compare, monomial_value, step_matrix
+from conftest import element_compare, monomial_value, step_matrix, substitute_exponents
 
 # traces produced by criteria 1, 5, 6, 7 as (steps, dim); criterion 2 checks
 # its (much more numerous) leaf traces inline and records the counts here.

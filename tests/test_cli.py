@@ -1584,6 +1584,22 @@ def test_one_job_scales_its_images_once(argv, job, monkeypatch, capsys):
     assert calls == [2]
 
 
+def test_one_monomialize_job_canonicalizes_its_polynomial_once(monkeypatch, capsys):
+    """The CLI hands its decoded terms to monomialize, which reads them once."""
+    real = perron.monomials.polynomial
+    calls = []
+
+    def counting(terms):
+        calls.append(terms)
+        return real(terms)
+
+    monkeypatch.setattr(perron.monomials, "polynomial", counting)
+    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_TRACES[3][1]))
+    assert main(["monomialize"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert len(calls) == 1
+
+
 # Fraction reads "1e10000000" as a ten-million-digit integer
 EXPONENT_JOBS = {
     "generator_images": (["positivize"], {

@@ -1,6 +1,8 @@
-"""What a cold process loads: each check runs in a fresh interpreter, and
-modules a bare `python -c pass` loads (site hooks included) do not count."""
+"""What a cold process loads: each check runs in a fresh interpreter without
+the site module (-S), so no site hook loads a module first, and modules a
+bare `python -S -c pass` loads do not count."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 UPPER = {"perron.game", "perron.ordered_group", "perron.monomials"}
 HEAVY = {"dataclasses", "inspect", "argparse", "gettext"}
 RATIONALS = {"fractions", "decimal"}  # only the group jobs read rationals
+SEEDED = {"random"}  # only a seeded adversary draws
 
 
 def python(*args, stdin=None):
@@ -22,14 +25,14 @@ def python(*args, stdin=None):
 
 
 def imported(*args, stdin=None):
-    """Modules `python -X importtime ARGS` imports beyond a bare start, and
-    the process's stdout."""
+    """Modules `python -S -X importtime ARGS` imports beyond a bare start,
+    and the process's stdout."""
     def names(proc):
         return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
 
-    proc = python("-X", "importtime", *args, stdin=stdin)
-    return names(proc) - names(python("-X", "importtime", "-c", "pass")), proc.stdout
+    proc = python("-S", "-X", "importtime", *args, stdin=stdin)
+    return names(proc) - names(python("-S", "-X", "importtime", "-c", "pass")), proc.stdout
 
 
 JOBS = {
@@ -42,11 +45,11 @@ JOBS = {
                    '{"coeff":"1","exponents":[0,1]}]}',
 }
 NOT_LOADED = {
-    "compare": HEAVY | RATIONALS | UPPER,
-    "game solve": HEAVY | RATIONALS | {"perron.ordered_group",
-                                       "perron.monomials"},
-    "positivize": HEAVY | {"perron.game", "perron.monomials"},
-    "monomialize": HEAVY | {"perron.game"},
+    "compare": HEAVY | RATIONALS | UPPER | SEEDED,
+    "game solve": HEAVY | RATIONALS | SEEDED | {"perron.ordered_group",
+                                                "perron.monomials"},
+    "positivize": HEAVY | SEEDED | {"perron.game", "perron.monomials"},
+    "monomialize": HEAVY | SEEDED | {"perron.game"},
 }
 
 
@@ -58,10 +61,33 @@ def test_a_cli_call_loads_only_its_subcommands_layers(command):
     assert not loaded & NOT_LOADED[command]
 
 
+def test_only_a_seeded_adversary_loads_random():
+    job = '{"alpha":[3,1],"beta":[1,2],"adversary":{"kind":"random","seed":1}}'
+    loaded, out = imported("-m", "perron", "compare", stdin=job)
+    assert json.loads(out)["status"] == "ok"
+    assert SEEDED <= loaded
+    assert not loaded & (HEAVY | RATIONALS | UPPER)
+
+
 def test_import_perron_loads_the_core_only():
     loaded, _ = imported("-c", "import perron")
     assert {"perron.transforms", "perron.tau", "perron.engine"} <= loaded
     assert not loaded & (HEAVY | UPPER)
+
+
+def test_the_oracles_are_defined_in_tests_only():
+    """step_matrix, element_compare, monomial_value and substitute_exponents
+    live in conftest.py, and the CLI leaves reading a polynomial to
+    monomialize."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(SRC, "perron").glob("*.py")}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"step_matrix", "element_compare", "monomial_value",
+                          "substitute_exponents"}
+    assert "polynomial" not in {alias.name for node in ast.walk(trees["cli.py"])
+                                if isinstance(node, ast.ImportFrom)
+                                for alias in node.names}
 
 
 # names the package no longer exports: the four still in use live on in their

@@ -8,9 +8,9 @@ from perron import (Substitution, ValidationError, ValuedRing,
                     apply_substitution, determinant, divisibility_transform,
                     lex_sign, lexvec, monomialize, natvec, polynomial,
                     validate_ring)
-from perron.monomials import substitute_exponents
 
-from conftest import monomial_value, ring_with_polynomial, valued_rings
+from conftest import (monomial_value, ring_with_polynomial, substitute_exponents,
+                      valued_rings)
 
 
 def standard_ring():
@@ -262,6 +262,20 @@ def test_substitution_preserves_monomial_values(ring, data):
         == monomial_value(ring, exponents)
 
 
+def test_monomialize_takes_a_term_list():
+    """Terms as polynomial() takes them: a repeated exponent merges."""
+    ring = standard_ring()
+    assert monomialize(ring, [((1, 0), 1)]) == monomialize(ring, {(1, 0): Fraction(1)})
+    assert monomialize(ring, [((1, 0), 1), ((0, 1), 2), ((1, 0), -1)]) == \
+        monomialize(ring, {(0, 1): Fraction(2)})
+
+
+@given(ring_with_polynomial())
+def test_monomialize_reads_a_term_list_as_its_dict(case):
+    ring, f = case
+    assert monomialize(ring, list(f.items())) == monomialize(ring, f)
+
+
 def test_monomialize_reads_a_raw_polynomial_as_polynomial_does():
     """A zero coefficient is no term, and a coefficient must be rational."""
     ring = standard_ring()
@@ -285,7 +299,7 @@ def test_monomialize_checks_every_exponent_vector():
         monomialize(ring, {(1, 0, -1): 1, (0, 1, 0): 1})
 
 
-# polynomial and substitute_exponents against the forms they replaced -------
+# polynomial and apply_substitution against their oracles -----------------
 
 def oracle_polynomial(terms):
     """The sum polynomial replaced; a coefficient Fraction cannot read is a
@@ -303,12 +317,6 @@ def oracle_polynomial(terms):
         elif e in out:
             del out[e]
     return out
-
-
-def oracle_substitute_exponents(e, s):
-    n = s.num_toric
-    head = tuple(sum(e[i] * s.matrix[i][j] for i in range(n)) for j in range(n))
-    return head + tuple(e[n:])
 
 
 def _outcome(f, *args):
@@ -337,8 +345,10 @@ def test_polynomial_matches_the_sum_it_replaced(terms):
     st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
              min_size=n, max_size=n),
     st.lists(st.integers(0, 10 ** 20), min_size=n, max_size=n + 3))))
-def test_substitute_exponents_matches_the_generator_form(case):
+def test_apply_substitution_matches_the_oracle_on_one_term(case):
+    """A one-term polynomial's image is the oracle's exponents, with the
+    coefficient unchanged."""
     matrix, e = case
     s = Substitution(tuple(map(tuple, matrix)), len(e))
-    assert substitute_exponents(tuple(e), s) == \
-        oracle_substitute_exponents(tuple(e), s)
+    assert apply_substitution({tuple(e): Fraction(3)}, s) == \
+        {substitute_exponents(tuple(e), s): Fraction(3)}

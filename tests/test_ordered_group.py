@@ -15,13 +15,14 @@ from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
                     lex_sign, lexvec, monomialize, polynomial, positivize,
                     positivize_all, run_pair, simple_perron, validate_order)
 from perron.engine import Adversary
-from perron.monomials import Substitution, substitute_exponents
+from perron.monomials import Substitution
 from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
                                   _PerronChooser, _combination, _dot,
                                   _lex_minimal, _perron_run_length, _scaled)
 from perron.transforms import apply_run
 
-from conftest import element_compare, group_orders, positive_element, valued_rings
+from conftest import (element_compare, group_orders, positive_element, substitute_exponents,
+                      valued_rings)
 
 
 def standard_basis():
@@ -183,9 +184,10 @@ def test_positivize_all_examples():
                                GroupElement(basis, (-2, 0))])
     assert "element 2" in str(err.value)
     other, _ = simple_perron(basis, {1, 2})
-    with pytest.raises(ValidationError) as err:
-        positivize_all(basis, [GroupElement(other, (1, 0))])
-    assert str(err.value) == "element 1 is not expressed in the given basis"
+    for element in GroupElement(other, (1, 0)), (1, 0):  # a bare tuple is no element
+        with pytest.raises(ValidationError) as err:
+            positivize_all(basis, [element])
+        assert str(err.value) == "element 1 is not expressed in the given basis"
 
 
 def test_a_negative_row_ends_below_the_origin():
