@@ -181,10 +181,10 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
     one run.  Each decision is the sign of a + t*b for integers a and b, |a|
     at most twice the norm of a state, and a tie is the edge of the test that
     sets swapped, so the repetitions that decide alike form an interval,
-    which ends within 2*|state|_1 + 1 of them, or never.  So a limit within
-    that bound may be where the run ends, and is probed first; past it, or
-    on a miss, gallop to the end, probing the cap last (about log2(limit)
-    probes), then bisect.
+    which ends within B = 2*|state|_1 + 1 of them, or never.  So a limit
+    within B may be where the run ends, and is probed first; then repetition
+    1 and, for a limit past B, B + 1, alike only when alike for ever.  Then
+    bisect the rest of [1, min(limit, B + 1)]: about log2(min(limit, B)) probes.
     """
     # _J_rule puts a tie on the unswapped side, so a swapped round tests -d
     tests = [([-x for x in d], [-y for y in shift], (J, False, order))
@@ -197,14 +197,14 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
                 return False
         return True
 
-    probe = limit <= 2 * max([sum(map(abs, d)) for d, *_ in tests]) + 1
-    if probe and same(limit):
+    bound = 2 * max([sum(map(abs, d)) for d, *_ in tests]) + 1
+    if limit <= bound and same(limit):
         return limit
-    limit -= probe  # a miss: no repetition is probed twice
-    lo, stride = 0, 1  # repetitions up to lo decide like repetition 0
-    while lo < limit and same(t := min(lo + stride, limit)):
-        lo, stride = t, 2 * stride
-    hi = t if lo < limit else limit + 1  # repetition hi does not, or is past the limit
+    lo, hi = 1, min(limit, bound + 1)  # once probed: lo decides alike, hi does not
+    if hi < 2 or not same(1):
+        return 0
+    if limit > bound and same(hi):
+        return limit
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if same(mid):

@@ -85,8 +85,15 @@ class Substitution(NamedTuple):
 
 def apply_substitution(p: Polynomial, s: Substitution) -> Polynomial:
     """Map every exponent vector through the substitution; coefficients move
-    unchanged.  A singular map that collides two terms raises ValidationError."""
-    columns = tuple(zip(*s.matrix))  # toric entry j of an image: e dot column j
+    unchanged.  A matrix that is not n x n ints, 1 <= n <= num_vars, or a
+    singular map that collides two terms raises ValidationError."""
+    rows = s.matrix if isinstance(s.matrix, (tuple, list)) else ()
+    if not (1 <= len(rows) <= s.num_vars and all(
+            isinstance(row, (tuple, list)) and len(row) == len(rows)
+            and all(map(_is_int, row)) for row in rows)):
+        raise ValidationError(f"substitution matrix must be n x n ints with "
+                              f"1 <= n <= {s.num_vars}, got {s.matrix!r}")
+    columns = tuple(zip(*rows))  # toric entry j of an image: e dot column j
     out: Polynomial = {}
     for e, c in p.items():
         if len(e) != s.num_vars:

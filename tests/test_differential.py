@@ -28,11 +28,11 @@ DIGESTS = {
 }
 # calls of perron.engine's _J_rule, _repeat_count, apply_run and advance_champion
 COUNTS = {
-    "run_pair": (25430, 159, 710, 315),
-    "solve": (4047, 151, 7088, 287),
-    "positivize_all": (4182, 1388, 4884, 525),
-    "monomialize": (420, 116, 387, 361),
-    "cli": (2301, 1026, 5286, 206),
+    "run_pair": (25799, 159, 710, 315),
+    "solve": (3573, 151, 7088, 287),
+    "positivize_all": (4278, 1388, 4884, 525),
+    "monomialize": (441, 116, 387, 361),
+    "cli": (2305, 1026, 5286, 206),
 }
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -661,21 +662,44 @@ def assert_repeat_count(oracle, states, shift, limit):
         assert _repeat_count(rounds, shift, cap) == oracle(states, shift, cap), cap
 
 
-@pytest.mark.parametrize("limit, first", [(4, 4), (10 ** 6, 1)])
-def test_repeat_count_probes_a_limit_within_the_bound_first(monkeypatch, limit, first):
-    """(-1, 5) with shift (0, -1) runs 4 repetitions, to a norm tie; the
-    bound is 2*6 + 1 = 13.  A limit of 4 lies within it and is probed first,
-    a limit of 10^6 cannot be where the run ends, so the gallop starts at 1.
-    The state is swapped, so repetition t is tested as -(d + t*shift)."""
-    probed = []
+@pytest.fixture
+def probed(monkeypatch):
+    """The states _repeat_count probes, in order, through engine._J_rule."""
+    states = []
 
     def recording(d):
-        probed.append(d)
+        states.append(d)
         return _J_rule(d)
 
     monkeypatch.setattr(perron.engine, "_J_rule", recording)
+    return states
+
+
+@pytest.mark.parametrize("limit, first", [(4, 4), (10 ** 6, 1)])
+def test_repeat_count_probes_a_limit_within_the_bound_first(probed, limit, first):
+    """(-1, 5) with shift (0, -1) runs 4 repetitions, to a norm tie; the
+    bound is 2*6 + 1 = 13.  A limit of 4 lies within it and is probed first,
+    a limit of 10^6 cannot be where the run ends, so repetition 1 is probed
+    first.  The state is swapped, so repetition t is tested as -(d + t*shift)."""
     assert _repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -1], limit) == 4
     assert probed[0] == [1, first - 5]
+
+
+@pytest.mark.parametrize("N", [10 ** 3, 10 ** 5])
+def test_repeat_count_bisects_within_the_bound(probed, N):
+    """(-1, N) with shift (0, -1) runs N - 1 repetitions, to a norm tie, and
+    the bound is B = 2*(N + 1) + 1.  A limit of 10^6 lies past B: after
+    repetitions 1 and B + 1, one bisection of [1, B + 1] finds the end."""
+    bound = 2 * (N + 1) + 1
+    assert _repeat_count([([-1, N], _J_rule([-1, N]))], [0, -1], 10 ** 6) == N - 1
+    assert len(probed) <= math.ceil(math.log2(bound + 1)) + 2
+
+
+def test_repeat_count_probes_a_single_round_once(probed):
+    """(-1, 5) with shift (0, -5) is comparable at repetition 1: a limit of
+    10^6, past the bound 13, costs that one probe."""
+    assert _repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -5], 10 ** 6) == 0
+    assert len(probed) == 1
 
 
 @settings(max_examples=300)
@@ -694,7 +718,7 @@ def test_repeat_count_probes_a_limit_within_the_bound_first(monkeypatch, limit, 
 @example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 4))
 @example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 3))
 def test_repeat_count_matches_a_direct_scan(case):
-    """The gallop and bisection find the end of the repetitions that decide
+    """The probes and the bisection find the end of the repetitions that decide
     alike because, from an incomparable state, they form an interval.  From
     a comparable one they need not: d = (1, 3) with shift (-1, -1) is
     comparable at t = 0, 1 and 3 but not at 2."""
@@ -784,5 +808,5 @@ def wide_blocks(draw):
 @example(([[2, -1, -1], [1, 1, -3], [-5, 2, 2]], [1, -1, 0], 1))
 def test_repeat_count_matches_the_closed_form(case):
     """The run length in closed form, one floor division per linear
-    decision, against _repeat_count's first probe, gallop and bisection."""
+    decision, against _repeat_count's first probes and bisection."""
     assert_repeat_count(closed_form_repeat_count, *case)

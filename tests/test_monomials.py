@@ -156,6 +156,16 @@ def test_a_singular_substitution_is_the_callers_error():
     assert str(err.value) == "substitution collided two exponent vectors"
 
 
+@pytest.mark.parametrize("matrix", [((1, 0, 5),), ((1,), (0, 1)), ((1, 0), 5), 5])
+def test_a_misshapen_substitution_is_the_callers_error(matrix):
+    """A 1 x 3 matrix would give images of 4 exponents, a ragged one of 1;
+    a row or a matrix that is no sequence is no matrix either."""
+    with pytest.raises(ValidationError) as err:
+        apply_substitution({(1, 0): Fraction(1)}, Substitution(matrix, 2))
+    assert str(err.value) == ("substitution matrix must be n x n ints with "
+                              f"1 <= n <= 2, got {matrix!r}")
+
+
 def test_monomialize_example():
     ring = standard_ring()
     f = polynomial([((1, 0), Fraction(1)), ((0, 1), Fraction(1))])
