@@ -17,7 +17,7 @@ from functools import cached_property
 from operator import ge, le, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InteractiveAborted, StepLimitExceeded, ValidationError
+from .errors import InteractiveAborted, InternalError, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, _check_dims, _tau_of, comparability
 from .transforms import Step, Trace, Vec, _is_int, apply_run, apply_step, commute, natvec
 
@@ -169,6 +169,30 @@ class EngineTrace(_EngineTraceFields):
         return tuple(out)
 
 
+def _run_length(tests: Sequence[tuple], limit: int) -> int:
+    """_repeat_count's answer in closed form: each decision of _J_rule on an
+    unswapped state d + t*delta is a test a + t*b >= 0 (or > 0) that holds
+    at t = 0, so for b < 0 it holds up to (a - strict) // -b, and otherwise
+    for ever.  The least of limit and these ends over every decision of
+    every round: the sign of each entry (a zero stays zero), na <= nb, each
+    adjacent pair of order (falling residual, then index), and the prefix
+    cut (the residuals before order's L-th fall short of na, with it reach it).
+    """
+    ends = [limit]
+    for d, delta, (J, _, order) in tests:
+        # (a, b, strict) stands for a + t*b >= 0, or > 0 when strict
+        checks = [(x, y, 1) if x > 0 else (-x, -y, 1) if x else (0, -abs(y), 0)
+                  for x, y in zip(d, delta)]
+        checks.append((-sum(d), -sum(delta), 0))
+        checks += [(d[k - 1] - d[i - 1], delta[k - 1] - delta[i - 1], i > k)
+                   for i, k in zip(order, order[1:])]
+        a, b = sum(d[i - 1] for i in J), sum(delta[i - 1] for i in J)  # na - residuals
+        last = order[len(J) - sum(x > 0 for x in d) - 1]  # the prefix's last index
+        checks += [(a - d[last - 1], b - delta[last - 1], 1), (-a, -b, 0)]
+        ends += [(a - strict) // -b for a, b, strict in checks if b < 0]
+    return min(ends)
+
+
 def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
     """How many more times, at most limit, a block of rounds repeats.
 
@@ -178,14 +202,17 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
     every round decides like its counterpart in repetition 0: same _J_rule
     triple, hence same signs and prefix cut, or a norm tie on repetition 0's
     side (J is then the whole support of d), so a run that ends at a tie is
-    one run.  Each decision is the sign of a + t*b for integers a and b, |a|
-    at most twice the norm of a state, and a tie is the edge of the test that
-    sets swapped, so the repetitions that decide alike form an interval,
-    which ends within B = 2*|state|_1 + 1 of them, or never.  So a limit
-    within B may be where the run ends, and is probed first; then repetition
-    1 and, for a limit past B, B + 1, alike only when alike for ever.  Then
-    bisect the rest of [1, min(limit, B + 1)]: about log2(min(limit, B)) probes.
+    one run.  Each decision is the sign of a + t*b for integers a and b that
+    holds at t = 0, and a tie is the edge of the test that sets swapped, so
+    the repetitions that decide alike form an interval.  A limit below 1
+    costs no probe.  Repetition 1 is probed first, so a run of one round
+    costs one probe; otherwise _run_length gives the interval's end c in
+    closed form, and two probes confirm it: c decides alike and c + 1, when
+    within limit, does not.  So _J_rule stays the one definition of a
+    decision, and a call makes at most three probes whatever the entry size.
     """
+    if limit < 1:
+        return 0
     # _J_rule puts a tie on the unswapped side, so a swapped round tests -d
     tests = [([-x for x in d], [-y for y in shift], (J, False, order))
              if swapped else (d, shift, (J, False, order))
@@ -197,21 +224,12 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
                 return False
         return True
 
-    bound = 2 * max([sum(map(abs, d)) for d, *_ in tests]) + 1
-    if limit <= bound and same(limit):
-        return limit
-    lo, hi = 1, min(limit, bound + 1)  # once probed: lo decides alike, hi does not
-    if hi < 2 or not same(1):
+    if not same(1):
         return 0
-    if limit > bound and same(hi):
-        return limit
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if same(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    c = _run_length(tests, limit)
+    if not 0 < c <= limit or c > 1 and not same(c) or c < limit and same(c + 1):
+        raise InternalError(f"closed-form run length {c} disagrees with _J_rule")
+    return c
 
 
 def _period(played, rule) -> int:
@@ -270,11 +288,12 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
     steps: a run of k equal steps (J, j) adds k times the sum of the other
     J-entries to entry j.  The adversary's run length caps the run, and
     _repeat_count finds how many of its rounds decide alike, a last round at
-    a norm tie included.  For an adversary that answers by J alone, a
-    repeating block of commuting steps is likewise applied in one go.  The
-    round that would pass step_limit raises StepLimitExceeded(failure, steps);
-    an InteractiveAborted from the adversary leaves with `steps` attached as
-    the partial trace.
+    a norm tie included: in closed form, confirmed by at most three probes of
+    _J_rule whatever the size of the entries.  For an adversary that answers
+    by J alone, a repeating block of commuting steps is likewise applied in
+    one go.  The round that would pass step_limit raises
+    StepLimitExceeded(failure, steps); an InteractiveAborted from the
+    adversary leaves with `steps` attached as the partial trace.
     """
     if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
         raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
@@ -290,7 +309,7 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
                 raise StepLimitExceeded(failure, steps)
             J = rule[0]
             left = (step_limit - round_no + 1 if step_limit is not None
-                    else sum(map(abs, d)) + 1 << 64)  # past any run: _repeat_count
+                    else sum(map(abs, d)) + 1 << 64)  # past the end of any run
             period = _period(played, rule) if by_J else 0
             m = 0
             if period:  # the block played twice now starts again

@@ -85,8 +85,12 @@ class Substitution(NamedTuple):
 
 def apply_substitution(p: Polynomial, s: Substitution) -> Polynomial:
     """Map every exponent vector through the substitution; coefficients move
-    unchanged.  A matrix that is not n x n ints, 1 <= n <= num_vars, or a
-    singular map that collides two terms raises ValidationError."""
+    unchanged.  A num_vars that is not an int >= 1 (a bool is not), a matrix
+    that is not n x n ints, 1 <= n <= num_vars, or a singular map that
+    collides two terms raises ValidationError."""
+    if not (_is_int(s.num_vars) and s.num_vars >= 1):
+        raise ValidationError(
+            f"substitution num_vars must be an int >= 1, got {s.num_vars!r}")
     rows = s.matrix if isinstance(s.matrix, (tuple, list)) else ()
     if not (1 <= len(rows) <= s.num_vars and all(
             isinstance(row, (tuple, list)) and len(row) == len(rows)

@@ -18,6 +18,7 @@ from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder, InternalEr
                     Step, Trace, ValidationError, ValuedRing, apply_step, compose_trace,
                     lexvec, monomialize, positivize_all, run_pair, solve)
 import perron.cli
+import perron.engine
 import perron.monomials
 import perron.ordered_group
 from perron.cli import MalformedInput, main
@@ -817,6 +818,26 @@ def test_internal_error_from_the_library_is_exit_5(tmp_path, monkeypatch, capsys
         tmp_path, capsys, ["positivize"],
         {"generator_images": [["1", "0"], ["0", "1"]], "elements": [[2, -1]]},
         "transformed basis image is not lex-positive")
+
+
+@pytest.mark.parametrize("error", [1, -1])
+def test_a_closed_form_that_disagrees_is_exit_5(tmp_path, monkeypatch, capsys, error):
+    """A run length one past the run's end, or one short of it, fails
+    _J_rule's confirmation: exit 5 with one error document."""
+    closed_form, answers = perron.engine._run_length, []
+
+    def wrong(tests, limit):
+        answers.append(closed_form(tests, limit) + error)
+        return answers[-1]
+
+    monkeypatch.setattr("perron.engine._run_length", wrong)
+    job = {"alpha": [299857033, 11, 3], "beta": [7218397668, 1132981884, 1]}
+    code, doc, text = run_cli(tmp_path, ["compare"], job)
+    assert code == 5 and text.count("\n") == 1
+    assert doc["status"] == "error" and doc["payload"] is None
+    assert doc["diagnostics"] == [
+        f"closed-form run length {answers[-1]} disagrees with _J_rule"]
+    assert capsys.readouterr().out == ""
 
 
 # golden --trace bytes: the trace encoder reads runs, and what it prints is

@@ -1,8 +1,10 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perron import (Adversary, Comparability, FirstIndex, GroupBasis,
-                    GroupElement, GroupOrder, MaxGrowth, PositivizeResult,
-                    Scripted, SeededRandom, Step, StepLimitExceeded,
-                    ValidationError, ValuedRing, apply_matrix, apply_step,
+                    GroupElement, GroupOrder, InternalError, MaxGrowth,
+                    PositivizeResult, Scripted, SeededRandom, Step,
+                    StepLimitExceeded, ValidationError, ValuedRing,
+                    apply_matrix, apply_step,
                     choose_J, comparability, compose_trace, element_value,
                     game_tree, lex_sign, monomialize, polynomial, positivize,
                     positivize_all, run_pair, simple_perron, solve, tau)
@@ -652,14 +655,48 @@ A_300 = 2 ** 300 - 2 ** 150 + 7
 C_300 = 2 ** 299 + 3
 
 
+def bisected_repeat_count(rounds, shift, limit):
+    """The oracle that was _repeat_count before its closed form: probe a limit
+    within the bound B = 2*|state|_1 + 1 first, then repetition 1 and, for a
+    limit past B, B + 1, alike only when alike for ever; then bisect the rest
+    of [1, min(limit, B + 1)].  It probes through perron.engine._J_rule, so
+    the `probed` fixture records its probes."""
+    tests = [([-x for x in d], [-y for y in shift], (J, False, order))
+             if swapped else (d, shift, (J, False, order))
+             for d, (J, swapped, order), *_ in rounds]
+
+    def same(t):
+        return all(perron.engine._J_rule([x + t * y for x, y in zip(d, delta)]) == rule
+                   for d, delta, rule in tests)
+
+    bound = 2 * max([sum(map(abs, d)) for d, *_ in tests]) + 1
+    if limit <= bound and same(limit):
+        return limit
+    lo, hi = 1, min(limit, bound + 1)  # once probed: lo decides alike, hi does not
+    if hi < 2 or not same(1):
+        return 0
+    if limit > bound and same(hi):
+        return limit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if same(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def assert_repeat_count(oracle, states, shift, limit):
-    """_repeat_count against the oracle at limit, and, since a limit within
-    the bound 2*|state|_1 + 1 is probed first, at the oracle's count and one
-    either side, which lie within it when the run ends before limit."""
+    """_repeat_count and the bisection oracle against the oracle at limit,
+    and, since the bisection probes a limit within the bound 2*|state|_1 + 1
+    first, at the oracle's count and one either side, which lie within it
+    when the run ends before limit."""
     rounds = [(d, oracle_J_rule(d)) for d in states]
     count = oracle(states, shift, limit)
     for cap in {limit, count + 1, count, max(count - 1, 0)}:
-        assert _repeat_count(rounds, shift, cap) == oracle(states, shift, cap), cap
+        expected = oracle(states, shift, cap)
+        assert _repeat_count(rounds, shift, cap) == expected, cap
+        assert bisected_repeat_count(rounds, shift, cap) == expected, cap
 
 
 @pytest.fixture
@@ -677,28 +714,30 @@ def probed(monkeypatch):
 
 @pytest.mark.parametrize("limit, first", [(4, 4), (10 ** 6, 1)])
 def test_repeat_count_probes_a_limit_within_the_bound_first(probed, limit, first):
-    """(-1, 5) with shift (0, -1) runs 4 repetitions, to a norm tie; the
-    bound is 2*6 + 1 = 13.  A limit of 4 lies within it and is probed first,
-    a limit of 10^6 cannot be where the run ends, so repetition 1 is probed
-    first.  The state is swapped, so repetition t is tested as -(d + t*shift)."""
-    assert _repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -1], limit) == 4
+    """The bisection oracle: (-1, 5) with shift (0, -1) runs 4 repetitions,
+    to a norm tie; the bound is 2*6 + 1 = 13.  A limit of 4 lies within it
+    and is probed first, a limit of 10^6 cannot be where the run ends, so
+    repetition 1 is probed first.  The state is swapped, so repetition t is
+    tested as -(d + t*shift)."""
+    assert bisected_repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -1], limit) == 4
     assert probed[0] == [1, first - 5]
 
 
 @pytest.mark.parametrize("N", [10 ** 3, 10 ** 5])
 def test_repeat_count_bisects_within_the_bound(probed, N):
-    """(-1, N) with shift (0, -1) runs N - 1 repetitions, to a norm tie, and
-    the bound is B = 2*(N + 1) + 1.  A limit of 10^6 lies past B: after
-    repetitions 1 and B + 1, one bisection of [1, B + 1] finds the end."""
+    """The bisection oracle: (-1, N) with shift (0, -1) runs N - 1
+    repetitions, to a norm tie, and the bound is B = 2*(N + 1) + 1.  A limit
+    of 10^6 lies past B: after repetitions 1 and B + 1, one bisection of
+    [1, B + 1] finds the end."""
     bound = 2 * (N + 1) + 1
-    assert _repeat_count([([-1, N], _J_rule([-1, N]))], [0, -1], 10 ** 6) == N - 1
+    assert bisected_repeat_count([([-1, N], _J_rule([-1, N]))], [0, -1], 10 ** 6) == N - 1
     assert len(probed) <= math.ceil(math.log2(bound + 1)) + 2
 
 
 def test_repeat_count_probes_a_single_round_once(probed):
-    """(-1, 5) with shift (0, -5) is comparable at repetition 1: a limit of
-    10^6, past the bound 13, costs that one probe."""
-    assert _repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -5], 10 ** 6) == 0
+    """The bisection oracle: (-1, 5) with shift (0, -5) is comparable at
+    repetition 1, so a limit of 10^6, past the bound 13, costs that one probe."""
+    assert bisected_repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -5], 10 ** 6) == 0
     assert len(probed) == 1
 
 
@@ -718,10 +757,10 @@ def test_repeat_count_probes_a_single_round_once(probed):
 @example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 4))
 @example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 3))
 def test_repeat_count_matches_a_direct_scan(case):
-    """The probes and the bisection find the end of the repetitions that decide
-    alike because, from an incomparable state, they form an interval.  From
-    a comparable one they need not: d = (1, 3) with shift (-1, -1) is
-    comparable at t = 0, 1 and 3 but not at 2."""
+    """The closed form and the bisection oracle find the end of the repetitions
+    that decide alike because, from an incomparable state, they form an
+    interval.  From a comparable one they need not: d = (1, 3) with shift
+    (-1, -1) is comparable at t = 0, 1 and 3 but not at 2."""
     assert_repeat_count(scanned_repeat_count, *case)
 
 
@@ -808,5 +847,59 @@ def wide_blocks(draw):
 @example(([[2, -1, -1], [1, 1, -3], [-5, 2, 2]], [1, -1, 0], 1))
 def test_repeat_count_matches_the_closed_form(case):
     """The run length in closed form, one floor division per linear
-    decision, against _repeat_count's first probes and bisection."""
+    decision, against _repeat_count and the bisection oracle."""
     assert_repeat_count(closed_form_repeat_count, *case)
+
+
+@settings(max_examples=300)
+@given(wide_blocks())
+@example(([[-1, 5]], [0, -5], 2 ** 200))  # comparable at repetition 1
+@example(([[-1, 5]], [0, -1], 4))  # the run lasts to its limit
+@example(([[-1, 5]], [0, -1], 2 ** 200))  # it ends at a norm tie
+@example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 2 ** 200))
+@example(([[-A_300, 3, A_300 - 3], [C_300, -A_300, 1]], [0, 0, 0], 2 ** 200))
+def test_repeat_count_makes_at_most_three_probes(case):
+    """Repetition 1, then the closed form's c and c + 1: at most three probes
+    whatever the entry size, and one when repetition 1 differs.  A probe
+    calls _J_rule once per round of the block at most, so a single round
+    costs at most three calls, and one when repetition 1 differs."""
+    states, shift, limit = case
+    rounds = [(d, oracle_J_rule(d)) for d in states]
+    probes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perron.engine, "_J_rule", lambda d: probes.append(d) or _J_rule(d))
+        _repeat_count(rounds, shift, limit)
+    assert 1 <= len(probes) <= 3 * len(states)
+    if closed_form_repeat_count(states, shift, 1) == 0:
+        assert len(probes) <= len(states)
+
+
+def big_entry_pair(n, bits, seed):
+    """An incomparable pair whose entries lie below 2^k, k uniform in 1..bits."""
+    rng = random.Random(seed)
+    while True:
+        alpha, beta = ([rng.getrandbits(rng.randint(1, bits)) for _ in range(n)]
+                       for _ in "ab")
+        if min(map(sub, alpha, beta)) < 0 < max(map(sub, alpha, beta)):
+            return alpha, beta
+
+
+def test_big_entries_cost_a_few_probes_per_run(probed):
+    """A FirstIndex pair of 4,096-bit entries in 9 runs: each run costs the
+    loop's own _J_rule and at most three probes, plus the final one that
+    finds the pair comparable.  The bisection made about 800 per run."""
+    trace = run_pair(*big_entry_pair(3, 4096, 0), FirstIndex())
+    runs = len(trace.steps.runs)
+    assert runs == 9
+    assert len(probed) <= 4 * runs + 1
+
+
+@pytest.mark.parametrize("error", [1, -1])
+def test_a_closed_form_that_disagrees_is_an_internal_error(monkeypatch, error):
+    """_J_rule confirms the closed form: an answer one past the run's end or
+    one short of it raises InternalError."""
+    closed_form = perron.engine._run_length
+    monkeypatch.setattr(perron.engine, "_run_length",
+                        lambda tests, limit: closed_form(tests, limit) + error)
+    with pytest.raises(InternalError, match="disagrees with _J_rule"):
+        run_pair((299857033, 11, 3), (7218397668, 1132981884, 1), FirstIndex())

@@ -166,6 +166,15 @@ def test_a_misshapen_substitution_is_the_callers_error(matrix):
                               f"1 <= n <= 2, got {matrix!r}")
 
 
+@pytest.mark.parametrize("num_vars", ["2", True, 2.0, 0])
+def test_a_substitution_needs_a_count_of_variables(num_vars):
+    """num_vars is an int >= 1 that is not a bool: "2" raised TypeError,
+    True read as 1 and 2.0 was blamed on the term."""
+    with pytest.raises(ValidationError) as err:
+        apply_substitution({(1,): Fraction(1)}, Substitution(((1,),), num_vars))
+    assert str(err.value) == f"substitution num_vars must be an int >= 1, got {num_vars!r}"
+
+
 def test_monomialize_example():
     ring = standard_ring()
     f = polynomial([((1, 0), Fraction(1)), ((0, 1), Fraction(1))])
