@@ -5,6 +5,7 @@
 lines, comment-only lines and docstring lines: a line counts when it holds a
 token other than a comment, and is not part of a module, class or function
 docstring.  Run from anywhere: python scripts/src_lines.py [DIRECTORY]
+[--against DIR]; --against adds a delta row, DIRECTORY's counts minus DIR's.
 """
 
 import argparse
@@ -39,20 +40,36 @@ def count(text: str) -> tuple[int, int]:
     return text.count("\n"), len(code - docstring_lines(ast.parse(text)))
 
 
+def totals(directory: Path, show: bool) -> tuple[int, int]:
+    """(lines, code lines) over directory/*.py; show prints a row per file."""
+    total_lines = total_code = 0
+    for path in sorted(directory.glob("*.py")):
+        lines, code = count(path.read_text(encoding="utf-8"))
+        total_lines += lines
+        total_code += code
+        if show:
+            print(f"{lines:>6} {code:>6}  {path.name}")
+    return total_lines, total_code
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", nargs="?",
                         default=Path(__file__).resolve().parent.parent / "src" / "perron",
                         type=Path, help="the package directory (default: src/perron)")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="another package directory: add a delta row, "
+                             "DIRECTORY minus DIR")
     args = parser.parse_args()
-    total_lines = total_code = 0
+    for directory in args.directory, args.against:
+        if directory is not None and not directory.is_dir():
+            parser.error(f"not a directory: {directory}")
     print(f"{'lines':>6} {'code':>6}  file")
-    for path in sorted(args.directory.glob("*.py")):
-        lines, code = count(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_code += code
-        print(f"{lines:>6} {code:>6}  {path.name}")
-    print(f"{total_lines:>6} {total_code:>6}  total")
+    lines, code = totals(args.directory, show=True)
+    print(f"{lines:>6} {code:>6}  total")
+    if args.against is not None:
+        base_lines, base_code = totals(args.against, show=False)
+        print(f"{lines - base_lines:>+6} {code - base_code:>+6}  delta")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ from .tau import Comparability, Tau, _check_dims, _tau_of, comparability
 from .transforms import Step, Trace, Vec, _is_int, apply_run, apply_step, commute, natvec
 
 class Adversary:
-    """Picks j from a proposed J, seeing the tracked vectors and round number."""
+    """Picks j from a proposed J, seeing the tracked vectors and round number.
+    drive reports each run it plays to _after_run, which does nothing here."""
 
     #: True when the answer to J depends on J alone, whatever the vectors,
     #: the round and the answers before: it then holds for whole runs, and
@@ -43,6 +44,9 @@ class Adversary:
         and for one round otherwise.
         """
         return self.choose(J, vectors, round_no), limit if self.by_J else 1
+
+    def _after_run(self, block: Sequence[Step], m: int) -> None:
+        """The descent has just played block m times: once per run."""
 
 
 class FirstIndex(Adversary):
@@ -291,9 +295,10 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
     a norm tie included: in closed form, confirmed by at most three probes of
     _J_rule whatever the size of the entries.  For an adversary that answers
     by J alone, a repeating block of commuting steps is likewise applied in
-    one go.  The round that would pass step_limit raises
-    StepLimitExceeded(failure, steps); an InteractiveAborted from the
-    adversary leaves with `steps` attached as the partial trace.
+    one go, and each run played goes to adversary._after_run.  The round
+    that would pass step_limit raises StepLimitExceeded(failure, steps); an
+    InteractiveAborted from the adversary leaves with `steps` attached as the
+    partial trace.
     """
     if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
         raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
@@ -334,6 +339,7 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
             for step in block:  # the block's steps commute: each one's run in turn
                 rows[:] = [apply_run(step, m, v) for v in rows]
             steps.add_run(block, m)
+            adversary._after_run(block, m)
             if by_J and len(block) * m == 1:
                 played += rounds
                 del played[:-2 * len(d)]

@@ -5,7 +5,7 @@ updates by the same step.  The proposer wins once some point is a
 componentwise minimum of the set.  The champion strategy, which
 engine.drive plays, keeps a champion that is below every point already
 processed and attacks the first point the champion cannot be compared with;
-steps preserve componentwise inequalities, so settled points stay settled.
+steps preserve componentwise inequalities, so processed points stay processed.
 """
 
 from __future__ import annotations

@@ -228,27 +228,20 @@ def simple_perron(basis: GroupBasis, J) -> tuple[GroupBasis, Step]:
 
 
 class _PerronChooser(Adversary):
-    """j-chooser that tracks the evolving basis: picks the J-minimal image for
-    as many rounds as it stays minimal, and applies the matching basis
-    transforms once the descent has played them.  A legitimate adversary, so
-    the pair engine's termination guarantee applies unchanged."""
+    """j-chooser that tracks the evolving basis: picks the J-minimal image while
+    it stays minimal, and applies the transforms of each run drive reports.  A
+    legitimate adversary, so the pair engine's termination guarantee holds."""
 
     def __init__(self, basis: GroupBasis):
         self.basis = basis
-        self._run = None  # (J, j, first round) of the answer not yet applied
-
-    def settle(self, round_no: int):
-        """Apply the transforms of the rounds played before round_no."""
-        if self._run is not None:
-            J, j, start = self._run
-            self.basis = _perron_transform(self.basis, J, j, round_no - start)
-            self._run = None
 
     def choose_run(self, J, vectors, round_no, limit):
-        self.settle(round_no)
         j = _lex_minimal(self.basis, J)
-        self._run = (J, j, round_no)
         return j, _perron_run_length(self.basis.images, J, j, limit)
+
+    def _after_run(self, block, m):
+        for s in block:
+            self.basis = _perron_transform(self.basis, s.J, s.j, m)
 
 
 class PositivizeResult(NamedTuple):
@@ -297,7 +290,8 @@ def _into_cone(basis: GroupBasis, scaled: tuple[int, tuple[Vec, ...]],
                rows: list[Vec], step_limit: Optional[int]) -> PositivizeAllResult:
     """positivize_all for rows checked to be positive, scaled = _scaled(basis.images).
     A positive row with a negative coordinate has a positive one too, so the
-    origin, row 0 and champion, descends against it until it is non-negative."""
+    origin, row 0 and champion, descends against it until it is non-negative;
+    drive hands the chooser each run, so its basis is final when drive returns."""
     L, images = scaled
     rows = [(0,) * basis.rank, *rows]
     chooser = _PerronChooser(basis._replace(images=images))  # images times L: ints
@@ -305,7 +299,6 @@ def _into_cone(basis: GroupBasis, scaled: tuple[int, tuple[Vec, ...]],
                             f"pair not comparable within {step_limit} steps")
     if champion:
         raise InternalError("positive element ended with a negative coordinate")
-    chooser.settle(steps.rounds + 1)
     # a row no transform touched is still the very row scaled: keep its image
     images = tuple([old if new is row else tuple([Fraction(x, L) for x in new])
                     for old, row, new in zip(basis.images, images, chooser.basis.images)])

@@ -24,6 +24,17 @@ def build_adversary(kind, seed=0):
 adversary_kinds = st.sampled_from(["first", "max_growth", "random"])
 
 
+def merged_runs(log):
+    """(block, m) pairs as a trace records them: a run whose block repeats the
+    last run's block extends that run."""
+    runs = []
+    for block, m in log:
+        if runs and runs[-1][0] == tuple(block):
+            m += runs.pop()[1]
+        runs.append((tuple(block), m))
+    return runs
+
+
 def step_matrix(step):
     """Oracle: the matrix with entry (r, s) = 1 iff r = s, or r = j and s in J."""
     n = step.dim

@@ -1,4 +1,3 @@
-import math
 import os
 import random
 import subprocess
@@ -24,7 +23,7 @@ import perron.ordered_group
 from perron.engine import _J_rule, _repeat_count
 from perron.tau import Tau
 
-from conftest import adversary_kinds, build_adversary, vec_pairs
+from conftest import adversary_kinds, build_adversary, merged_runs, vec_pairs
 
 
 def assert_J_decreases_for_every_j(alpha, beta):
@@ -430,6 +429,34 @@ def test_repeating_blocks_run_in_few_iterations():
     assert outcome == solve(vectors, OneRound())
 
 
+class RunLoggingFirstIndex(FirstIndex):
+    """FirstIndex, still by_J, logging each run the descent reports."""
+
+    def __init__(self):
+        self.log = []
+
+    def _after_run(self, block, m):
+        self.log.append((block, m))
+
+
+@pytest.mark.parametrize("alpha, beta, runs", [
+    ((299857033, 11, 3), (7218397668, 1132981884, 1), 9),
+    ((10 ** 6, 10 ** 6 + 3, 0), (0, 0, 5), 6),  # a repeating block of period 2
+], ids=["readme_pair", "block"])
+def test_drive_reports_each_run_it_plays(alpha, beta, runs):
+    adversary = RunLoggingFirstIndex()
+    trace = run_pair(alpha, beta, adversary)
+    assert len(trace.steps.runs) == runs
+    assert merged_runs(adversary.log) == trace.steps.runs
+
+
+def test_the_base_adversary_has_no_answer():
+    with pytest.raises(NotImplementedError):
+        run_pair((1, 0), (0, 1), Adversary())
+    with pytest.raises(NotImplementedError):
+        solve([(1, 0), (0, 1)], Adversary())
+
+
 class CountingOneRound(OneRound):
     def __init__(self):
         self.calls = 0
@@ -659,8 +686,7 @@ def bisected_repeat_count(rounds, shift, limit):
     """The oracle that was _repeat_count before its closed form: probe a limit
     within the bound B = 2*|state|_1 + 1 first, then repetition 1 and, for a
     limit past B, B + 1, alike only when alike for ever; then bisect the rest
-    of [1, min(limit, B + 1)].  It probes through perron.engine._J_rule, so
-    the `probed` fixture records its probes."""
+    of [1, min(limit, B + 1)]."""
     tests = [([-x for x in d], [-y for y in shift], (J, False, order))
              if swapped else (d, shift, (J, False, order))
              for d, (J, swapped, order), *_ in rounds]
@@ -710,35 +736,6 @@ def probed(monkeypatch):
 
     monkeypatch.setattr(perron.engine, "_J_rule", recording)
     return states
-
-
-@pytest.mark.parametrize("limit, first", [(4, 4), (10 ** 6, 1)])
-def test_repeat_count_probes_a_limit_within_the_bound_first(probed, limit, first):
-    """The bisection oracle: (-1, 5) with shift (0, -1) runs 4 repetitions,
-    to a norm tie; the bound is 2*6 + 1 = 13.  A limit of 4 lies within it
-    and is probed first, a limit of 10^6 cannot be where the run ends, so
-    repetition 1 is probed first.  The state is swapped, so repetition t is
-    tested as -(d + t*shift)."""
-    assert bisected_repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -1], limit) == 4
-    assert probed[0] == [1, first - 5]
-
-
-@pytest.mark.parametrize("N", [10 ** 3, 10 ** 5])
-def test_repeat_count_bisects_within_the_bound(probed, N):
-    """The bisection oracle: (-1, N) with shift (0, -1) runs N - 1
-    repetitions, to a norm tie, and the bound is B = 2*(N + 1) + 1.  A limit
-    of 10^6 lies past B: after repetitions 1 and B + 1, one bisection of
-    [1, B + 1] finds the end."""
-    bound = 2 * (N + 1) + 1
-    assert bisected_repeat_count([([-1, N], _J_rule([-1, N]))], [0, -1], 10 ** 6) == N - 1
-    assert len(probed) <= math.ceil(math.log2(bound + 1)) + 2
-
-
-def test_repeat_count_probes_a_single_round_once(probed):
-    """The bisection oracle: (-1, 5) with shift (0, -5) is comparable at
-    repetition 1, so a limit of 10^6, past the bound 13, costs that one probe."""
-    assert bisected_repeat_count([([-1, 5], _J_rule([-1, 5]))], [0, -5], 10 ** 6) == 0
-    assert len(probed) == 1
 
 
 @settings(max_examples=300)

@@ -21,8 +21,8 @@ from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
                                   _lex_minimal, _perron_run_length, _scaled)
 from perron.transforms import apply_run
 
-from conftest import (element_compare, group_orders, positive_element, substitute_exponents,
-                      valued_rings)
+from conftest import (element_compare, group_orders, merged_runs, positive_element,
+                      substitute_exponents, valued_rings)
 
 
 def standard_basis():
@@ -533,6 +533,48 @@ def test_integer_scale_matches_the_fraction_path(order, ring, data, step_limit):
     assert len(made) == 2
     assert all(type(x) is int for chooser in made
                for img in chooser.basis.images for x in img)
+
+
+def run_logging_positivize_all(basis, elements):
+    """positivize_all with the library's chooser logging each run the descent
+    hands it.  At each choose_run the runs so far make up round_no - 1
+    rounds, and in the end the log is the trace's runs."""
+    made = []
+
+    class RunLogging(_PerronChooser):
+        def __init__(self, basis):
+            super().__init__(basis)
+            self.log = []
+            made.append(self)
+
+        def choose_run(self, J, vectors, round_no, limit):
+            assert sum(len(block) * m for block, m in self.log) == round_no - 1
+            return super().choose_run(J, vectors, round_no, limit)
+
+        def _after_run(self, block, m):
+            self.log.append((block, m))
+            super()._after_run(block, m)
+
+    with mock.patch.object(perron.ordered_group, "_PerronChooser", RunLogging):
+        result = positivize_all(basis, elements)
+    (chooser,) = made
+    assert merged_runs(chooser.log) == result.steps.runs
+    return result
+
+
+@given(group_orders(), st.data())
+def test_the_chooser_is_handed_each_run(order, data):
+    basis = GroupBasis.initial(order)
+    run_logging_positivize_all(basis, [positive_element(data.draw, basis)
+                                       for _ in range(data.draw(st.integers(1, 3)))])
+
+
+def test_the_chooser_is_handed_each_run_of_a_long_descent():
+    """On the identity order in Q^3, (5, -2^8, 7) takes 102 rounds in 100 runs."""
+    basis = GroupBasis.initial(GroupOrder(tuple(
+        lexvec(row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
+    result = run_logging_positivize_all(basis, [GroupElement(basis, (5, -2 ** 8, 7))])
+    assert result.steps.rounds == 102 and len(result.steps.runs) == 100
 
 
 @given(group_orders(), st.data())
