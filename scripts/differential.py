@@ -282,16 +282,23 @@ def runner(perron):
     from perron import cli
 
     class Aborting(perron.FirstIndex):
-        """FirstIndex that raises InteractiveAborted at its (runs + 1)-th run."""
+        """FirstIndex that raises InteractiveAborted at its (runs + 1)-th
+        choice.  Its answer holds for whole runs and blocks: repeat answers
+        limit, and by_J says so to revisions before Adversary.repeat."""
+
+        by_J = True
 
         def __init__(self, runs):
             self.runs = runs
 
-        def choose_run(self, J, vectors, round_no, limit):
+        def choose(self, J, vectors, round_no):
             if not self.runs:
                 raise perron.InteractiveAborted("aborted")
             self.runs -= 1
-            return super().choose_run(J, vectors, round_no, limit)
+            return min(J)
+
+        def repeat(self, block, limit):
+            return limit
 
     def adversary(spec):
         kind, *args = spec

@@ -22,43 +22,33 @@ from .tau import Comparability, Tau, _check_dims, _tau_of, comparability
 from .transforms import Step, Trace, Vec, _is_int, apply_run, apply_step, commute, natvec
 
 class Adversary:
-    """Picks j from a proposed J, seeing the tracked vectors and round number.
-    drive reports each run it plays to _after_run, which does nothing here."""
-
-    #: True when the answer to J depends on J alone, whatever the vectors,
-    #: the round and the answers before: it then holds for whole runs, and
-    #: the descent replays a repeating block of steps without asking again.
-    by_J = False
+    """Picks j from a proposed J, seeing the tracked vectors and round number,
+    and says for how many more rounds its answers hold.  drive reports each
+    run it plays to _after_run, which does nothing here."""
 
     def choose(self, J: frozenset[int], vectors: Sequence[Vec], round_no: int) -> int:
         raise NotImplementedError
 
-    def choose_run(self, J: frozenset[int], vectors: Sequence[Vec], round_no: int,
-                   limit: int) -> tuple[int, int]:
-        """j and a run length k in 1..limit: the answer for this round and for
-        each of the next k - 1 rounds, as long as they propose J again.
-
-        The descent may end the run sooner, when J changes or the pair becomes
-        comparable; the round_no of the next call tells how many rounds were
-        played.  By default j is choose's answer, for limit rounds when by_J
-        and for one round otherwise.
-        """
-        return self.choose(J, vectors, round_no), limit if self.by_J else 1
+    def repeat(self, block: Sequence[Step], limit: int) -> int:
+        """How many more times, 0..limit, the adversary would answer block's
+        steps again, round by round, while their J come back.  drive asks it
+        for the one step just chosen and for a block of steps just played
+        twice; the descent may stop sooner.  Here 0: choose every round."""
+        return 0
 
     def _after_run(self, block: Sequence[Step], m: int) -> None:
         """The descent has just played block m times: once per run."""
 
 
 class FirstIndex(Adversary):
-    """Always the smallest index in J: an answer by J alone (by_J), so it
-    holds for whole runs and blocks, unless a subclass overrides choose."""
-
-    @property
-    def by_J(self):
-        return type(self).choose is FirstIndex.choose
+    """Always the smallest index in J: an answer by J alone, so it holds for
+    whole runs and blocks, unless a subclass overrides choose."""
 
     def choose(self, J, vectors, round_no):
         return min(J)
+
+    def repeat(self, block, limit):
+        return limit if type(self).choose is FirstIndex.choose else 0
 
 
 class SeededRandom(Adversary):
@@ -236,18 +226,18 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
     return c
 
 
-def _period(played, rule) -> int:
-    """The period p of the single rounds just played, when they end with two
+def _repeating_block(played, rule) -> list:
+    """The last p of the single rounds just played, when they end with two
     equal repetitions of p steps that commute (see transforms.commute) and
     the coming round, the first of a third repetition, decides alike (same
-    _J_rule triple); else 0."""
+    _J_rule triple); else []."""
     for p in range(2, len(played) // 2 + 1):
         if played[-p][1] != rule:
             continue
         block = [r[2] for r in played[-p:]]
         if block == [r[2] for r in played[-2 * p:-p]] and commute(block):
-            return p
-    return 0
+            return played[-p:]
+    return []
 
 
 def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, Optional[int]]:
@@ -282,6 +272,21 @@ def advance_champion(vectors: Sequence[Vec], champion_index: int) -> tuple[int, 
     return champ, None
 
 
+def _repeat(adversary: Adversary, rounds: Sequence[tuple], limit: int) -> int:
+    """adversary.repeat's answer for the block of rounds, checked to be an int
+    (a bool is not) in 0..limit, and cut by _repeat_count when above 0."""
+    block = [r[2] for r in rounds]
+    k = adversary.repeat(block, limit)
+    if not _is_int(k) or not 0 <= k <= limit:
+        raise ValidationError(f"adversary repeat count {k!r} outside 0..{limit}")
+    if not k:
+        return 0
+    d = end = rounds[0][0]
+    for step in block:
+        end = apply_step(step, end)
+    return _repeat_count(rounds, list(map(sub, end, d)), k)
+
+
 def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
           failure: str) -> tuple[int, Trace]:
     """Play the champion strategy on rows, row 0 the first champion; return
@@ -290,61 +295,52 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
     Each phase descends the champion and the first row it cannot be compared
     with to comparability, carrying every row along, in runs of identical
     steps: a run of k equal steps (J, j) adds k times the sum of the other
-    J-entries to entry j.  The adversary's run length caps the run, and
-    _repeat_count finds how many of its rounds decide alike, a last round at
-    a norm tie included: in closed form, confirmed by at most three probes of
-    _J_rule whatever the size of the entries.  For an adversary that answers
-    by J alone, a repeating block of commuting steps is likewise applied in
-    one go, and each run played goes to adversary._after_run.  The round
-    that would pass step_limit raises StepLimitExceeded(failure, steps); an
-    InteractiveAborted from the adversary leaves with `steps` attached as the
-    partial trace.
+    J-entries to entry j.  The adversary chooses j, and its repeat says how
+    long that step holds; when the single rounds just played end with a
+    repeating block of commuting steps, it is first asked how long the block
+    holds.  _repeat_count cuts each answer to the repetitions that decide
+    alike, a last round at a norm tie included, in closed form and with at
+    most three probes of _J_rule.  Each run goes to adversary._after_run.
+    The round that would pass step_limit raises StepLimitExceeded(failure,
+    steps); an InteractiveAborted from the adversary leaves with `steps`
+    attached as the partial trace.
     """
     if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
         raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
-    steps, champion, by_J = Trace(), 0, adversary.by_J
-    while True:
-        champion, target = advance_champion(rows, champion)
-        if target is None:
-            return champion, steps
-        played = []  # (d, rule, step) of the single rounds just played, when by_J
-        while rule := _J_rule(d := list(map(sub, rows[champion], rows[target]))):
-            round_no = steps.rounds + 1
-            if step_limit is not None and round_no > step_limit:
-                raise StepLimitExceeded(failure, steps)
-            J = rule[0]
-            left = (step_limit - round_no + 1 if step_limit is not None
-                    else sum(map(abs, d)) + 1 << 64)  # past the end of any run
-            period = _period(played, rule) if by_J else 0
-            m = 0
-            if period:  # the block played twice now starts again
-                rounds = played[-period:]
-                m = _repeat_count(rounds, list(map(sub, d, rounds[0][0])), left // period)
-            if not m:
-                try:
-                    j, k = adversary.choose_run(J, tuple(rows), round_no, left)
-                except InteractiveAborted as exc:
-                    exc.steps = steps
-                    raise
-                if type(j) is not int and not _is_int(j) or j not in J:
-                    raise ValidationError(f"adversary chose j={j!r} outside J={sorted(J)}")
-                if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= left:
-                    raise ValidationError(f"adversary run length {k!r} outside 1..{left}")
-                step = Step(J, j, len(d))
-                rounds, m = [(d, rule, step)], 1
-                if k > 1:  # each round adds the step's change of d once more
-                    shift = list(map(sub, apply_step(step, d), d))
-                    m += _repeat_count(rounds, shift, k - 1)
-            block = [r[2] for r in rounds]
-            for step in block:  # the block's steps commute: each one's run in turn
-                rows[:] = [apply_run(step, m, v) for v in rows]
-            steps.add_run(block, m)
-            adversary._after_run(block, m)
-            if by_J and len(block) * m == 1:
-                played += rounds
-                del played[:-2 * len(d)]
-            else:
-                played.clear()
+    steps, champion = Trace(), 0
+    try:
+        while True:
+            champion, target = advance_champion(rows, champion)
+            if target is None:
+                return champion, steps
+            played = []  # (d, rule, step) of the single rounds just played
+            while rule := _J_rule(d := list(map(sub, rows[champion], rows[target]))):
+                left = (step_limit - steps.rounds if step_limit is not None
+                        else sum(map(abs, d)) + 1 << 64)  # past the end of any run
+                if left < 1:  # this round would pass step_limit
+                    raise StepLimitExceeded(failure, steps)
+                rounds = _repeating_block(played, rule)  # played twice, starting again
+                m = rounds and _repeat(adversary, rounds, left // len(rounds))
+                if not m:
+                    J = rule[0]
+                    j = adversary.choose(J, tuple(rows), steps.rounds + 1)
+                    if type(j) is not int and not _is_int(j) or j not in J:
+                        raise ValidationError(f"adversary chose j={j!r} outside J={sorted(J)}")
+                    rounds = [(d, rule, Step(J, j, len(d)))]
+                    m = 1 + _repeat(adversary, rounds, left - 1)
+                block = [r[2] for r in rounds]
+                for step in block:  # the block's steps commute: each one's run in turn
+                    rows[:] = [apply_run(step, m, v) for v in rows]
+                steps.add_run(block, m)
+                adversary._after_run(block, m)
+                if len(block) * m == 1:
+                    played += rounds
+                    del played[:-2 * len(d)]
+                else:
+                    played.clear()
+    except InteractiveAborted as exc:
+        exc.steps = steps
+        raise
 
 
 def run_pair(alpha: Vec, beta: Vec, adversary: Adversary,

@@ -228,16 +228,19 @@ def simple_perron(basis: GroupBasis, J) -> tuple[GroupBasis, Step]:
 
 
 class _PerronChooser(Adversary):
-    """j-chooser that tracks the evolving basis: picks the J-minimal image while
-    it stays minimal, and applies the transforms of each run drive reports.  A
-    legitimate adversary, so the pair engine's termination guarantee holds."""
+    """j-chooser that tracks the evolving basis: picks the J-minimal image,
+    repeats a single step while j stays minimal, and applies each run drive
+    reports.  A legitimate adversary, so the pair engine's termination holds."""
 
     def __init__(self, basis: GroupBasis):
         self.basis = basis
 
-    def choose_run(self, J, vectors, round_no, limit):
-        j = _lex_minimal(self.basis, J)
-        return j, _perron_run_length(self.basis.images, J, j, limit)
+    def choose(self, J, vectors, round_no):
+        return _lex_minimal(self.basis, J)
+
+    def repeat(self, block, limit):
+        s, *more = block
+        return 0 if more else _perron_run_length(self.basis.images, s.J, s.j, limit + 1) - 1
 
     def _after_run(self, block, m):
         for s in block:

@@ -359,12 +359,18 @@ def test_positivize_runs_match_one_round_path(case, step_limit):
 
 
 class CountingFirstIndex(FirstIndex):
+    """FirstIndex counting its choices.  A subclass that overrides choose
+    answers 0 to repeat unless it says otherwise: this one answers limit."""
+
     def __init__(self):
         self.calls = 0
 
-    def choose_run(self, J, vectors, round_no, limit):
+    def choose(self, J, vectors, round_no):
         self.calls += 1
-        return super().choose_run(J, vectors, round_no, limit)
+        return min(J)
+
+    def repeat(self, block, limit):
+        return limit
 
 
 def test_lopsided_pair_runs_in_few_iterations():
@@ -430,7 +436,8 @@ def test_repeating_blocks_run_in_few_iterations():
 
 
 class RunLoggingFirstIndex(FirstIndex):
-    """FirstIndex, still by_J, logging each run the descent reports."""
+    """FirstIndex, still answering for whole runs, logging each run the
+    descent reports."""
 
     def __init__(self):
         self.log = []
@@ -472,33 +479,74 @@ def test_overriding_choose_plays_one_round_at_a_time():
     assert adversary.calls == trace.rounds == 201
 
 
-def test_an_adversary_by_J_gets_whole_runs_from_adversary():
-    """by_J alone, without a choose_run of its own, earns whole runs: on
-    (0, 0, 3000) against (5, 1, 0) every round plays ({1, 2, 3}, 3), so the
-    adversary is asked once, and the trace is the one-round replay's."""
-    class CountingMax(Adversary):
-        by_J = True
+def test_an_adversary_that_declines_each_block_chooses_each_round():
+    """Scripted replays FirstIndex's choices on (100, 103, 0) against (0, 0, 5)
+    and answers 0 to every repeat: the period-2 block is found 36 times and
+    declined each time, so choose is asked once per round and the trace is
+    FirstIndex's, in 41 runs of one round against FirstIndex's 6."""
+    class CountingScripted(Scripted):
+        calls = blocks = 0
 
+        def choose(self, J, vectors, round_no):
+            self.calls += 1
+            return super().choose(J, vectors, round_no)
+
+        def repeat(self, block, limit):
+            self.blocks += len(block) > 1
+            return super().repeat(block, limit)
+
+    pair = (100, 103, 0), (0, 0, 5)
+    first = run_pair(*pair, FirstIndex())
+    adversary = CountingScripted([s.j for s in first.steps])
+    trace = run_pair(*pair, adversary)
+    assert adversary.calls == trace.rounds == 41
+    assert adversary.blocks == 36
+    assert trace == first
+    assert (len(trace.steps.runs), len(first.steps.runs)) == (41, 6)
+
+
+def test_an_adversary_that_repeats_to_the_limit_gets_whole_runs_and_blocks():
+    """A plain Adversary whose repeat answers limit: on (0, 0, 3000) against
+    (5, 1, 0) every round plays ({1, 2, 3}, 3), so it chooses once, and the
+    trace is the one-round replay's; a repeating block of period 2 is
+    replayed for it too, as for FirstIndex."""
+    class CountingMax(Adversary):
         def __init__(self):
-            self.calls = 0
+            self.calls = self.repeats = 0
 
         def choose(self, J, vectors, round_no):
             self.calls += 1
             return max(J)
 
+        def repeat(self, block, limit):
+            self.repeats += 1
+            return limit
+
     class OneRoundMax(CountingMax):
-        by_J = False
+        def repeat(self, block, limit):
+            return 0
 
     pair = (0, 0, 3000), (5, 1, 0)
     adversary, one_round = CountingMax(), OneRoundMax()
     trace = run_pair(*pair, adversary)
-    assert adversary.calls == 1
+    assert adversary.calls == adversary.repeats == 1
     assert trace.steps.runs == [((Step({1, 2, 3}, 3, 3),), 500)]
     assert trace == run_pair(*pair, one_round)
     assert one_round.calls == 500
 
     counting = CountingOneRound()
     assert run_pair(*pair, counting).rounds == counting.calls
+
+    class CountingMin(CountingMax):
+        def choose(self, J, vectors, round_no):
+            self.calls += 1
+            return min(J)
+
+    adversary = CountingMin()
+    trace = run_pair((10 ** 6, 10 ** 6 + 3, 0), (0, 0, 5), adversary)
+    assert trace == run_pair((10 ** 6, 10 ** 6 + 3, 0), (0, 0, 5), FirstIndex())
+    assert trace.rounds == 400001 and len(trace.steps.runs) == 6
+    assert 1 <= adversary.calls <= 10
 
 
 def test_run_stops_at_the_step_limit():
@@ -573,13 +621,27 @@ def test_billions_of_rounds_fit_in_one_gibibyte():
     assert done.returncode == 0, done.stderr
 
 
-def test_run_length_outside_limit_rejected():
-    class Overrun(FirstIndex):
-        def choose_run(self, J, vectors, round_no, limit):
-            return min(J), limit + 1
+@pytest.mark.parametrize("answer", [
+    lambda limit: -1, lambda limit: limit + 1, lambda limit: True,
+    lambda limit: 2.0, lambda limit: None,
+], ids=["negative", "past-limit", "bool", "float", "none"])
+@pytest.mark.parametrize("asked", ["step", "block"])
+def test_repeat_answer_outside_limit_rejected(answer, asked):
+    """Every repeat answer must be an int (a bool is not) in 0..limit: for the
+    step just chosen, and for the period-2 block of (10^6, 10^6 + 3, 0)
+    against (0, 0, 5), which an adversary answering 0 for steps meets."""
+    class Faulty(FirstIndex):
+        def repeat(self, block, limit):
+            self.asked = block
+            if asked == "block" and len(block) == 1:
+                return 0
+            return answer(limit)
 
-    with pytest.raises(ValidationError):
-        run_pair((30, 0), (0, 1), Overrun(), step_limit=10)
+    adversary = Faulty()
+    with pytest.raises(ValidationError) as err:
+        run_pair((10 ** 6, 10 ** 6 + 3, 0), (0, 0, 5), adversary)
+    assert len(adversary.asked) == (1 if asked == "step" else 2)
+    assert str(err.value).startswith("adversary repeat count ")
 
 
 # rounds past 2^63: a trace counts them in an int, len() would overflow ------

@@ -18,7 +18,7 @@ from perron.engine import Adversary
 from perron.monomials import Substitution
 from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
                                   _PerronChooser, _combination, _dot,
-                                  _lex_minimal, _perron_run_length, _scaled)
+                                  _perron_run_length, _scaled)
 from perron.transforms import apply_run
 
 from conftest import (element_compare, group_orders, merged_runs, positive_element,
@@ -345,11 +345,17 @@ class OraclePerronChooser(Adversary):
             self.basis = oracle_perron_transform(self.basis, J, j, round_no - start)
             self._run = None
 
-    def choose_run(self, J, vectors, round_no, limit):
+    def choose(self, J, vectors, round_no):
         self.settle(round_no)
-        j = _lex_minimal(self.basis, J)
+        j = min(J, key=lambda i: self.basis.images[i - 1])
         self._run = (J, j, round_no)
-        return j, oracle_perron_run_length(self.basis.images, J, j, limit)
+        return j
+
+    def repeat(self, block, limit):
+        if len(block) > 1:  # a block is asked again round by round
+            return 0
+        J, j, _ = self._run
+        return oracle_perron_run_length(self.basis.images, J, j, limit + 1) - 1
 
 
 @pytest.mark.parametrize("lead, run", [(Fraction(1, 7), 6), (Fraction(2, 7), 3)])
@@ -537,8 +543,8 @@ def test_integer_scale_matches_the_fraction_path(order, ring, data, step_limit):
 
 def run_logging_positivize_all(basis, elements):
     """positivize_all with the library's chooser logging each run the descent
-    hands it.  At each choose_run the runs so far make up round_no - 1
-    rounds, and in the end the log is the trace's runs."""
+    hands it.  At each choose the runs so far make up round_no - 1 rounds,
+    and in the end the log is the trace's runs."""
     made = []
 
     class RunLogging(_PerronChooser):
@@ -547,9 +553,9 @@ def run_logging_positivize_all(basis, elements):
             self.log = []
             made.append(self)
 
-        def choose_run(self, J, vectors, round_no, limit):
+        def choose(self, J, vectors, round_no):
             assert sum(len(block) * m for block, m in self.log) == round_no - 1
-            return super().choose_run(J, vectors, round_no, limit)
+            return super().choose(J, vectors, round_no)
 
         def _after_run(self, block, m):
             self.log.append((block, m))
