@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InteractiveAborted, InternalError, StepLimitExceeded, ValidationError
 from .tau import Comparability, Tau, _check_dims, _tau_of, comparability
-from .transforms import Step, Trace, Vec, _is_int, apply_run, apply_step, commute, natvec
+from .transforms import (Step, Trace, Vec, _is_int, _step, apply_run, apply_step, commute,
+                         natvec)
 
 class Adversary:
     """Picks j from a proposed J, seeing the tracked vectors and round number,
@@ -167,24 +168,34 @@ def _run_length(tests: Sequence[tuple], limit: int) -> int:
     """_repeat_count's answer in closed form: each decision of _J_rule on an
     unswapped state d + t*delta is a test a + t*b >= 0 (or > 0) that holds
     at t = 0, so for b < 0 it holds up to (a - strict) // -b, and otherwise
-    for ever.  The least of limit and these ends over every decision of
-    every round: the sign of each entry (a zero stays zero), na <= nb, each
-    adjacent pair of order (falling residual, then index), and the prefix
-    cut (the residuals before order's L-th fall short of na, with it reach it).
+    for ever.  One pass over the entries, then one over order, finds the
+    least of limit and these ends: each entry's sign (a zero stays zero),
+    each adjacent pair of order (falling residual, then index), na <= nb and
+    the prefix cut (order's residuals before its L-th fall short of na, with
+    it reach it).  It checks nothing: _repeat_count confirms it with _J_rule.
     """
-    ends = [limit]
+    c = limit
     for d, delta, (J, _, order) in tests:
-        # (a, b, strict) stands for a + t*b >= 0, or > 0 when strict
-        checks = [(x, y, 1) if x > 0 else (-x, -y, 1) if x else (0, -abs(y), 0)
-                  for x, y in zip(d, delta)]
-        checks.append((-sum(d), -sum(delta), 0))
-        checks += [(d[k - 1] - d[i - 1], delta[k - 1] - delta[i - 1], i > k)
-                   for i, k in zip(order, order[1:])]
-        a, b = sum(d[i - 1] for i in J), sum(delta[i - 1] for i in J)  # na - residuals
-        last = order[len(J) - sum(x > 0 for x in d) - 1]  # the prefix's last index
-        checks += [(a - d[last - 1], b - delta[last - 1], 1), (-a, -b, 0)]
-        ends += [(a - strict) // -b for a, b, strict in checks if b < 0]
-    return min(ends)
+        a = b = i = 0  # a, b: d and delta over J, the positive entries then order's prefix
+        for x, y in zip(d, delta):  # each entry keeps its sign, and a zero stays zero
+            if x > 0:
+                a, b = a + x, b + y
+            if (x > 0 > y or x < 0 < y) and (e := (abs(x) - 1) // abs(y)) < c:
+                c = e
+            elif y and not x:
+                return 0
+        for k in order:  # each entry stays at or above the one before it, i's (u, v)
+            x, y = d[k - 1], delta[k - 1]
+            if i and y < v and (e := (x - u - (i > k)) // (v - y)) < c:
+                c = e
+            if k in J:  # the prefix, up to its last entry (x, y)
+                a, b, lx, ly = a + x, b + y, x, y
+            i, u, v = k, x, y
+        for x, y, strict in ((-sum(d), -sum(delta), 0),  # na <= nb
+                             (a - lx, b - ly, 1), (-a, -b, 0)):  # the cut
+            if y < 0 and (e := (x - strict) // -y) < c:
+                c = e
+    return c
 
 
 def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
@@ -296,11 +307,14 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
     with to comparability, carrying every row along, in runs of identical
     steps: a run of k equal steps (J, j) adds k times the sum of the other
     J-entries to entry j.  The adversary chooses j, and its repeat says how
-    long that step holds; when the single rounds just played end with a
+    long that step holds; when 4 or more single rounds just played end with a
     repeating block of commuting steps, it is first asked how long the block
     holds.  _repeat_count cuts each answer to the repetitions that decide
     alike, a last round at a norm tie included, in closed form and with at
     most three probes of _J_rule.  Each run goes to adversary._after_run.
+    Only the adversary's answers are checked here: each step is built by
+    transforms._step from _J_rule's J and a checked j, and each run recorded
+    by Trace._append, as its block commutes and m >= 1.
     The round that would pass step_limit raises StepLimitExceeded(failure,
     steps); an InteractiveAborted from the adversary leaves with `steps`
     attached as the partial trace.
@@ -319,19 +333,19 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
                         else sum(map(abs, d)) + 1 << 64)  # past the end of any run
                 if left < 1:  # this round would pass step_limit
                     raise StepLimitExceeded(failure, steps)
-                rounds = _repeating_block(played, rule)  # played twice, starting again
+                rounds = _repeating_block(played, rule) if len(played) > 3 else []
                 m = rounds and _repeat(adversary, rounds, left // len(rounds))
                 if not m:
                     J = rule[0]
                     j = adversary.choose(J, tuple(rows), steps.rounds + 1)
                     if type(j) is not int and not _is_int(j) or j not in J:
                         raise ValidationError(f"adversary chose j={j!r} outside J={sorted(J)}")
-                    rounds = [(d, rule, Step(J, j, len(d)))]
+                    rounds = [(d, rule, _step(J, j, len(d)))]
                     m = 1 + _repeat(adversary, rounds, left - 1)
-                block = [r[2] for r in rounds]
+                block = tuple([r[2] for r in rounds])
                 for step in block:  # the block's steps commute: each one's run in turn
                     rows[:] = [apply_run(step, m, v) for v in rows]
-                steps.add_run(block, m)
+                steps._append(block, m)
                 adversary._after_run(block, m)
                 if len(block) * m == 1:
                     played += rounds

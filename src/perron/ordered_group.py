@@ -297,7 +297,7 @@ def _into_cone(basis: GroupBasis, scaled: tuple[int, tuple[Vec, ...]],
     drive hands the chooser each run, so its basis is final when drive returns."""
     L, images = scaled
     rows = [(0,) * basis.rank, *rows]
-    chooser = _PerronChooser(basis._replace(images=images))  # images times L: ints
+    chooser = _PerronChooser(GroupBasis(*basis[:2], images))  # images times L: ints
     champion, steps = drive(rows, chooser, step_limit,
                             f"pair not comparable within {step_limit} steps")
     if champion:
@@ -308,5 +308,5 @@ def _into_cone(basis: GroupBasis, scaled: tuple[int, tuple[Vec, ...]],
     # checked once: a transform keeps J's least image, so a bad image persists
     if any(lex_sign(new) <= 0 for old, new in zip(basis.images, images) if new is not old):
         raise InternalError("transformed basis image is not lex-positive")
-    return PositivizeAllResult(chooser.basis._replace(images=images),
+    return PositivizeAllResult(GroupBasis(*chooser.basis[:2], images),
                                tuple(rows[1:]), steps)

@@ -94,6 +94,16 @@ class Step:
 _set_J, _set_j, _set_dim = Step.J.__set__, Step.j.__set__, Step.dim.__set__
 
 
+def _step(J: frozenset[int], j: int, dim: int) -> Step:
+    """Step(J, j, dim) without its checks, for engine.drive alone: its J is
+    _J_rule's frozenset inside 1..dim, and it has checked j against J."""
+    step = object.__new__(Trace._Step)  # a profiler may rebind the name Step
+    _set_J(step, J)
+    _set_j(step, j)
+    _set_dim(step, dim)
+    return step
+
+
 def identity_matrix(n: int) -> Matrix:
     return tuple([(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n)])
 
@@ -116,16 +126,17 @@ def apply_step(step: Step, v: Sequence[int]) -> Vec:
 
 
 def apply_run(step: Step, k: int, v: Sequence[int]) -> Vec:
-    """apply_step k times, in closed form.
-
-    The step leaves every coordinate but j fixed, so each application adds
-    to coordinate j the change that one apply_step makes there.
-    """
-    once = apply_step(step, v)
-    if k == 1:
-        return once
-    j = step.j - 1
-    return (*v[:j], v[j] + k * (once[j] - v[j]), *v[j + 1:])
+    """apply_step k times, in closed form and one pass: each application adds
+    the sum of the other J-coordinates to coordinate j, the one it changes."""
+    if len(v) != step.dim:
+        raise ValidationError(
+            f"dimension mismatch: step has dim {step.dim}, vector has {len(v)}")
+    j, out = step.j - 1, list(v)
+    others = -out[j]
+    for i in step.J:
+        others += v[i - 1]
+    out[j] += k * others
+    return tuple(out)
 
 
 def commute(block: Sequence[Step]) -> bool:
@@ -155,8 +166,8 @@ class Trace(Sequence):
             self.add_run(block, m)
 
     def add_run(self, block: Sequence[Step], m: int) -> None:
-        """Record block played m more times; a repeat of the last run's block
-        extends that run."""
+        """Record block played m more times, checked, through _append; a repeat
+        of the last run's block extends that run."""
         block = tuple(block)
         for s in block:
             if not isinstance(s, self._Step):
@@ -165,6 +176,10 @@ class Trace(Sequence):
                 or type(m) is not int and not _is_int(m) or m < 1:
             raise ValidationError(
                 "a run is a non-empty block of commuting steps played m >= 1 times")
+        self._append(block, m)
+
+    def _append(self, block: tuple[Step, ...], m: int) -> None:
+        """add_run past its checks: a non-empty tuple of commuting steps, m >= 1."""
         self.rounds += len(block) * m
         if self.runs and self.runs[-1][0] == block:
             m += self.runs.pop()[1]

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from perron import (Adversary, Comparability, FirstIndex, GroupBasis,
                     GroupElement, GroupOrder, InternalError, MaxGrowth,
                     PositivizeResult, Scripted, SeededRandom, Step,
-                    StepLimitExceeded, ValidationError, ValuedRing,
+                    StepLimitExceeded, Trace, ValidationError, ValuedRing,
                     apply_matrix, apply_step,
                     choose_J, comparability, compose_trace, element_value,
                     game_tree, lex_sign, monomialize, polynomial, positivize,
                     positivize_all, run_pair, simple_perron, solve, tau)
 import perron.engine
 import perron.ordered_group
-from perron.engine import _J_rule, _repeat_count
+from perron.engine import _J_rule, _repeat_count, _run_length
 from perron.tau import Tau
 
 from conftest import adversary_kinds, build_adversary, merged_runs, vec_pairs
@@ -962,3 +962,82 @@ def test_a_closed_form_that_disagrees_is_an_internal_error(monkeypatch, error):
                         lambda tests, limit: closed_form(tests, limit) + error)
     with pytest.raises(InternalError, match="disagrees with _J_rule"):
         run_pair((299857033, 11, 3), (7218397668, 1132981884, 1), FirstIndex())
+
+
+def run_length_tests(states, shift):
+    """_run_length's tests, as _repeat_count builds them: each state with
+    the shift and its _J_rule triple, a swapped state negated, so that every
+    triple is unswapped and a norm tie decides like it."""
+    tests = []
+    for d in states:
+        J, swapped, order = _J_rule(d)
+        delta = [-y for y in shift] if swapped else shift
+        tests.append(([-x for x in d] if swapped else d, delta, (J, False, order)))
+    return tests
+
+
+@settings(max_examples=500)
+@given(wide_blocks())
+@example(([[-1, 5, 0], [-2, 9, 3]], [0, -1, 0], 10))
+@example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 2 ** 200))
+def test_run_length_is_the_closed_form_oracle(case):
+    """The one-pass closed form, called directly, against the oracle that
+    lists every decision's floor division, whether or not repetition 1
+    decides alike."""
+    states, shift, limit = case
+    assert _run_length(run_length_tests(states, shift), limit) \
+        == closed_form_repeat_count(states, shift, limit)
+
+
+@pytest.mark.parametrize("states, shift, limit, end", [
+    # a zero entry that moves, up or down: the run ends at once
+    ([[0, -1, 2]], [1, 0, 0], 10, 0),
+    ([[0, -1, 2]], [-1, 0, 0], 10, 0),
+    # a limit below every end
+    ([[-5, 9]], [0, -1], 2, 2),
+    # a run that ends at a norm tie: (-5, 5) is repetition 4
+    ([[-5, 9]], [0, -1], 100, 4),
+    # the prefix cut ends the run: entry 3 alone covers 30 - t up to t = 10
+    ([[-30, 7, 40]], [1, 0, -2], 2 ** 200, 10),
+    # and at equality: entry 2 alone reaches na = 5 - t at t = 2, not before
+    ([[5, -3, -3]], [-1, 0, 0], 2 ** 200, 1),
+])
+def test_run_length_examples(states, shift, limit, end):
+    assert _run_length(run_length_tests(states, shift), limit) == end \
+        == closed_form_repeat_count(states, shift, limit)
+
+
+def unchecked_traces(kind):
+    """Traces that drive built against each kind of adversary: pair runs,
+    repeating blocks, game runs and the Perron chooser's runs."""
+    if kind == "perron":
+        order = GroupOrder(((Fraction(1), Fraction(0)), (Fraction(1, 7), Fraction(1))))
+        basis = GroupBasis.initial(order)
+        return [positivize(basis, GroupElement(basis, (9, -40))).steps,
+                positivize_all(basis, [GroupElement(basis, (1, -3)),
+                                       GroupElement(basis, (2, -13))]).steps]
+    adversary = (lambda: Scripted([2, 3, 1, 3])) if kind == "scripted" \
+        else lambda: build_adversary(kind, seed=5)
+    traces = [run_pair((30, 1, 0), (0, 7, 5), adversary()).steps,
+              solve([(9, 0, 4), (0, 5, 1), (3, 3, 7)], adversary()).trace]
+    if kind == "first":  # a long run, and a repeating block of period 2
+        traces += [run_pair((299857033, 11, 3), (7218397668, 1132981884, 1),
+                            adversary()).steps,
+                   run_pair((10 ** 6, 10 ** 6 + 3, 0), (0, 0, 5), adversary()).steps]
+    return traces
+
+
+@pytest.mark.parametrize("kind", ["first", "max_growth", "random", "scripted", "perron"])
+def test_drive_records_what_the_checked_path_would(kind):
+    """drive builds its steps with transforms._step and records its runs with
+    Trace._append: the checked Step rebuilds every step equal, and the
+    public add_run rebuilds the trace run for run."""
+    for trace in unchecked_traces(kind):
+        rebuilt = Trace(trace.runs)
+        assert rebuilt.runs == trace.runs and rebuilt.rounds == trace.rounds
+        for block, m in trace.runs:
+            assert type(block) is tuple and type(m) is int and m >= 1
+            for s in block:
+                assert type(s.J) is frozenset and Step(s.J, s.j, s.dim) == s
+    if kind == "first":  # the last trace, the period-2 pair's, replays a block
+        assert any(len(block) > 1 for block, _ in trace.runs)

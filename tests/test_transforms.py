@@ -1,7 +1,9 @@
+import ast
 import itertools
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from perron import (Step, Trace, ValidationError, apply_matrix, apply_step,
                     compose_trace, determinant, natvec)
+import perron
 import perron.transforms
 from perron.transforms import (_bareiss, apply_run, commute, identity_matrix,
                                intvec)
@@ -203,6 +206,46 @@ def test_apply_step_matches_matrix_action(case):
         w = naive_matvec(m, w)
 
 
+@given(vec_with_step(signed=True, max_entry=2 ** 40), st.integers(1, 6))
+def test_apply_run_is_k_applications_of_apply_step(case, k):
+    """apply_run sums the J-entries itself, in one pass; apply_step, applied
+    k times, is its oracle, on tuples and lists of signed entries."""
+    v, step = case
+    w = v
+    for _ in range(k):
+        w = apply_step(step, w)
+    assert apply_run(step, k, v) == apply_run(step, k, list(v)) == w
+    longer = v + (0,)
+    with pytest.raises(ValidationError) as by_step:
+        apply_step(step, longer)
+    with pytest.raises(ValidationError) as by_run:
+        apply_run(step, k, longer)
+    assert str(by_run.value) == str(by_step.value) == (
+        f"dimension mismatch: step has dim {step.dim}, vector has {len(longer)}")
+
+
+def test_only_drive_and_add_run_take_the_unchecked_paths():
+    """transforms._step builds a Step without its checks and Trace._append
+    records a run without them: engine.drive calls both, Trace.add_run calls
+    _append after its checks, and nothing else in src/ calls either.  Neither
+    is exported."""
+    callers = {"_step": set(), "_append": set()}
+    for path in Path(perron.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{function.name}")
+    assert callers == {"_step": {"engine.drive"},
+                       "_append": {"engine.drive", "transforms.add_run"}}
+    assert len(perron.__all__) == 53
+    assert not {"_step", "_append"} & set(perron.__all__)
+
+
 @given(traces())
 def test_composed_traces_are_unimodular(case):
     n, steps = case
@@ -336,6 +379,9 @@ def test_trace_and_compose_trace_take_only_steps(monkeypatch):
     # the perfbench tracer rebinds the module name Step to a wrapper function
     monkeypatch.setattr(perron.transforms, "Step", lambda *args: Step(*args))
     assert Trace([((step,), 2)]).runs == [((step,), 2)]
+    # drive's unchecked steps are built from the class, not the module name
+    assert [type(s) for s in perron.run_pair((3, 1), (1, 2), perron.FirstIndex()).steps] \
+        == [Step, Step]
     assert compose_trace([step, step], 2) == ((1, 2), (0, 1))
     for runs, bad in (([((1,), 1)], 1), ([((step, 3), 1)], 3),
                       ([((step,), 1), ((step, None), 1)], None)):
