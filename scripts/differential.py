@@ -284,9 +284,7 @@ def runner(perron):
     class Aborting(perron.FirstIndex):
         """FirstIndex that raises InteractiveAborted at its (runs + 1)-th
         choice.  Its answer holds for whole runs and blocks: repeat answers
-        limit, and by_J says so to revisions before Adversary.repeat."""
-
-        by_J = True
+        limit."""
 
         def __init__(self, runs):
             self.runs = runs

@@ -7,13 +7,14 @@ Every run emits one result document with a top-level schema_version of 1:
      "payload": ..., "diagnostics": [...], "trace": [{"J": [...], "j": ...}]}
 
 Rationals travel as strings "p/q" (or "p"); integers as JSON numbers while
-they fit exactly in a double, as decimal strings beyond that.  Exit codes:
-0 ok, 1 malformed input (a closed stdin too), a usage error, an unwritable
---output (the error document then goes to stdout), an unwritable stdout (one
-stderr line says why) or a trace too large to encode, 2 validation failure,
-3 step limit exceeded (the limit bounds the rounds of the whole job), 4
-interactive session aborted (end of input, or a closed stdin), 5 internal
-error (the library found its own result inconsistent).
+they fit exactly in a double, as decimal strings beyond that.  Exit codes
+(`_EXIT_CODES` maps each failure class to its code): 0 ok, 1 malformed input
+(a closed stdin too), a usage error, an unwritable --output (the error
+document then goes to stdout), an unwritable stdout (one stderr line says
+why) or a trace too large to encode, 2 validation failure, 3 step limit
+exceeded (the limit bounds the rounds of the whole job), 4 interactive
+session aborted (end of input, or a closed stdin), 5 internal error (the
+library found its own result inconsistent).
 """
 
 from __future__ import annotations
@@ -38,14 +39,16 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
-EXIT_VALIDATION = 2
-EXIT_STEP_LIMIT = 3
-EXIT_ABORTED = 4
-EXIT_INTERNAL = 5
 
 
 class MalformedInput(Exception):
     """Structurally unusable job document."""
+
+
+# each failure's exit code, found by isinstance: a subclass exits as its base
+_EXIT_CODES = {MalformedInput: EXIT_MALFORMED, ValidationError: 2,
+               StepLimitExceeded: 3, InteractiveAborted: 4, InternalError: 5}
+_STDOUT = SimpleNamespace(output="-")  # where a failure to read argv goes
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +245,8 @@ def _cmd_game(doc, args, infile, mode):
     vectors = [_as_int_list(v, "vector")
                for v in _as_list(_field(doc, "vectors"), "vectors")]
     if mode == "play":
-        champ = 0  # tracked as drive tracks it
-
-        def describe(vs):
-            nonlocal champ
-            champ = advance_champion(vs, champ)[0]
+        def describe(vs):  # drive's champion: steps keep swept points swept
+            champ = advance_champion(vs, 0)[0]
             return (f"vectors {' '.join(map(_format_vec, vs))}; "
                     f"champion #{champ} {_format_vec(vs[champ])}; ")
         adversary = _Prompt(infile, describe)
@@ -525,6 +525,8 @@ def _read_job(args):
         doc, end = _DECODER.raw_decode(stripped)
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"cannot read input: {exc}")
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"invalid JSON: {exc}")
     except RecursionError:
         raise MalformedInput("invalid JSON: nested too deeply")
     rest = stripped[end:]
@@ -584,27 +586,14 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    args = _STDOUT
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except MalformedInput as exc:
-        return _emit_error(SimpleNamespace(output="-"), str(exc),
-                           EXIT_MALFORMED)
-    steps = None
-    try:
         doc, infile = _read_job(args)
         payload, steps = args.handler(doc, args, infile)
-    except json.JSONDecodeError as exc:
-        return _emit_error(args, f"invalid JSON: {exc}", EXIT_MALFORMED)
-    except MalformedInput as exc:
-        return _emit_error(args, str(exc), EXIT_MALFORMED)
-    except ValidationError as exc:
-        return _emit_error(args, str(exc), EXIT_VALIDATION)
-    except StepLimitExceeded as exc:
-        return _emit_error(args, str(exc), EXIT_STEP_LIMIT, exc.steps)
-    except InteractiveAborted as exc:
-        return _emit_error(args, str(exc), EXIT_ABORTED, exc.steps)
-    except InternalError as exc:
-        return _emit_error(args, str(exc), EXIT_INTERNAL)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+        return _emit_error(args, str(exc), code, getattr(exc, "steps", None))
     out = {"schema_version": SCHEMA_VERSION, "status": "ok", "payload": payload,
            "diagnostics": []}
     return _write_document(args, out, EXIT_OK, steps if args.trace else None)

@@ -360,7 +360,7 @@ def test_negative_seed_is_exit_1(tmp_path):
     """random.Random seeds with |seed|: -123 would replay seed 123's game."""
     job = {"alpha": [8, 0, 3], "beta": [2, 5, 1],
            "adversary": {"kind": "random", "seed": -123}}
-    for extra, seed in (((), -123), (("--seed", "-5"), -5)):
+    for extra, seed in (((), -123), (("--seed", "-5"), -5), (("--seed", "-1"), -1)):
         code, doc, _ = run_cli(tmp_path, ["compare"], job, *extra)
         assert code == 1
         assert doc["diagnostics"] == [f"seed must be >= 0, got {seed}"]

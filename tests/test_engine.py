@@ -20,7 +20,7 @@ from perron import (Adversary, Comparability, FirstIndex, GroupBasis,
                     positivize_all, run_pair, simple_perron, solve, tau)
 import perron.engine
 import perron.ordered_group
-from perron.engine import _J_rule, _repeat_count, _run_length
+from perron.engine import _J_rule, _repeat_count, _repeating_block, _run_length
 from perron.tau import Tau
 
 from conftest import adversary_kinds, build_adversary, merged_runs, vec_pairs
@@ -433,6 +433,16 @@ def test_repeating_blocks_run_in_few_iterations():
     assert outcome.rounds == 17024
     assert 1 <= adversary.calls <= 10
     assert outcome == solve(vectors, OneRound())
+
+
+def test_a_repeating_block_must_commute():
+    """Two equal repetitions make a block only when its steps commute: else
+    m repetitions are not the block's runs in turn."""
+    d, ra, rb = (1, -1, 0), ("ra",), ("rb",)
+    for A, B, commuting in ((Step({1, 2}, 2, 3), Step({2, 3}, 3, 3), False),
+                            (Step({1, 2}, 1, 3), Step({2, 3}, 3, 3), True)):
+        played = [(d, ra, A), (d, rb, B), (d, ra, A), (d, rb, B)]
+        assert _repeating_block(played, ra) == (played[-2:] if commuting else [])
 
 
 class RunLoggingFirstIndex(FirstIndex):

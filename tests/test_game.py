@@ -157,6 +157,20 @@ def test_champion_stays_below_settled_prefix(vectors, kind, seed):
     assert champ == outcome.winner_index
 
 
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 6)] * n), min_size=2, max_size=5)),
+    adversary_kinds, st.integers(0, 2 ** 32 - 1))
+def test_a_sweep_from_0_finds_the_champion(vectors, kind, seed):
+    """Steps keep every relation a sweep has read, so the champion carried
+    round to round is a function of the position (`game play` prints it)."""
+    outcome = solve(vectors, build_adversary(kind, seed))
+    champ = 0
+    for vs in positions(vectors, outcome.trace):
+        champ = advance_champion(vs, champ)[0]
+        assert advance_champion(vs, 0)[0] == champ
+    assert champ == outcome.winner_index
+
+
 # game_tree against the per-node moves function it replaced -----------------
 
 def champion_moves(vectors, champion_index=0):

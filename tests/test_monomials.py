@@ -86,6 +86,14 @@ def test_wrong_exponent_counts_are_rejected():
         assert str(err.value) == message
 
 
+def test_divisibility_monomials_must_be_toric():
+    ring = ValuedRing(2, 1, (lexvec(["1"]), lexvec(["1/2"])))
+    for m1, m2, name in (((1, 1), (2, 0), "M1"), ((2, 0), (1, 1), "M2")):
+        with pytest.raises(ValidationError) as err:
+            divisibility_transform(ring, m1, m2)
+        assert str(err.value) == f"{name} must involve only the first 1 variables"
+
+
 def test_monomial_value_examples():
     ring = standard_ring()
     assert monomial_value(ring, (1, 0)) == lexvec(["1", "0"])
