@@ -12,7 +12,8 @@ ordered_group and monomials load on first use of one of their names here,
 so `import perron`, like a CLI call, compiles only the layers it runs.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .engine import (Adversary, EngineTrace, FirstIndex, MaxGrowth, Scripted,
                      SeededRandom, advance_champion, choose_J, run_pair)
@@ -38,24 +39,13 @@ def __getattr__(name):
     """Import the layer that defines `name` and keep the name here (PEP 562)."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
     globals()[name] = value
     return value
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adversary", "Comparability", "EngineTrace", "FirstIndex", "GameOutcome",
-    "GroupBasis", "GroupElement", "GroupOrder", "InteractiveAborted",
-    "InternalError", "LexVec", "Matrix", "MaxGrowth", "MonomializationResult",
-    "PerronError", "Polynomial", "PositivizeAllResult", "PositivizeResult",
-    "Scripted", "SeededRandom", "Step", "StepLimitExceeded", "Substitution",
-    "Trace", "ValidationError", "ValuedRing", "Vec", "advance_champion",
-    "apply_matrix", "apply_step", "apply_substitution", "choose_J",
-    "comparability", "compose_trace", "determinant", "divisibility_transform",
-    "element_value", "game_tree", "is_won", "lex_sign", "lexvec",
-    "monomialize", "natvec", "polynomial", "positivize", "positivize_all",
-    "reduce_pair", "run_pair", "simple_perron", "solve", "tau",
-    "validate_order", "validate_ring",
-]
+# each public name is named once: imported above or a key of _LAZY
+__all__ = sorted([name for name, value in globals().items() if not name.startswith("_")
+                  and not isinstance(value, _ModuleType)] + list(_LAZY))

@@ -33,8 +33,8 @@ class Adversary:
     def repeat(self, block: Sequence[Step], limit: int) -> int:
         """How many more times, 0..limit, the adversary would answer block's
         steps again, round by round, while their J come back.  drive asks it
-        for the one step just chosen and for a block of steps just played
-        twice; the descent may stop sooner.  Here 0: choose every round."""
+        for the step just chosen and for a block just played twice (after a
+        0, twice more); the descent may stop sooner.  Here 0: choose each round."""
         return 0
 
     def _after_run(self, block: Sequence[Step], m: int) -> None:
@@ -309,15 +309,16 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
     J-entries to entry j.  The adversary chooses j, and its repeat says how
     long that step holds; when 4 or more single rounds just played end with a
     repeating block of commuting steps, it is first asked how long the block
-    holds.  _repeat_count cuts each answer to the repetitions that decide
-    alike, a last round at a norm tie included, in closed form and with at
-    most three probes of _J_rule.  Each run goes to adversary._after_run.
-    Only the adversary's answers are checked here: each step is built by
+    holds, and after a 0 again only after two fresh repetitions.
+    _repeat_count cuts each answer to the repetitions that decide alike, a
+    last round at a norm tie included, in closed form and with at most three
+    probes of _J_rule.  Each run goes to adversary._after_run.  Only the
+    adversary's answers are checked here: each step is built by
     transforms._step from _J_rule's J and a checked j, and each run recorded
-    by Trace._append, as its block commutes and m >= 1.
-    The round that would pass step_limit raises StepLimitExceeded(failure,
-    steps); an InteractiveAborted from the adversary leaves with `steps`
-    attached as the partial trace.
+    by Trace._append, as its block commutes and m >= 1.  The round that
+    would pass step_limit raises StepLimitExceeded(failure, steps); an
+    InteractiveAborted from the adversary leaves with `steps` attached as the
+    partial trace.
     """
     if step_limit is not None and not (_is_int(step_limit) and step_limit >= 0):
         raise ValidationError(f"step_limit must be None or an int >= 0: {step_limit!r}")
@@ -336,6 +337,8 @@ def drive(rows: list[Vec], adversary: Adversary, step_limit: Optional[int],
                 rounds = _repeating_block(played, rule) if len(played) > 3 else []
                 m = rounds and _repeat(adversary, rounds, left // len(rounds))
                 if not m:
+                    if rounds:  # declined: ask again after two fresh repetitions
+                        played.clear()
                     J = rule[0]
                     j = adversary.choose(J, tuple(rows), steps.rounds + 1)
                     if type(j) is not int and not _is_int(j) or j not in J:

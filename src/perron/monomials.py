@@ -172,19 +172,15 @@ def monomialize(ring: ValuedRing,
     deltas = [tuple(map(sub, t, min_part))  # positive: min_part is least
               for t in toric_parts if t != min_part]
     combined = _into_cone(basis, scaled, deltas, step_limit)
-    # column i of the composed step matrix holds the old value of x_i in the
-    # new basis, so the exponent matrix is its transpose
     composed = compose_trace(combined.steps, n)
-    substitution = Substitution(tuple(zip(*composed)), m, combined.steps)
-
-    transformed = apply_substitution(f, substitution)
     factor = apply_matrix(composed, min_part)
-    shift = factor + (0,) * (m - n)
     unit: Polynomial = {}
-    for e, c in transformed.items():
-        reduced = tuple(map(sub, e, shift))
+    for e, c in f.items():  # e's image under the substitution, divided by the factor
+        reduced = tuple(map(sub, apply_matrix(composed, e[:n]), factor)) + e[n:]
         if min(reduced) < 0:
             raise InternalError("factor does not divide the transformed polynomial")
         unit[reduced] = c
-    return MonomializationResult(substitution, combined.basis.images + ring.values[n:],
-                                 factor, unit)
+    # column i of the composed step matrix holds the old value of x_i in the
+    # new basis, so the exponent matrix is its transpose
+    return MonomializationResult(Substitution(tuple(zip(*composed)), m, combined.steps),
+                                 combined.basis.images + ring.values[n:], factor, unit)

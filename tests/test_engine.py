@@ -491,9 +491,10 @@ def test_overriding_choose_plays_one_round_at_a_time():
 
 def test_an_adversary_that_declines_each_block_chooses_each_round():
     """Scripted replays FirstIndex's choices on (100, 103, 0) against (0, 0, 5)
-    and answers 0 to every repeat: the period-2 block is found 36 times and
-    declined each time, so choose is asked once per round and the trace is
-    FirstIndex's, in 41 runs of one round against FirstIndex's 6."""
+    and answers 0 to every repeat: the period-2 block is found 9 times, once
+    per two fresh repetitions after each decline, so choose is asked once per
+    round and the trace is FirstIndex's, in 41 runs of one round against
+    FirstIndex's 6."""
     class CountingScripted(Scripted):
         calls = blocks = 0
 
@@ -510,9 +511,32 @@ def test_an_adversary_that_declines_each_block_chooses_each_round():
     adversary = CountingScripted([s.j for s in first.steps])
     trace = run_pair(*pair, adversary)
     assert adversary.calls == trace.rounds == 41
-    assert adversary.blocks == 36
+    assert adversary.blocks == 9
     assert trace == first
     assert (len(trace.steps.runs), len(first.steps.runs)) == (41, 6)
+
+
+def test_a_declined_block_is_asked_about_again_only_after_two_repetitions():
+    """A FirstIndex subclass that overrides choose plays one round at a time
+    on (5000, 5003, 0) against (0, 0, 5), FirstIndex's trace; after it
+    declines the period-2 block, the block is looked for again only once two
+    fresh repetitions are played, so it is asked about at most once every 4
+    rounds, not in each of the 2,001."""
+    class OneRound(FirstIndex):
+        blocks = 0
+
+        def choose(self, J, vectors, round_no):
+            return min(J)
+
+        def repeat(self, block, limit):
+            self.blocks += len(block) > 1
+            return super().repeat(block, limit)
+
+    pair = (5000, 5003, 0), (0, 0, 5)
+    adversary = OneRound()
+    trace = run_pair(*pair, adversary)
+    assert trace == run_pair(*pair, FirstIndex())
+    assert 0 < adversary.blocks <= trace.rounds // 4 + 1
 
 
 def test_an_adversary_that_repeats_to_the_limit_gets_whole_runs_and_blocks():
@@ -754,47 +778,15 @@ A_300 = 2 ** 300 - 2 ** 150 + 7
 C_300 = 2 ** 299 + 3
 
 
-def bisected_repeat_count(rounds, shift, limit):
-    """The oracle that was _repeat_count before its closed form: probe a limit
-    within the bound B = 2*|state|_1 + 1 first, then repetition 1 and, for a
-    limit past B, B + 1, alike only when alike for ever; then bisect the rest
-    of [1, min(limit, B + 1)]."""
-    tests = [([-x for x in d], [-y for y in shift], (J, False, order))
-             if swapped else (d, shift, (J, False, order))
-             for d, (J, swapped, order), *_ in rounds]
-
-    def same(t):
-        return all(perron.engine._J_rule([x + t * y for x, y in zip(d, delta)]) == rule
-                   for d, delta, rule in tests)
-
-    bound = 2 * max([sum(map(abs, d)) for d, *_ in tests]) + 1
-    if limit <= bound and same(limit):
-        return limit
-    lo, hi = 1, min(limit, bound + 1)  # once probed: lo decides alike, hi does not
-    if hi < 2 or not same(1):
-        return 0
-    if limit > bound and same(hi):
-        return limit
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if same(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def assert_repeat_count(oracle, states, shift, limit):
-    """_repeat_count and the bisection oracle against the oracle at limit,
-    and, since the bisection probes a limit within the bound 2*|state|_1 + 1
-    first, at the oracle's count and one either side, which lie within it
-    when the run ends before limit."""
+    """_repeat_count against the oracle at limit and, since it confirms its
+    closed-form end c by probing c and c + 1, at the oracle's count and one
+    either side, where those confirmations meet the run's end."""
     rounds = [(d, oracle_J_rule(d)) for d in states]
     count = oracle(states, shift, limit)
     for cap in {limit, count + 1, count, max(count - 1, 0)}:
         expected = oracle(states, shift, cap)
         assert _repeat_count(rounds, shift, cap) == expected, cap
-        assert bisected_repeat_count(rounds, shift, cap) == expected, cap
 
 
 @pytest.fixture
@@ -826,8 +818,8 @@ def probed(monkeypatch):
 @example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 4))
 @example(([[-A_300, A_300 + 4 * C_300]], [0, -C_300], 3))
 def test_repeat_count_matches_a_direct_scan(case):
-    """The closed form and the bisection oracle find the end of the repetitions
-    that decide alike because, from an incomparable state, they form an
+    """_repeat_count finds the end of the repetitions that decide alike
+    because, from an incomparable state, they form an
     interval.  From a comparable one they need not: d = (1, 3) with shift
     (-1, -1) is comparable at t = 0, 1 and 3 but not at 2."""
     assert_repeat_count(scanned_repeat_count, *case)
@@ -916,7 +908,7 @@ def wide_blocks(draw):
 @example(([[2, -1, -1], [1, 1, -3], [-5, 2, 2]], [1, -1, 0], 1))
 def test_repeat_count_matches_the_closed_form(case):
     """The run length in closed form, one floor division per linear
-    decision, against _repeat_count and the bisection oracle."""
+    decision, against _repeat_count."""
     assert_repeat_count(closed_form_repeat_count, *case)
 
 

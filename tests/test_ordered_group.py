@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import perron.engine
@@ -19,7 +19,7 @@ from perron.monomials import Substitution
 from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
                                   _PerronChooser, _combination, _dot,
                                   _perron_run_length, _scaled)
-from perron.transforms import apply_run
+from perron.transforms import apply_run, commute
 
 from conftest import (element_compare, group_orders, merged_runs, positive_element,
                       substitute_exponents, valued_rings)
@@ -581,6 +581,64 @@ def test_the_chooser_is_handed_each_run_of_a_long_descent():
         lexvec(row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
     result = run_logging_positivize_all(basis, [GroupElement(basis, (5, -2 ** 8, 7))])
     assert result.steps.rounds == 102 and len(result.steps.runs) == 100
+
+
+def subtracted(images, J, j):
+    """The images after one round of the step (J, j)."""
+    return tuple(tuple(x - y for x, y in zip(img, images[j - 1])) if i in J and i != j
+                 else img for i, img in enumerate(images, start=1))
+
+
+def replayed_repetitions(images, block, cap):
+    """How many repetitions of the block of (J, j) pairs, at most cap, a
+    one-round replay plays with each j the J-minimal image at its turn."""
+    for t in range(cap):
+        for J, j in block:
+            if min(J, key=lambda i: images[i - 1]) != j:
+                return t
+            images = subtracted(images, J, j)
+    return cap
+
+
+@st.composite
+def commuting_blocks(draw):
+    """Independent lex-positive integer images of rank 2-4, a commuting block
+    of 1-3 steps whose j is the J-minimal image at its turn, and a limit."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(n, 4))
+    images = []
+    for _ in range(n):
+        row = draw(st.lists(st.integers(-3, 9), min_size=d, max_size=d))
+        images.append(tuple(row) if lex_sign(row) >= 0 else tuple(-x for x in row))
+    assume(not validate_order(GroupOrder(tuple(map(lexvec, images)))))
+    block, replayed = [], images
+    for _ in range(draw(st.integers(1, 3))):
+        J = frozenset(draw(st.sets(st.integers(1, n), min_size=2)))
+        j = min(J, key=lambda i: replayed[i - 1])
+        if commute([Step(J, j, n) for J, j in block + [(J, j)]]):
+            block.append((J, j))
+            replayed = subtracted(replayed, J, j)
+    return tuple(images), tuple(block), draw(st.integers(0, 40))
+
+
+@settings(max_examples=300)
+@given(commuting_blocks())
+# image 1 loses image 2 + image 3 per repetition, so each j stays J-minimal
+# for 4 repetitions, though each step alone would run 10 and 9 rounds
+@example((((0, 10, 0, 1), (0, 1, 0, 0), (0, 1, 1, 0)),
+          ((frozenset({1, 2}), 2), (frozenset({1, 3}), 3)), 20))
+def test_the_chooser_promises_no_more_repetitions_than_a_replay_holds(case):
+    """The chooser's repeat against a one-round replay from its basis: for a
+    single step, the replay's count less the round just chosen, capped at
+    limit; for a commuting block, never more than the replay's count."""
+    images, block, limit = case
+    chooser = _PerronChooser(GroupBasis.initial(GroupOrder(tuple(map(lexvec, images)))))
+    answer = chooser.repeat([Step(J, j, len(images)) for J, j in block], limit)
+    held = replayed_repetitions(images, block, limit + 1)
+    if len(block) == 1:
+        assert answer == held - 1
+    else:
+        assert answer <= held
 
 
 @given(group_orders(), st.data())
