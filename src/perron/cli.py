@@ -92,6 +92,8 @@ def _as_rational(value, what, Fraction) -> Fraction:
                 return Fraction(int(p), int(q)) if slash else Fraction(int(p))
             if "e" in value or "E" in value:  # Fraction reads "1e10000000" for minutes
                 raise ValueError(value)
+            if "_" in value or len(value.split()) > 1:  # 3.10-3.13 read these apart
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise MalformedInput(f"{what} is not a rational: {value!r}")
@@ -542,12 +544,14 @@ def _read_job(args):
     return doc, infile
 
 
-def _write_document(args, doc, code, steps=None) -> int:
-    """Write the document, with the trace of `steps` when given, and return
-    its exit code.  A trace too large to encode is left out: an error keeps
-    its code and says so, a success becomes an error with exit 1.  When
-    --output cannot be written, an error document goes to stdout instead,
-    with exit 1."""
+def _write_document(args, code, payload, diagnostics, steps=None) -> int:
+    """Write the result document, with the trace of `steps` when given, and
+    return its exit code; its status is "ok" exactly when code is 0.  A trace
+    too large to encode is left out: an error keeps its code and says so, a
+    success becomes an error with exit 1.  When --output cannot be written,
+    an error document goes to stdout instead, with exit 1."""
+    doc = {"schema_version": SCHEMA_VERSION, "status": "error" if code else "ok",
+           "payload": payload, "diagnostics": diagnostics}
     data = _ENCODER.encode(doc) + "\n"
     if steps is not None:  # sort_keys puts "trace" after every other key
         try:
@@ -556,11 +560,8 @@ def _write_document(args, doc, code, steps=None) -> int:
             data = None  # handled outside, once the partial trace is freed
     if data is None:
         why = f"the trace of {steps.rounds} rounds is too large to encode"
-        if doc["status"] == "ok":
-            return _emit_error(args, f"cannot write the result: {why}",
-                               EXIT_MALFORMED)
-        doc["diagnostics"].append(f"{why}; it is left out")
-        return _write_document(args, doc, code)
+        note = f"{why}; it is left out" if code else f"cannot write the result: {why}"
+        return _write_document(args, code or EXIT_MALFORMED, None, diagnostics + [note])
     if args.output != "-":
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -568,7 +569,8 @@ def _write_document(args, doc, code, steps=None) -> int:
             return code
         except OSError as exc:
             args.output = "-"
-            return _emit_error(args, f"cannot write output: {exc}", EXIT_MALFORMED)
+            return _write_document(args, EXIT_MALFORMED, None,
+                                   [f"cannot write output: {exc}"])
     return _write(data) or code  # EXIT_OK is 0
 
 
@@ -593,13 +595,5 @@ def _run(argv) -> int:
         payload, steps = args.handler(doc, args, infile)
     except tuple(_EXIT_CODES) as exc:
         code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
-        return _emit_error(args, str(exc), code, getattr(exc, "steps", None))
-    out = {"schema_version": SCHEMA_VERSION, "status": "ok", "payload": payload,
-           "diagnostics": []}
-    return _write_document(args, out, EXIT_OK, steps if args.trace else None)
-
-
-def _emit_error(args, message, code, steps=None) -> int:
-    out = {"schema_version": SCHEMA_VERSION, "status": "error", "payload": None,
-           "diagnostics": [message]}
-    return _write_document(args, out, code, steps)
+        return _write_document(args, code, None, [str(exc)], getattr(exc, "steps", None))
+    return _write_document(args, EXIT_OK, payload, [], steps if args.trace else None)

@@ -199,7 +199,7 @@ def _run_length(tests: Sequence[tuple], limit: int) -> int:
 
 
 def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
-    """How many more times, at most limit, a block of rounds repeats.
+    """How many more times, at most limit >= 1, a block of rounds repeats.
 
     rounds[i] starts with (d, rule): d = alpha - beta at the start of round i
     of one repetition, incomparable, and rule = _J_rule(d).  Every repetition
@@ -209,15 +209,13 @@ def _repeat_count(rounds: Sequence[tuple], shift: list[int], limit: int) -> int:
     side (J is then the whole support of d), so a run that ends at a tie is
     one run.  Each decision is the sign of a + t*b for integers a and b that
     holds at t = 0, and a tie is the edge of the test that sets swapped, so
-    the repetitions that decide alike form an interval.  A limit below 1
-    costs no probe.  Repetition 1 is probed first, so a run of one round
-    costs one probe; otherwise _run_length gives the interval's end c in
-    closed form, and two probes confirm it: c decides alike and c + 1, when
-    within limit, does not.  So _J_rule stays the one definition of a
-    decision, and a call makes at most three probes whatever the entry size.
+    the repetitions that decide alike form an interval.  Repetition 1 is
+    probed first, so a run of one round costs one probe; otherwise
+    _run_length gives the interval's end c in closed form, and two probes
+    confirm it: c decides alike and c + 1, when within limit, does not.  So
+    _J_rule stays the one definition of a decision, and a call makes at most
+    three probes whatever the entry size.  _repeat turns away a zero answer.
     """
-    if limit < 1:
-        return 0
     # _J_rule puts a tie on the unswapped side, so a swapped round tests -d
     tests = [([-x for x in d], [-y for y in shift], (J, False, order))
              if swapped else (d, shift, (J, False, order))

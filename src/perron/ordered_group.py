@@ -158,15 +158,10 @@ class GroupElement(_GroupElementFields):
         return super().__new__(cls, basis, coords)
 
 
-def _combination(coeffs: Sequence[int], vecs: Sequence[LexVec]) -> LexVec:
-    """The integer combination of lex vectors with the given coefficients."""
-    L, rows = _scaled(vecs)
-    return tuple(Fraction(s, L) for s in _dot(coeffs, rows))
-
-
 def element_value(element: GroupElement) -> LexVec:
     """The element's image: the coordinate combination of the basis images."""
-    return _combination(element.coords, element.basis.images)
+    L, rows = _scaled(element.basis.images)
+    return tuple(Fraction(s, L) for s in _dot(element.coords, rows))
 
 
 def _lex_minimal(basis: GroupBasis, J: frozenset[int]) -> int:

@@ -44,14 +44,19 @@ def step_matrix(step):
         for r in range(1, n + 1))
 
 
-def monomial_value(ring, exponents):
-    """Oracle: the value of a monomial, the exact rational combination of the
-    variable values with the exponents as coefficients."""
-    total = [Fraction(0)] * ring.order_dim
-    for e, val in zip(exponents, ring.values):
-        for k, x in enumerate(val):
-            total[k] += e * x
+def expansion(coeffs, vecs):
+    """Oracle: the exact rational combination of the vectors."""
+    total = [Fraction(0)] * len(vecs[0])
+    for c, vec in zip(coeffs, vecs):
+        for k, x in enumerate(vec):
+            total[k] += c * x
     return tuple(total)
+
+
+def monomial_value(ring, exponents):
+    """Oracle: the value of a monomial, the combination of the variable values
+    with the exponents as coefficients."""
+    return expansion(exponents, ring.values)
 
 
 def substitute_exponents(e, s):

@@ -32,7 +32,8 @@ from perron import (FirstIndex, GroupBasis, GroupElement, GroupOrder,
 from perron.cli import main as cli_main
 from perron.transforms import identity_matrix
 
-from conftest import element_compare, monomial_value, step_matrix, substitute_exponents
+from conftest import (element_compare, expansion, monomial_value, step_matrix,
+                      substitute_exponents)
 
 # traces produced by criteria 1, 5, 6, 7 as (steps, dim); criterion 2 checks
 # its (much more numerous) leaf traces inline and records the counts here.
@@ -249,14 +250,6 @@ def _random_positive_element(rng, basis):
     return element
 
 
-def _expansion(coords, images):
-    total = [Fraction(0)] * len(images[0])
-    for c, img in zip(coords, images):
-        for k, x in enumerate(img):
-            total[k] += c * x
-    return tuple(total)
-
-
 def test_criterion_5_positive_cone_membership():
     with criterion(5, "positivize yields exact non-negative cone coordinates"):
         rng = random.Random(55)
@@ -268,16 +261,16 @@ def test_criterion_5_positive_cone_membership():
 
             single = positivize(basis, elements[0])
             assert all(c >= 0 for c in single.coords)
-            assert _expansion(single.coords, single.basis.images) == \
-                _expansion(elements[0].coords, basis.images)
+            assert expansion(single.coords, single.basis.images) == \
+                expansion(elements[0].coords, basis.images)
             assert all(lex_sign(img) == 1 for img in single.basis.images)
             assert abs(determinant(single.basis.coords_in_original)) == 1
 
             combined = positivize_all(basis, elements)
             for element, coords in zip(elements, combined.coords):
                 assert all(c >= 0 for c in coords)
-                assert _expansion(coords, combined.basis.images) == \
-                    _expansion(element.coords, basis.images)
+                assert expansion(coords, combined.basis.images) == \
+                    expansion(element.coords, basis.images)
             assert all(lex_sign(img) == 1 for img in combined.basis.images)
             assert abs(determinant(combined.basis.coords_in_original)) == 1
             _TRACES.append((combined.steps, order.rank))
@@ -505,8 +498,8 @@ def _worked_examples_groups():
     basis = GroupBasis.initial(order)
 
     # rational dot-product oracle for comparisons
-    assert _expansion((2, -1), basis.images) == (Fraction(2), Fraction(-1))
-    assert lex_sign(_expansion((2, -1), basis.images)) == 1
+    assert expansion((2, -1), basis.images) == (Fraction(2), Fraction(-1))
+    assert lex_sign(expansion((2, -1), basis.images)) == 1
     assert element_compare(GroupElement(basis, (2, -1)),
                            GroupElement(basis, (0, 0))) == 1
     assert element_compare(GroupElement(basis, (0, 1)),
@@ -520,8 +513,8 @@ def _worked_examples_groups():
     assert lex_sign(new_basis.images[0]) == 1
     new_coords = apply_step(step, (2, -1))
     assert new_coords == (2, 1)
-    assert _expansion(new_coords, new_basis.images) == \
-        _expansion((2, -1), basis.images)
+    assert expansion(new_coords, new_basis.images) == \
+        expansion((2, -1), basis.images)
 
     result = positivize(basis, GroupElement(basis, (2, -1)))
     assert len(result.steps) == 1
@@ -532,8 +525,8 @@ def _worked_examples_groups():
     combined = positivize_all(
         basis, [GroupElement(basis, (2, -1)), GroupElement(basis, (0, 1))])
     assert combined.coords == ((2, 1), (0, 1))
-    assert _expansion(combined.coords[1], combined.basis.images) == \
-        _expansion((0, 1), basis.images)
+    assert expansion(combined.coords[1], combined.basis.images) == \
+        expansion((0, 1), basis.images)
 
 
 def _worked_examples_monomials():
@@ -605,7 +598,7 @@ def _worked_examples_cli(tmp_dir=None):
         assert doc["payload"]["basis_images"] == [["1", "-1"], ["0", "1"]]
         images = [tuple(Fraction(x) for x in row)
                   for row in doc["payload"]["basis_images"]]
-        assert _expansion((2, 1), images) == (Fraction(2), Fraction(-1))
+        assert expansion((2, 1), images) == (Fraction(2), Fraction(-1))
 
         code, doc = run(["monomialize"],
                         {"num_vars": 2, "num_toric": 2,

@@ -657,13 +657,49 @@ def run_traces(draw, max_dim=4, max_runs=4):
 def test_trace_text_is_the_encoders_bytes(trace, status):
     doc = {"schema_version": 1, "status": status, "payload": None,
            "diagnostics": ["d"] if status == "error" else []}
+    code = 3 if status == "error" else 0
     expanded = [{"J": sorted(s.J), "j": s.j} for s in trace]
     out = io.StringIO()
     with redirect_stdout(out):
-        assert perron.cli._write_document(argparse.Namespace(output="-"),
-                                          dict(doc), 3, trace) == 3
+        assert perron.cli._write_document(argparse.Namespace(output="-"), code, None,
+                                          list(doc["diagnostics"]), trace) == code
     assert out.getvalue() == json.dumps(dict(doc, trace=expanded), sort_keys=True,
                                         separators=(",", ":")) + "\n"
+
+
+PAIR_JOB = '{"alpha":[299857033,11,3],"beta":[7218397668,1132981884,1]}'
+SMALL_JOB = '{"alpha":[30,33,0],"beta":[0,0,5]}'  # comparable after 13 rounds
+
+
+def _run_length_off_by_one(tests, limit, closed_form=perron.engine._run_length):
+    return closed_form(tests, limit) + 1
+
+
+@pytest.mark.parametrize("argv, job, patch, code", [
+    (["compare", "--trace"], SMALL_JOB, None, 0),
+    (["compare"], '{"alpha":[1,2]}', None, 1),
+    (["compare"], '{"alpha":[1,2],"beta":[1]}', None, 2),
+    (["compare", "--step-limit", "4"], PAIR_JOB, None, 3),
+    (["game", "play"], '{"vectors":[[2,0],[0,3],[1,1]]}\n2\n', None, 4),
+    (["compare"], PAIR_JOB, ("engine", "_run_length", _run_length_off_by_one), 5),
+    (["compare", "--trace"], SMALL_JOB, ("cli", "_encode_trace", _unencodable), 1),
+    (["compare", "--trace", "--step-limit", "4"], PAIR_JOB,
+     ("cli", "_encode_trace", _unencodable), 3),
+    (["compare", "--output", "{missing}"], SMALL_JOB, None, 1),
+], ids=["ok", "malformed", "validation", "step-limit", "aborted", "internal",
+        "ok-trace-too-large", "error-trace-too-large", "unwritable-output"])
+def test_status_is_ok_exactly_when_the_exit_code_is_0(argv, job, patch, code,
+                                                      tmp_path, monkeypatch, capsys):
+    """Every exit class writes one document, "ok" at exit 0 and "error" at
+    every other code, also when the trace or the output file fails."""
+    if patch:
+        monkeypatch.setattr(getattr(perron, patch[0]), patch[1], patch[2])
+    missing = str(tmp_path / "no-such-dir" / "result.json")
+    monkeypatch.setattr("sys.stdin", io.StringIO(job))
+    assert main([missing if a == "{missing}" else a for a in argv]) == code
+    out = capsys.readouterr().out
+    assert_one_document(code, out)
+    assert (json.loads(out)["payload"] is None) == (code != 0)
 
 
 def assert_malformed(argv, tmp_path, fragment):
@@ -1669,7 +1705,7 @@ def oracle_as_rational(value, what):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            if "e" in value or "E" in value:
+            if "e" in value or "E" in value or "_" in value or len(value.split()) > 1:
                 raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -1694,7 +1730,8 @@ _plain_rationals = st.builds(
 _near_rationals = st.sampled_from([
     "+2", " 3/4 ", "1.25", ".5", "1_0", "--1", "1/-2", "1/+2", "1/0", "0/0",
     "1e3", "1E3", "-", "/", "1/", "/2", "-/2", "2/3/4", " -3", "3 ", "٣",
-    "-٣/٤", "²", "１", "1/٣", "", "0x10", "1.5/2"])
+    "-٣/٤", "²", "１", "1/٣", "", "0x10", "1.5/2",
+    "1 / 3", "1/ 3", "1\t/\t3", "1_0/3"])
 
 
 @settings(max_examples=300)
@@ -1703,6 +1740,25 @@ _near_rationals = st.sampled_from([
                  st.integers(), st.booleans(), st.floats(), st.none()))
 def test_rational_reader_matches_fraction_of_the_string(value):
     """Each input gives the same Fraction, or the same malformed-input
-    message, as the reader that sent every string to Fraction."""
+    message, as the reader that sent every string without an exponent, an
+    underscore or inner whitespace to Fraction."""
     assert _read(lambda v: perron.cli._as_rational(v, "entry", Fraction), value) \
         == _read(lambda v: oracle_as_rational(v, "entry"), value)
+
+
+@pytest.mark.parametrize("value, basis_image", [
+    ("1_0", None), ("1 / 3", None), ("1/ 3", None), ("1\t/\t3", None),
+    ("1_0/3", None), (" 7/14 ", "1/2"), ("+2", "2"), ("1.25", "5/4"), ("٣", "3")])
+def test_a_rational_reads_the_same_on_every_python(value, basis_image, monkeypatch,
+                                                   capsys):
+    """Fraction(str) reads "1_0" from Python 3.11 and "1 / 3" from 3.12 on,
+    so the reader rejects an underscore and inner whitespace everywhere."""
+    job = {"generator_images": [[value]], "elements": [[1]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    code = 1 if basis_image is None else 0
+    assert main(["positivize"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    if code:
+        assert doc["diagnostics"] == [f"image entry is not a rational: {value!r}"]
+    else:
+        assert doc["payload"]["basis_images"] == [[basis_image]]

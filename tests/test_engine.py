@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from operator import sub
 from pathlib import Path
 
@@ -771,7 +772,7 @@ def repeating_blocks(draw):
         lambda d: min(d) < 0 < max(d))
     states = draw(st.lists(state, min_size=1, max_size=3))
     shift = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    return states, shift, draw(st.integers(0, 60))
+    return states, shift, draw(st.integers(1, 60))
 
 
 A_300 = 2 ** 300 - 2 ** 150 + 7
@@ -781,10 +782,11 @@ C_300 = 2 ** 299 + 3
 def assert_repeat_count(oracle, states, shift, limit):
     """_repeat_count against the oracle at limit and, since it confirms its
     closed-form end c by probing c and c + 1, at the oracle's count and one
-    either side, where those confirmations meet the run's end."""
+    either side, where those confirmations meet the run's end.  Every cap is
+    at least 1: a limit of 0 is _repeat's to answer."""
     rounds = [(d, oracle_J_rule(d)) for d in states]
     count = oracle(states, shift, limit)
-    for cap in {limit, count + 1, count, max(count - 1, 0)}:
+    for cap in {limit, count + 1, max(count, 1), max(count - 1, 1)}:
         expected = oracle(states, shift, cap)
         assert _repeat_count(rounds, shift, cap) == expected, cap
 
@@ -933,6 +935,41 @@ def test_repeat_count_makes_at_most_three_probes(case):
     assert 1 <= len(probes) <= 3 * len(states)
     if closed_form_repeat_count(states, shift, 1) == 0:
         assert len(probes) <= len(states)
+
+
+README_PAIR = ((299857033, 11, 3), (7218397668, 1132981884, 1))  # 9 runs by FirstIndex
+
+
+@pytest.mark.parametrize("step_limit", [None, 1, 2, 3, 50])
+def test_drive_asks_repeat_count_only_about_limits_of_at_least_1(step_limit):
+    """_repeat turns away a zero answer (with one round left, a step limit
+    asks for 0), so _repeat_count is only asked about limits >= 1:
+    run_pair and solve against every adversary, on README's 9-run pair, and
+    positivize_all of (5, -2^8, 7) on the identity order."""
+    identity = GroupBasis.initial(GroupOrder(tuple(
+        tuple(map(Fraction, row)) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
+    jobs = [partial(positivize_all, identity, [GroupElement(identity, (5, -2 ** 8, 7))],
+                    step_limit)]
+    for make in (FirstIndex, MaxGrowth, partial(SeededRandom, 7),
+                 partial(Scripted, [])):
+        # the others play round by round: 4,025,761,255 rounds take hours
+        limit = step_limit if make is FirstIndex else step_limit or 300
+        jobs += [partial(run_pair, *README_PAIR, make(), limit),
+                 partial(solve, [(40, 0, 3), (0, 50, 1), (7, 7, 7)], make(), limit)]
+    limits = []
+    count = perron.engine._repeat_count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perron.engine, "_repeat_count",
+                      lambda rounds, shift, limit: limits.append(limit)
+                      or count(rounds, shift, limit))
+        for job in jobs:
+            try:
+                job()
+            except StepLimitExceeded:
+                pass
+    assert min(limits, default=1) >= 1
+    if step_limit is None:
+        assert len(limits) >= 9
 
 
 def big_entry_pair(n, bits, seed):

@@ -17,26 +17,17 @@ from perron import (GroupBasis, GroupElement, GroupOrder, InternalError, Step,
 from perron.engine import Adversary
 from perron.monomials import Substitution
 from perron.ordered_group import (PositivizeAllResult, PositivizeResult,
-                                  _PerronChooser, _combination, _dot,
-                                  _perron_run_length, _scaled)
-from perron.transforms import apply_run, commute
+                                  _PerronChooser, _dot, _perron_run_length,
+                                  _scaled)
+from perron.transforms import apply_run, commute, identity_matrix
 
-from conftest import (element_compare, group_orders, merged_runs, positive_element,
-                      substitute_exponents, valued_rings)
+from conftest import (element_compare, expansion, group_orders, merged_runs,
+                      positive_element, substitute_exponents, valued_rings)
 
 
 def standard_basis():
     order = GroupOrder((lexvec(["1", "0"]), lexvec(["0", "1"])))
     return GroupBasis.initial(order)
-
-
-def expansion(coords, images):
-    """Oracle: the exact rational combination of images."""
-    total = [Fraction(0)] * len(images[0])
-    for c, img in zip(coords, images):
-        for k, x in enumerate(img):
-            total[k] += c * x
-    return tuple(total)
 
 
 def test_validate_order_examples():
@@ -763,7 +754,9 @@ def combinations(draw, max_vecs=4, max_dim=4):
 def test_integer_sums_match_the_fraction_oracle(case):
     coeffs, vecs = case
     total = expansion(coeffs, vecs)
-    assert _combination(coeffs, vecs) == total
+    # neither GroupBasis nor GroupElement checks that the images are independent
+    basis = GroupBasis(GroupOrder(vecs), identity_matrix(len(vecs)), vecs)
+    assert element_value(GroupElement(basis, coeffs)) == total
     # the sign check of positivize: integer sums up to the first non-zero
     assert lex_sign(_dot(coeffs, _scaled(vecs)[1])) == lex_sign(total)
 
@@ -780,4 +773,7 @@ def test_element_and_monomial_values_match_the_fraction_oracle(order, ring, data
     assert element_compare(GroupElement(basis, coords), zero) == lex_sign(total)
 
     exponents = tuple(data.draw(st.integers(0, 5)) for _ in range(ring.num_vars))
-    assert _combination(exponents, ring.values) == expansion(exponents, ring.values)
+    value_basis = GroupBasis(GroupOrder(ring.values), identity_matrix(ring.num_vars),
+                             ring.values)
+    assert element_value(GroupElement(value_basis, exponents)) \
+        == expansion(exponents, ring.values)
